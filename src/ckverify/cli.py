@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import ideal
@@ -183,12 +182,6 @@ def _print_report_text(report, with_certificates: bool,
 # commands
 
 def _cmd_verify(args) -> int:
-    if args.b is not None and args.b < 2:
-        print("error: modulus must be an integer >= 2", file=sys.stderr)
-        return EXIT_INPUT
-    if args.wrapper_len < 0:
-        print("error: wrapper length must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     started = time.monotonic()
     report = claims.verify(args.claim, b=args.b, symbolic=args.symbolic,
                            wrapper_len=args.wrapper_len)

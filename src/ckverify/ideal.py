@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .coeff import Coefficient, Space
@@ -84,22 +84,9 @@ class MembershipCertificate:
     def __init__(self, entries: Sequence[CertEntry]):
         self.entries = list(entries)
 
-    def expand(self, relations: Sequence[NcPoly]) -> NcPoly:
-        if not self.entries:
-            raise ValueError("cannot expand an empty certificate without context")
-        proto = relations[0]
-        out = NcPoly.zero(proto.alphabet, proto.space)
-        for e in self.entries:
-            rel = relations[e.rel_index]
-            l = NcPoly.monomial(rel.alphabet, rel.space, e.left)
-            r = NcPoly.monomial(rel.alphabet, rel.space, e.right)
-            out = out + (l * rel * r).scale(e.coeff)
-        return out
-
     def verify(self, target: NcPoly, relations: Sequence[NcPoly]) -> bool:
-        if not self.entries:
-            return target.is_zero()
-        return self.expand(relations) == target
+        rows = ((e.left, e.rel_index, e.right, e.coeff) for e in self.entries)
+        return not _residual(rows, [r.terms for r in relations], target.terms)
 
     def __len__(self):
         return len(self.entries)
@@ -187,90 +174,95 @@ class _Span:
         self.basis[piv] = (vec, bcombo)
 
     def membership(self, target: NcPoly) -> Optional[MembershipCertificate]:
-        """Certificate if target is in the span, else None."""
-        vec = self._to_vec(target)
-        vec, combo = self._reduce(vec, {})
+        """Certificate if target is in the span, else None.  The combination
+        is re-expanded from scratch and compared with the target first: no
+        certificate leaves the engine unchecked."""
+        vec, combo = self._reduce(self._to_vec(target), {})
         if vec:
             return None
-        self._check_combo(combo, target)
-        entries = []
-        for t in sorted(combo):
-            left, rel_index, right = self.tags[t]
-            c = combo[t]
-            if self.rational:
-                c = Coefficient.const(self.space, c)
-            entries.append(CertEntry(left, rel_index, right, c))
-        return MembershipCertificate(entries)
-
-    def _check_combo(self, combo: dict, target: NcPoly):
-        """Re-expand the combination from scratch and compare with the target:
-        no certificate leaves the engine unchecked."""
-        acc: dict = {}
-        for t, c in combo.items():
-            left, rel_index, right = self.tags[t]
-            for w, bc in self._vec_cache[rel_index].items():
-                key = left + w + right
-                nv = acc.get(key, 0) + c * bc
-                if nv:
-                    acc[key] = nv
-                else:
-                    acc.pop(key, None)
-        tvec = self._to_vec(target)
-        for w, c in tvec.items():
-            nv = acc.get(w, 0) - c
-            if nv:
-                acc[w] = nv
-            else:
-                acc.pop(w, None)
-        if acc:
+        rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
+        if _residual(rows, self._vec_cache, self._to_vec(target)):
             raise RuntimeError("internal error: certificate failed re-expansion")
+        if self.rational:
+            rows = [(l, i, r, Coefficient.const(self.space, c))
+                    for l, i, r, c in rows]
+        return MembershipCertificate([CertEntry(*row) for row in rows])
 
 
-def _all_words(alphabet_size: int, length: int):
-    return product(range(alphabet_size), repeat=length)
+def _residual(rows, relation_terms, target_terms) -> dict:
+    """sum of c * (l * g_i * r) over the rows (l, i, r, c), minus the target,
+    as a word -> scalar dict without zero entries; relation_terms[i] and
+    target_terms are word -> scalar dicts over one scalar type."""
+    acc: dict = {}
+    products = ((left + w + right, c * gc) for left, i, right, c in rows
+                for w, gc in relation_terms[i].items())
+    negated = ((w, -c) for w, c in target_terms.items())
+    for w, c in chain(products, negated):
+        nv = acc.get(w, 0) + c
+        if nv:
+            acc[w] = nv
+        else:
+            acc.pop(w, None)
+    return acc
 
 
-def _wrappers_upto(alphabet_size: int, budget: int):
-    """(left, right) pairs with |left| + |right| <= budget, ordered by total
-    length, then left, then right (deglex)."""
-    out = []
-    for total in range(budget + 1):
-        for llen in range(total + 1):
-            rlen = total - llen
-            for l in _all_words(alphabet_size, llen):
-                for r in _all_words(alphabet_size, rlen):
-                    out.append((l, r))
-    out.sort(key=lambda lr: (len(lr[0]) + len(lr[1]),
-                             word_key(lr[0]), word_key(lr[1])))
-    return out
-
-
-def _graded_span(relations: Sequence[NcPoly], degree: int, space: Space) -> _Span:
+def _span(relations: Sequence[NcPoly], space: Space, degree: Optional[int],
+          wrapper_len: Optional[int]) -> _Span:
+    """Span of the rows l * g_i * r, inserted in deglex order of (l, r) and
+    then by relation index.  With a degree, the rows with |l| + |r| =
+    degree - deg g_i: the complete degree slice of the ideal.  With degree
+    None, the rows with |l| + |r| <= wrapper_len."""
     span = _Span(relations, space)
     n = len(relations[0].alphabet)
-    jobs = []
-    for idx, rel in enumerate(relations):
-        budget = degree - rel.degree()
-        if budget < 0:
+    degrees = [rel.degree() for rel in relations]
+    for total in range((wrapper_len if degree is None else degree) + 1):
+        indices = [i for i, d in enumerate(degrees)
+                   if degree is None or d + total == degree]
+        if not indices:
             continue
-        for llen in range(budget + 1):
-            rlen = budget - llen
-            for l in _all_words(n, llen):
-                for r in _all_words(n, rlen):
-                    jobs.append((budget, l, r, idx))
-    jobs.sort(key=lambda j: (j[0], word_key(j[1]), word_key(j[2]), j[3]))
-    for _, l, r, idx in jobs:
-        span.add_wrapped(l, idx, r)
+        for llen in range(total + 1):
+            for l in product(range(n), repeat=llen):
+                for r in product(range(n), repeat=total - llen):
+                    for i in indices:
+                        span.add_wrapped(l, i, r)
     return span
 
 
-def _bounded_span(relations: Sequence[NcPoly], wrapper_len: int, space: Space) -> _Span:
-    span = _Span(relations, space)
-    n = len(relations[0].alphabet)
-    for l, r in _wrappers_upto(n, wrapper_len):
-        for idx in range(len(relations)):
-            span.add_wrapped(l, idx, r)
-    return span
+def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
+              space: Space, graded: bool,
+              wrapper_len: Optional[int]) -> list:
+    """One verdict per target.  Graded: against the complete slice of the
+    target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
+    against the wrappers up to wrapper_len, so a failed search is
+    INCONCLUSIVE."""
+    spans: dict = {}
+    verdicts = []
+    for target in targets:
+        if target.is_zero():
+            verdicts.append(MembershipVerdict(MEMBER, MembershipCertificate([])))
+            continue
+        degree = target.degree() if graded else None
+        if degree not in spans:
+            spans[degree] = _span(relations, space, degree, wrapper_len)
+        cert = spans[degree].membership(target)
+        if cert is not None:
+            verdicts.append(MembershipVerdict(MEMBER, cert))
+        elif graded:
+            verdicts.append(MembershipVerdict(NON_MEMBER))
+        else:
+            verdicts.append(MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
+    return verdicts
+
+
+def _overall(verdicts, yes: str, no: str) -> str:
+    """yes when every verdict is MEMBER, no when one is NON_MEMBER, else
+    INCONCLUSIVE."""
+    kinds = {v.kind for v in verdicts}
+    if kinds <= {MEMBER}:
+        return yes
+    if NON_MEMBER in kinds:
+        return no
+    return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +278,7 @@ def graded_membership(target: NcPoly, relations: Sequence[NcPoly]) -> Membership
             raise ValueError("graded membership needs homogeneous relations")
     if not target.is_homogeneous():
         raise ValueError("graded membership needs a homogeneous target")
-    if target.is_zero():
-        return MembershipVerdict(MEMBER, MembershipCertificate([]))
-    d = target.degree()
-    span = _graded_span(relations, d, target.space)
-    cert = span.membership(target)
-    if cert is None:
-        return MembershipVerdict(NON_MEMBER)
-    return MembershipVerdict(MEMBER, cert)
+    return _verdicts([target], relations, target.space, True, None)[0]
 
 
 def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
@@ -304,13 +289,7 @@ def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
         raise ValueError("wrapper_len must be nonnegative")
     if not relations:
         raise ValueError("empty relation list")
-    if target.is_zero():
-        return MembershipVerdict(MEMBER, MembershipCertificate([]))
-    span = _bounded_span(relations, wrapper_len, target.space)
-    cert = span.membership(target)
-    if cert is None:
-        return MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)
-    return MembershipVerdict(MEMBER, cert)
+    return _verdicts([target], relations, target.space, False, wrapper_len)[0]
 
 
 @dataclass
@@ -333,41 +312,12 @@ def involution_stability(p: Presentation, wrapper_len: int = 2) -> StabilityRepo
     relation ideal.  Homogeneous presentations get the definitive graded
     test; otherwise a bounded search is used and a failed search leaves the
     overall verdict INCONCLUSIVE."""
-    results = []
-    if p.homogeneous:
-        spans = {}
-        for i, rel in enumerate(p.relations):
-            image = rel.involute(p.involution)
-            if image.is_zero():
-                results.append(RelationStability(
-                    i, MembershipVerdict(MEMBER, MembershipCertificate([]))))
-                continue
-            d = image.degree()
-            if d not in spans:
-                spans[d] = _graded_span(p.relations, d, p.space)
-            cert = spans[d].membership(image)
-            if cert is None:
-                results.append(RelationStability(i, MembershipVerdict(NON_MEMBER)))
-            else:
-                results.append(RelationStability(i, MembershipVerdict(MEMBER, cert)))
-    else:
-        span = _bounded_span(p.relations, wrapper_len, p.space)
-        for i, rel in enumerate(p.relations):
-            image = rel.involute(p.involution)
-            cert = span.membership(image)
-            if cert is None:
-                results.append(RelationStability(
-                    i, MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)))
-            else:
-                results.append(RelationStability(i, MembershipVerdict(MEMBER, cert)))
-    kinds = {r.verdict.kind for r in results}
-    if kinds <= {MEMBER}:
-        verdict = STABLE
-    elif NON_MEMBER in kinds:
-        verdict = UNSTABLE
-    else:
-        verdict = INCONCLUSIVE
-    return StabilityReport(verdict, results)
+    images = [rel.involute(p.involution) for rel in p.relations]
+    verdicts = _verdicts(images, p.relations, p.space, p.homogeneous,
+                         wrapper_len)
+    return StabilityReport(_overall(verdicts, STABLE, UNSTABLE),
+                           [RelationStability(i, v)
+                            for i, v in enumerate(verdicts)])
 
 
 @dataclass
@@ -381,26 +331,9 @@ class EquivalenceReport:
 def _one_direction(sources: Sequence[NcPoly], targets: Presentation,
                    wrapper_len: int):
     """Verdicts for each source relation against the target ideal."""
-    verdicts = []
-    if targets.homogeneous and all(s.is_homogeneous() for s in sources):
-        spans = {}
-        for s in sources:
-            if s.is_zero():
-                verdicts.append(MembershipVerdict(MEMBER, MembershipCertificate([])))
-                continue
-            d = s.degree()
-            if d not in spans:
-                spans[d] = _graded_span(targets.relations, d, targets.space)
-            cert = spans[d].membership(s)
-            verdicts.append(MembershipVerdict(NON_MEMBER) if cert is None
-                            else MembershipVerdict(MEMBER, cert))
-        return verdicts
-    span = _bounded_span(targets.relations, wrapper_len, targets.space)
-    for s in sources:
-        cert = span.membership(s)
-        verdicts.append(MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)
-                        if cert is None else MembershipVerdict(MEMBER, cert))
-    return verdicts
+    graded = targets.homogeneous and all(s.is_homogeneous() for s in sources)
+    return _verdicts(sources, targets.relations, targets.space, graded,
+                     wrapper_len)
 
 
 def presentations_equivalent(P: Presentation, Q: Presentation,
@@ -416,11 +349,5 @@ def presentations_equivalent(P: Presentation, Q: Presentation,
         raise ValueError("presentations use different involutions")
     forward = _one_direction(P.relations, Q, wrapper_len)
     backward = _one_direction(Q.relations, P, wrapper_len)
-    kinds = {v.kind for v in forward} | {v.kind for v in backward}
-    if kinds <= {MEMBER}:
-        verdict = EQUIVALENT
-    elif NON_MEMBER in kinds:
-        verdict = NOT_EQUIVALENT
-    else:
-        verdict = INCONCLUSIVE
+    verdict = _overall(forward + backward, EQUIVALENT, NOT_EQUIVALENT)
     return EquivalenceReport(verdict, forward, backward, wrapper_len)

@@ -17,8 +17,6 @@ RELATIONS (one expression per line; a single '=' is normalized to left-right).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeff import Coefficient, ConjugationSpec, Space
 from .ncpoly import NcPoly, InvolutionSpec
 
@@ -41,6 +39,12 @@ class _Token:
 
 
 _OPS = set("+-*/^()=")
+
+# Bad input is refused after bounded work: a '(' level costs five frames of
+# the default 1000, and p^k has up to len(p.terms)^k terms.
+MAX_NESTING = 100
+MAX_EXPONENT = 100
+MAX_POWER_TERMS = 10_000
 
 
 def _tokenize(text: str, line0: int = 1):
@@ -93,6 +97,7 @@ class _ExprParser:
     def __init__(self, tokens, generators, space: Space):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.generators = {name: i for i, name in enumerate(generators)}
         self.alphabet = tuple(generators)
         self.space = space
@@ -142,10 +147,16 @@ class _ExprParser:
         return p
 
     def unary(self) -> NcPoly:
+        self.depth += 1  # every '(' and unary '-' level passes through here
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels")
         if self.peek().kind == "-":
             self.next()
-            return -self.unary()
-        return self.power()
+            p = -self.unary()
+        else:
+            p = self.power()
+        self.depth -= 1
+        return p
 
     def power(self) -> NcPoly:
         p = self.atom()
@@ -156,6 +167,11 @@ class _ExprParser:
                 self.error("exponent must be a nonnegative integer", caret)
             if t.kind != "num":
                 self.error("expected integer exponent", t)
+            if t.value > MAX_EXPONENT:
+                self.error(f"exponent {t.value} exceeds {MAX_EXPONENT}", t)
+            if len(p.terms) ** t.value > MAX_POWER_TERMS:
+                self.error(f"power of up to {len(p.terms) ** t.value} terms "
+                           f"exceeds {MAX_POWER_TERMS}", caret)
             self.next()
             p = p ** t.value
         return p

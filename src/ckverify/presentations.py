@@ -26,6 +26,11 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CLAIMS = ("lemma1", "lemma2", "lemma4", "lemma5", "theorem1", "corollary1")
 
 
+def _check_modulus(b):
+    if isinstance(b, bool) or not isinstance(b, int) or b < 2:
+        raise ValueError("modulus must be an integer >= 2")
+
+
 def _coeff(space: Space, value) -> Coefficient:
     if isinstance(value, Coefficient):
         return value
@@ -84,8 +89,7 @@ class CKMatrix:
 
     @staticmethod
     def for_modulus(b: int) -> "CKMatrix":
-        if isinstance(b, bool) or not isinstance(b, int) or b < 2:
-            raise ValueError("modulus must be an integer >= 2")
+        _check_modulus(b)
         return CKMatrix(b - 1, 1, b - 2, 1)
 
 
@@ -142,17 +146,20 @@ def _gens(space: Space):
     return tuple(NcPoly.generator(GENERATORS, space, i) for i in range(4))
 
 
+def _defining_pair(space: Space, param, a: int, b: int, c: int):
+    """x1*xa - xa*x1 - param*(xb*xc + xc*xb) and
+    x1*xa + xa*x1 - xb*xc + xc*xb, for generator indices a, b, c."""
+    gens = _gens(space)
+    x1, xa, xb, xc = gens[0], gens[a], gens[b], gens[c]
+    return [x1 * xa - xa * x1 - (xb * xc + xc * xb).scale(param),
+            x1 * xa + xa * x1 - xb * xc + xc * xb]
+
+
 def _sklyanin_relations(space: Space, alpha, beta, gamma):
     """The six quadratic relations, with unconstrained scalar parameters."""
-    x1, x2, x3, x4 = _gens(space)
-    return [
-        x1 * x2 - x2 * x1 - (x3 * x4 + x4 * x3).scale(alpha),
-        x1 * x2 + x2 * x1 - x3 * x4 + x4 * x3,
-        x1 * x3 - x3 * x1 - (x4 * x2 + x2 * x4).scale(beta),
-        x1 * x3 + x3 * x1 - x4 * x2 + x2 * x4,
-        x1 * x4 - x4 * x1 - (x2 * x3 + x3 * x2).scale(gamma),
-        x1 * x4 + x4 * x1 - x2 * x3 + x3 * x2,
-    ]
+    return (_defining_pair(space, alpha, 1, 2, 3)
+            + _defining_pair(space, beta, 2, 3, 1)
+            + _defining_pair(space, gamma, 3, 1, 2))
 
 
 def sklyanin(params: SklyaninParams,
@@ -212,19 +219,24 @@ def ideal_Omega0(space: Space = RATIONALS):
     return [x1 * x1 + x4 * x4, x2 * x2 + x3 * x3]
 
 
-def omega_central(params: SklyaninParams):
-    """The distinguished quadratic pair for a parameter triple:
-    x1^2+x2^2+x3^2+x4^2 and x2^2 + (1+beta)/(1-gamma) x3^2
-    + (1-beta)/(1+alpha) x4^2.  Poles at gamma = 1 and alpha = -1."""
-    space = params.alpha.names
-    one = Coefficient.const(space, 1)
+def _central_coeffs(params: SklyaninParams):
+    """(1+beta)/(1-gamma) and (1-beta)/(1+alpha), the x3^2 and x4^2
+    coefficients of the second element of the quadratic pair."""
+    one = Coefficient.const(params.alpha.names, 1)
     if (one - params.gamma).is_zero():
         raise PoleError("gamma = 1 is a pole of the quadratic pair")
     if (one + params.alpha).is_zero():
         raise PoleError("alpha = -1 is a pole of the quadratic pair")
-    c3 = (one + params.beta) / (one - params.gamma)
-    c4 = (one - params.beta) / (one + params.alpha)
-    x1, x2, x3, x4 = _gens(space)
+    return ((one + params.beta) / (one - params.gamma),
+            (one - params.beta) / (one + params.alpha))
+
+
+def omega_central(params: SklyaninParams):
+    """The distinguished quadratic pair for a parameter triple:
+    x1^2+x2^2+x3^2+x4^2 and x2^2 + (1+beta)/(1-gamma) x3^2
+    + (1-beta)/(1+alpha) x4^2.  Poles at gamma = 1 and alpha = -1."""
+    c3, c4 = _central_coeffs(params)
+    x1, x2, x3, x4 = _gens(params.alpha.names)
     omega1 = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
     omega2 = x2 * x2 + (x3 * x3).scale(c3) + (x4 * x4).scale(c4)
     return [omega1, omega2]
@@ -246,20 +258,19 @@ def lemma2_solve(alpha) -> Matrix2:
     lhs = Matrix2(one, alpha, one, one)
     rhs = Matrix2(one, -alpha, -one, one)
     m = lhs.inverse() * rhs
-    mono = lambda w: NcPoly.monomial(GENERATORS, space, w)
-    x1x2, x2x1, x3x4, x4x3 = mono((0, 1)), mono((1, 0)), mono((2, 3)), mono((3, 2))
-    defining = [
-        x2x1 + x4x3.scale(alpha) - x1x2 + x3x4.scale(alpha),
-        x2x1 + x4x3 + x1x2 - x3x4,
-    ]
-    table = {
-        (1, 0): x1x2.scale(m.a) + x3x4.scale(m.b),
-        (3, 2): x1x2.scale(m.c) + x3x4.scale(m.d),
-    }
-    for rel in defining:
-        if not rel.substitute_words(table).is_zero():
-            raise RuntimeError("internal error: solved pair fails back-substitution")
+    if not _back_substitutes(space, alpha, m):
+        raise RuntimeError("internal error: solved pair fails back-substitution")
     return m
+
+
+def _back_substitutes(space: Space, alpha, m: Matrix2) -> bool:
+    """Do both defining relations vanish once x2*x1 and x4*x3 are replaced
+    by the combinations of x1*x2 and x3*x4 that the rows of m give?"""
+    x1, x2, x3, x4 = _gens(space)
+    table = {(1, 0): (x1 * x2).scale(m.a) + (x3 * x4).scale(m.b),
+             (3, 2): (x1 * x2).scale(m.c) + (x3 * x4).scale(m.d)}
+    return all(rel.substitute_words(table).is_zero()
+               for rel in _defining_pair(space, alpha, 1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -348,6 +359,13 @@ _SCAN_PAIRS = {"alpha": "alphabar", "alphabar": "alpha",
                "gamma": "gammabar", "gammabar": "gamma"}
 
 
+def _stability_certs(rep: ideal.StabilityReport):
+    """The certificates of a stability report by relation name, or None."""
+    certs = {f"r{r.index + 1}": r.verdict.certificate for r in rep.relations
+             if r.verdict.certificate is not None}
+    return certs or None
+
+
 def _stability_step(name: str, relations, conjugation, expected_failing,
                     wrapper_len: int) -> StepReport:
     p = ideal.Presentation(GENERATORS, _SCAN_SPACE, relations,
@@ -360,10 +378,7 @@ def _stability_step(name: str, relations, conjugation, expected_failing,
         return ", ".join(f"r{i + 1}" for i in ix) if ix else "none"
     detail = (f"{rep.verdict}; adjoint images escaping the ideal: "
               f"{rel_names(failing)} (expected {rel_names(expected_failing)})")
-    certs = {f"r{i + 1}": r.verdict.certificate
-             for i, r in zip(range(len(relations)), rep.relations)
-             if r.verdict.certificate is not None}
-    return StepReport(name, PASS if ok else FAIL, detail, certs or None)
+    return StepReport(name, PASS if ok else FAIL, detail, _stability_certs(rep))
 
 
 def _lemma1_symbolic(wrapper_len: int):
@@ -402,16 +417,14 @@ def _lemma1_concrete(b: int, wrapper_len: int):
     detail = (f"{rep.verdict} at modulus {b}; "
               f"{sum(1 for r in rep.relations if r.verdict.is_member())}/6 "
               "adjoint images certified")
-    certs = {f"r{r.index + 1}": r.verdict.certificate for r in rep.relations
-             if r.verdict.certificate is not None}
     return [StepReport("stability_at_modulus", PASS if ok else FAIL,
-                       detail, certs or None)]
+                       detail, _stability_certs(rep))]
 
 
 # -- the linear-solve pipeline ----------------------------------------------
 
-def _lemma2(b: Optional[int], symbolic: bool):
-    if symbolic:
+def _lemma2(b: Optional[int]):
+    if b is None:
         sp = ("alpha", "b")
         alpha = Coefficient.param(sp, "alpha")
         bc = Coefficient.param(sp, "b")
@@ -431,24 +444,14 @@ def _lemma2(b: Optional[int], symbolic: bool):
     steps.append(StepReport("linear_solve", PASS if ok else FAIL,
                             f"solved pair matrix {m}"))
 
-    mono = lambda w: NcPoly.monomial(GENERATORS, sp, w)
-    x1x2, x2x1, x3x4, x4x3 = (mono((0, 1)), mono((1, 0)),
-                              mono((2, 3)), mono((3, 2)))
-    defining = [
-        x2x1 + x4x3.scale(alpha) - x1x2 + x3x4.scale(alpha),
-        x2x1 + x4x3 + x1x2 - x3x4,
-    ]
-    table = {(1, 0): x1x2.scale(m.a) + x3x4.scale(m.b),
-             (3, 2): x1x2.scale(m.c) + x3x4.scale(m.d)}
-    residuals = [rel.substitute_words(table) for rel in defining]
-    ok = all(r.is_zero() for r in residuals)
+    ok = _back_substitutes(sp, alpha, m)
     steps.append(StepReport(
         "back_substitution", PASS if ok else FAIL,
         "both defining relations vanish under the solved pair" if ok
         else "a defining relation survives back-substitution"))
 
     alpha_b = (bc - 2) / (bc + 2)
-    m_b = m.substitute({"alpha": alpha_b}) if symbolic else m
+    m_b = m.substitute({"alpha": alpha_b}) if b is None else m
     half_b = bc / 2
     expected_modulus = Matrix2(half_b, one - half_b, -one - half_b, half_b)
     ok = m_b == expected_modulus
@@ -464,15 +467,8 @@ def _lemma2(b: Optional[int], symbolic: bool):
               f"trace {sim.trace_m} = {sim.trace_b}; det {sim.det_m} = {sim.det_b}")
     steps.append(StepReport("similarity", PASS if ok else FAIL, detail))
 
-    x1, x2, x3, x4 = _gens(sp)
-    defining_pair = [
-        x1 * x2 - x2 * x1 - (x3 * x4 + x4 * x3).scale(alpha),
-        x1 * x2 + x2 * x1 - x3 * x4 + x4 * x3,
-    ]
-    solved_pair = [
-        x2 * x1 - (x1 * x2).scale(m.a) - (x3 * x4).scale(m.b),
-        x4 * x3 - (x1 * x2).scale(m.c) - (x3 * x4).scale(m.d),
-    ]
+    defining_pair = _defining_pair(sp, alpha, 1, 2, 3)
+    solved_pair = _exchange_relations(sp, *m.entries())
     fwd = [ideal.graded_membership(p, solved_pair) for p in defining_pair]
     bwd = [ideal.graded_membership(p, defining_pair) for p in solved_pair]
     ok = all(v.is_member() for v in fwd + bwd)
@@ -486,8 +482,8 @@ def _lemma2(b: Optional[int], symbolic: bool):
 
 # -- the fixed quadratic pair ------------------------------------------------
 
-def _lemma4(b: Optional[int], symbolic: bool, wrapper_len: int):
-    if symbolic:
+def _lemma4(b: Optional[int], wrapper_len: int):
+    if b is None:
         sp = ("alpha",)
         alpha = Coefficient.param(sp, "alpha")
     else:
@@ -497,18 +493,15 @@ def _lemma4(b: Optional[int], symbolic: bool, wrapper_len: int):
     p = ideal.Presentation(GENERATORS, sp, omega0, adjoint_involution())
     rep = ideal.involution_stability(p, wrapper_len)
     ok = rep.verdict == ideal.STABLE
-    certs = {f"r{r.index + 1}": r.verdict.certificate for r in rep.relations
-             if r.verdict.certificate is not None}
     steps = [StepReport(
         "omega0_stability", PASS if ok else FAIL,
         f"{rep.verdict}; the involution interchanges the two generators",
-        certs or None)]
+        _stability_certs(rep))]
 
     params = SklyaninParams.of(alpha, 1, -1, sp)
     central = omega_central(params)
     one = Coefficient.const(sp, 1)
-    c3 = (one + params.beta) / (one - params.gamma)
-    c4 = (one - params.beta) / (one + params.alpha)
+    c3, c4 = _central_coeffs(params)
     coeffs_ok = (c3 == one) and c4.is_zero()
     fwd = [ideal.graded_membership(q, omega0) for q in central]
     bwd = [ideal.graded_membership(q, central) for q in omega0]
@@ -524,8 +517,8 @@ def _lemma4(b: Optional[int], symbolic: bool, wrapper_len: int):
 
 # -- equivalence pipelines ---------------------------------------------------
 
-def _family(b: Optional[int], symbolic: bool, with_omega: bool):
-    if symbolic:
+def _family(b: Optional[int], with_omega: bool):
+    if b is None:
         sp = ("b",)
         bc = Coefficient.param(sp, "b")
         alpha = (bc - 2) / (bc + 2)
@@ -547,23 +540,15 @@ def _family(b: Optional[int], symbolic: bool, with_omega: bool):
     return p, q
 
 
-def _check_modulus(b):
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise ValueError("modulus must be an integer")
-    if b < 2:
-        raise ValueError("modulus must be at least 2")
-
-
 def modulus_family(b: Optional[int] = None, with_omega: bool = False):
     """The two presentations compared at modulus b (symbolic when b is
     None): the deformed quadratic system extended by the unit relation, and
     the exchange system extended by the unit relation and the four mixed
     quadratics.  with_omega adjoins the fixed quadratic pair to both sides.
     """
-    if b is None:
-        return _family(None, True, with_omega)
-    _check_modulus(b)
-    return _family(b, False, with_omega)
+    if b is not None:
+        _check_modulus(b)
+    return _family(b, with_omega)
 
 
 def _equivalence_steps(p, q, wrapper_len: int):
@@ -582,15 +567,15 @@ def _equivalence_steps(p, q, wrapper_len: int):
     return steps
 
 
-def _theorem1(b: Optional[int], symbolic: bool, wrapper_len: int):
-    p, q = _family(b, symbolic, with_omega=False)
+def _theorem1(b: Optional[int], wrapper_len: int):
+    p, q = _family(b, with_omega=False)
     return _equivalence_steps(p, q, wrapper_len)
 
 
-def _corollary1(b: Optional[int], symbolic: bool, wrapper_len: int):
-    p, q = _family(b, symbolic, with_omega=True)
+def _corollary1(b: Optional[int], wrapper_len: int):
+    p, q = _family(b, with_omega=True)
     steps = _equivalence_steps(p, q, wrapper_len)
-    if symbolic:
+    if b is None:
         bc = Coefficient.param(("b",), "b")
         curve = curves.legendre_invariants((bc - 2) / (bc + 2))
     else:
@@ -600,9 +585,9 @@ def _corollary1(b: Optional[int], symbolic: bool, wrapper_len: int):
 
 # -- the commutative chain ---------------------------------------------------
 
-def _lemma5(b: Optional[int], symbolic: bool):
+def _lemma5(b: Optional[int]):
     chain = curves.reduction_chain(
-        None if symbolic else Fraction(b - 2, b + 2))
+        None if b is None else Fraction(b - 2, b + 2))
     steps = [
         StepReport(
             "square_substitution",
@@ -637,27 +622,25 @@ def verify(claim: str, b: Optional[int] = None, symbolic: bool = False,
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     if symbolic and b is not None:
         raise ValueError("choose either a concrete modulus or symbolic mode")
-    if b is None:
-        symbolic = True
-    else:
+    if b is not None:
         _check_modulus(b)
     if wrapper_len < 0:
         raise ValueError("wrapper length must be nonnegative")
 
     curve = None
     if claim == "lemma1":
-        steps = (_lemma1_symbolic(wrapper_len) if symbolic
+        steps = (_lemma1_symbolic(wrapper_len) if b is None
                  else _lemma1_concrete(b, wrapper_len))
     elif claim == "lemma2":
-        steps = _lemma2(b, symbolic)
+        steps = _lemma2(b)
     elif claim == "lemma4":
-        steps = _lemma4(b, symbolic, wrapper_len)
+        steps = _lemma4(b, wrapper_len)
     elif claim == "lemma5":
-        steps, curve = _lemma5(b, symbolic)
+        steps, curve = _lemma5(b)
     elif claim == "theorem1":
-        steps = _theorem1(b, symbolic, wrapper_len)
+        steps = _theorem1(b, wrapper_len)
     else:
-        steps, curve = _corollary1(b, symbolic, wrapper_len)
-    return ClaimReport(claim, "symbolic" if symbolic else "concrete",
-                       None if symbolic else b, wrapper_len,
+        steps, curve = _corollary1(b, wrapper_len)
+    return ClaimReport(claim, "symbolic" if b is None else "concrete",
+                       b, wrapper_len,
                        _aggregate(steps), steps, curve)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,3 +215,37 @@ def test_check_file_missing_file(capsys):
 def test_check_file_flag_required():
     r = run_cli("check-file", "whatever.pres")
     assert r.returncode == 3
+
+
+def _relation_file(tmp_path, relation):
+    f = tmp_path / "p.pres"
+    f.write_text("GENERATORS: x1 x2 x3 x4\n"
+                 "INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3\n"
+                 f"RELATIONS:\n  {relation}\n")
+    return f
+
+
+@pytest.mark.parametrize("relation", ["(" * 3000 + "x1" + ")" * 3000,
+                                      "-" * 3000 + "x1"],
+                         ids=["parentheses", "minus_signs"])
+def test_check_file_deep_nesting_exit_three(relation, tmp_path, capsys):
+    f = _relation_file(tmp_path, relation)
+    code, _, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert code == 3
+    assert "nested deeper" in err and "line 4" in err
+
+
+@pytest.mark.parametrize("relation,message",
+                         [("(x1+x2)^40", "1099511627776 terms"),
+                          ("x1^1000000", "exponent 1000000")],
+                         ids=["terms", "exponent"])
+def test_check_file_power_bound_exit_three(relation, message, tmp_path,
+                                           capsys):
+    f = _relation_file(tmp_path, relation)
+    started = time.monotonic()
+    code, _, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert message in err
