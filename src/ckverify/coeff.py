@@ -1,16 +1,31 @@
-"""Exact scalar arithmetic: multivariate rational functions over Q.
+"""Exact scalar arithmetic: rational functions over Q in named parameters.
 
 A parameter space is a fixed, ordered tuple of names.  MultiPoly is a sparse
-polynomial over such a space with Fraction coefficients; Coefficient is a
-quotient of two MultiPolys.  Equality of Coefficients is decided by
-cross-multiplication, so no canonical form (and no multivariate GCD) is ever
-required for correctness.  Light normalization (content stripping, univariate
-GCD when only one name is involved) keeps intermediate values small.
+polynomial over such a space with Fraction coefficients; Coefficient is an
+element of the field of rational functions over the space, and the space
+alone decides how it is stored:
+
+* at most one name (Q and Q(t), which is where every symbolic claim in the
+  modulus lives): numerator and denominator are tuples of Python ints,
+  lowest degree first, in a canonical form -- coprime, with jointly
+  primitive integer content and a positive leading denominator coefficient.
+  Arithmetic cancels with one integer univariate GCD (primitive
+  pseudo-remainder sequence, Brown 1971) and exact integer division, and
+  equality is equality of the canonical tuples.
+* two or more names: a quotient of two MultiPolys.  Equality is decided by
+  cross-multiplication, so no canonical form (and no multivariate GCD) is
+  ever required for correctness.  Light normalization keeps intermediate
+  values small: content scaling, and the same integer GCD when only one
+  name occurs in the value.
+
+Either way `num` and `den` read as MultiPolys, and the printed form is the
+same: integer coefficients, a positive leading denominator coefficient, and
+a constant denominator folded into the numerator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping
 
 Space = tuple  # ordered tuple of parameter/variable names
@@ -147,21 +162,9 @@ class MultiPoly:
         """Simultaneous substitution name -> MultiPoly (same space)."""
         if not bindings:
             return self
-        base = {}
-        for n in self.names:
-            base[n] = bindings.get(n)
-        out = MultiPoly.const(self.names, 0)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(self.names, c)
-            for n, k in zip(self.names, e):
-                if not k:
-                    continue
-                b = base[n]
-                if b is None:
-                    b = MultiPoly.var(self.names, n)
-                term = term * b ** k
-            out = out + term
-        return out
+        names = self.names
+        return _evaluate(self, bindings, lambda c: MultiPoly.const(names, c),
+                         lambda n: MultiPoly.var(names, n))
 
     def permute_names(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Relabel parameters by a permutation of the space's names."""
@@ -259,87 +262,199 @@ def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
     return num.scaled(factor), den.scaled(factor)
 
 
-def _univar_profile(*polys: MultiPoly):
-    """If the polys involve at most one name between them, return its index
-    (or -1 for all-constant); otherwise None."""
-    used = set()
-    for p in polys:
-        used |= p.used_names()
-        if len(used) > 1:
-            return None
-    if not used:
-        return -1
-    name = used.pop()
-    return polys[0].names.index(name)
+def _only_name(num: MultiPoly, den: MultiPoly):
+    """The index of the one name that occurs in num or den, 0 if none does,
+    None if two or more do."""
+    used = num.used_names() | den.used_names()
+    if len(used) > 1:
+        return None
+    return num.names.index(used.pop()) if used else 0
 
 
-def _to_univar(p: MultiPoly, idx: int) -> list:
-    coeffs: list = []
-    for e, c in p.terms.items():
-        k = e[idx]
-        if k >= len(coeffs):
-            coeffs.extend([Fraction(0)] * (k + 1 - len(coeffs)))
-        coeffs[k] += c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+# ---------------------------------------------------------------------------
+# integer univariate polynomials: tuples of ints, lowest degree first, with
+# no trailing zeros; () is the zero polynomial
+
+_ONE = (1,)
+_ZERO = ((), _ONE)  # the canonical pair of the zero function
 
 
-def _from_univar(coeffs: list, names: Space, idx: int) -> MultiPoly:
-    terms = {}
-    zero = [0] * len(names)
-    for k, c in enumerate(coeffs):
-        if c:
-            e = list(zero)
-            e[idx] = k
-            terms[tuple(e)] = c
-    return MultiPoly(names, terms)
+def _ipoly_add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _univar_divmod(a: list, b: list):
+def _ipoly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero polynomials; its leading coefficient is the
+    product of theirs, so it has no trailing zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _primitive(a: tuple) -> tuple:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(x // g for x in a)
+
+
+def _prem(a: tuple, b: tuple) -> list:
+    """A remainder of a by b (len(a) >= len(b) >= 2) up to a nonzero integer
+    factor: each step replaces a by lead(b)*a - c*x^i*b, which kills a's
+    leading term without leaving the integers."""
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
+    lb, db = b[-1], len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a.pop()
         if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
+            a = [lb * x for x in a]
+            for j in range(db):
+                a[top - db + j] -= c * b[j]
     while a and not a[-1]:
         a.pop()
-    return q, a
-
-
-def _univar_gcd(a: list, b: list) -> list:
-    while b:
-        _, r = _univar_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
     return a
 
 
-class Coefficient:
-    """Element of the field of rational functions over a parameter space."""
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive GCD with positive leading coefficient of two nonconstant
+    integer polynomials, by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return _ONE
 
-    __slots__ = ("num", "den")
+
+def _exquo(a: tuple, b: tuple) -> tuple:
+    """a / b for a primitive b that divides a over Q; by Gauss's lemma the
+    quotient has integer coefficients, so every division here is exact."""
+    a = list(a)
+    lb, db = b[-1], len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db] // lb
+        q[i] = c
+        if c:
+            for j in range(db + 1):
+                a[i + j] -= c * b[j]
+    return tuple(q)
+
+
+def _strip_content(n: tuple, d: tuple):
+    """(n, d) over their joint content, signed so that d leads positively."""
+    g = gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g == 1:
+        return n, d
+    return tuple(x // g for x in n), tuple(x // g for x in d)
+
+
+def _cancel(n: tuple, d: tuple):
+    """n/d with their GCD divided out, before the content is stripped."""
+    if len(n) > 1 and len(d) > 1:
+        g = _gcd(n, d)
+        if len(g) > 1:
+            return _exquo(n, g), _exquo(d, g)
+    return n, d
+
+
+def _canon(n: tuple, d: tuple):
+    """The canonical pair of n/d, for integer polynomials with d nonzero."""
+    if not n:
+        return _ZERO
+    return _strip_content(*_cancel(n, d))
+
+
+def _int_pair(num: MultiPoly, den: MultiPoly):
+    """num and den, in which at most one name occurs, as integer tuples
+    scaled by one common factor.  The degree of a term is the sum of its
+    exponents, since only one of them can be nonzero."""
+    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
+    out = []
+    for p in (num, den):
+        coeffs = [0] * (p.degree() + 1 if p.terms else 0)
+        for e, c in p.terms.items():
+            coeffs[sum(e)] = c.numerator * (scale // c.denominator)
+        out.append(tuple(coeffs))
+    return out
+
+
+def _poly_of(coeffs: tuple, names: Space, idx: int = 0) -> MultiPoly:
+    """The MultiPoly sum of coeffs[k] * names[idx]^k."""
+    return MultiPoly(names, {
+        tuple(k if i == idx else 0 for i in range(len(names))): Fraction(c)
+        for k, c in enumerate(coeffs) if c})
+
+
+# ---------------------------------------------------------------------------
+# the field
+
+def _qt(names: Space, pair) -> "Coefficient":
+    """A Coefficient over a space of at most one name, from a canonical
+    pair of integer tuples."""
+    c = object.__new__(Coefficient)
+    c.names = names
+    c._num, c._den = pair
+    return c
+
+
+class Coefficient:
+    """Element of the field of rational functions over a parameter space.
+
+    Over at most one name, _num and _den hold the canonical integer tuples;
+    otherwise they hold MultiPolys.
+    """
+
+    __slots__ = ("names", "_num", "_den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise PoleError("zero denominator in Coefficient")
         num._check(den)
-        self.num, self.den = _normalize(num, den)
+        self.names = num.names
+        if len(num.names) < 2:
+            self._num, self._den = _canon(*_int_pair(num, den))
+        else:
+            self._num, self._den = _normalize(num, den)
 
     @property
-    def names(self) -> Space:
-        return self.num.names
+    def num(self) -> MultiPoly:
+        if len(self.names) < 2:
+            return _poly_of(self._num, self.names)
+        return self._num
+
+    @property
+    def den(self) -> MultiPoly:
+        if len(self.names) < 2:
+            return _poly_of(self._den, self.names)
+        return self._den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(names: Space, value) -> "Coefficient":
+        if len(names) < 2:
+            if type(value) is int:
+                return _qt(names, ((value,), _ONE) if value else _ZERO)
+            q = _as_fraction(value)
+            return _qt(names, ((q.numerator,), (q.denominator,)) if q
+                       else _ZERO)
         return Coefficient(MultiPoly.const(names, value),
                            MultiPoly.const(names, 1))
 
@@ -354,6 +469,9 @@ class Coefficient:
 
     def _coerce(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):
+            if other.names != self.names:
+                raise ValueError(f"parameter space mismatch: {self.names} "
+                                 f"vs {other.names}")
             return other
         if isinstance(other, (int, Fraction)):
             return Coefficient.const(self.names, other)
@@ -365,13 +483,23 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = self.num * other.den + other.num * self.den
-        return Coefficient(num, self.den * other.den)
+        if len(self.names) >= 2:
+            num = self._num * other._den + other._num * self._den
+            return Coefficient(num, self._den * other._den)
+        a, b, c, d = self._num, self._den, other._num, other._den
+        if not c:
+            return self
+        if not a:
+            return other
+        return _qt(self.names, _canon(
+            _ipoly_add(_ipoly_mul(a, d), _ipoly_mul(c, b)), _ipoly_mul(b, d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(-self.num, self.den)
+        if len(self.names) >= 2:
+            return Coefficient(-self._num, self._den)
+        return _qt(self.names, (tuple(-x for x in self._num), self._den))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -386,14 +514,26 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Coefficient(self.num * other.num, self.den * other.den)
+        if len(self.names) >= 2:
+            return Coefficient(self._num * other._num, self._den * other._den)
+        a, b, c, d = self._num, self._den, other._num, other._den
+        if not a or not c:
+            return _qt(self.names, _ZERO)
+        # a/b and c/d are in lowest terms, so a*c/(b*d) is in lowest terms
+        # once the cross factors gcd(a, d) and gcd(c, b) are divided out
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return _qt(self.names,
+                   _strip_content(_ipoly_mul(a, c), _ipoly_mul(b, d)))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Coefficient":
-        if self.num.is_zero():
+        if self.is_zero():
             raise PoleError("inverse of the zero coefficient")
-        return Coefficient(self.den, self.num)
+        if len(self.names) >= 2:
+            return Coefficient(self._den, self._num)
+        return _qt(self.names, _strip_content(self._den, self._num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -407,24 +547,32 @@ class Coefficient:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        if len(self.names) >= 2:
+            return self._num.is_zero()
+        return not self._num
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return not self.is_zero()
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self.names) < 2:
+            return self._num == other._num and self._den == other._den
         # cross-multiplication: a/b = c/d  iff  a*d - c*b = 0
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return (self._num * other._den - other._num * self._den).is_zero()
 
     __hash__ = None
 
     def is_rational(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        if len(self.names) < 2:
+            return len(self._num) < 2 and len(self._den) == 1
+        return self._num.is_constant() and self._den.is_constant()
 
     def as_fraction(self) -> Fraction:
+        if len(self.names) < 2 and self.is_rational():
+            return Fraction(self._num[0] if self._num else 0, self._den[0])
         return self.num.constant_value() / self.den.constant_value()
 
     # -- structural maps ---------------------------------------------------
@@ -432,8 +580,13 @@ class Coefficient:
     def substitute(self, bindings: Mapping[str, "Coefficient"]) -> "Coefficient":
         """Simultaneous substitution; raises PoleError if the denominator
         vanishes under the binding."""
-        num = _eval_poly(self.num, bindings)
-        den = _eval_poly(self.den, bindings)
+        names = self.names
+
+        def evaluate(p: MultiPoly) -> "Coefficient":
+            return _evaluate(p, bindings, lambda c: Coefficient.const(names, c),
+                             lambda n: Coefficient.param(names, n))
+
+        num, den = evaluate(self.num), evaluate(self.den)
         if den.is_zero():
             raise PoleError("denominator vanishes under substitution")
         return num / den
@@ -465,17 +618,19 @@ class Coefficient:
         return f"<Coefficient {self}>"
 
 
-def _eval_poly(p: MultiPoly, bindings: Mapping[str, "Coefficient"]) -> "Coefficient":
-    """Evaluate a MultiPoly with some names bound to Coefficients."""
-    out = Coefficient.const(p.names, 0)
+def _evaluate(p: MultiPoly, bindings: Mapping, const, var):
+    """Sum over p's terms of c * the product of base^k, where base is the
+    name's binding or, for an unbound name, var(name); const(c) lifts a
+    coefficient into the ring of the bindings."""
+    out = const(0)
     for e, c in p.terms.items():
-        term = Coefficient.const(p.names, c)
+        term = const(c)
         for n, k in zip(p.names, e):
             if not k:
                 continue
             base = bindings.get(n)
             if base is None:
-                base = Coefficient.param(p.names, n)
+                base = var(n)
             for _ in range(k):
                 term = term * base
         out = out + term
@@ -483,24 +638,15 @@ def _eval_poly(p: MultiPoly, bindings: Mapping[str, "Coefficient"]) -> "Coeffici
 
 
 def _normalize(num: MultiPoly, den: MultiPoly):
-    """Cheap exact simplification: content scaling, constant denominators,
-    univariate GCD when only one parameter is involved."""
+    """Cheap exact simplification over two or more names: the canonical
+    pair when at most one name occurs, content scaling otherwise."""
     if num.is_zero():
         return num, MultiPoly.const(num.names, 1)
-    idx = _univar_profile(num, den)
-    if idx == -1:
-        c = den.constant_value()
-        return num.scaled(1 / c), MultiPoly.const(num.names, 1)
-    if idx is not None:
-        a = _to_univar(num, idx)
-        b = _to_univar(den, idx)
-        g = _univar_gcd(a, b)
-        if len(g) > 1:
-            a, _ = _univar_divmod(a, g)
-            b, _ = _univar_divmod(b, g)
-        num = _from_univar(a, num.names, idx)
-        den = _from_univar(b, num.names, idx)
-    return _scale_to_primitive(num, den)
+    idx = _only_name(num, den)
+    if idx is None:
+        return _scale_to_primitive(num, den)
+    n, d = _canon(*_int_pair(num, den))
+    return _poly_of(n, num.names, idx), _poly_of(d, num.names, idx)
 
 
 class ConjugationSpec:

@@ -8,7 +8,8 @@ l * g * r.  Two regimes:
   of the ideal, so non-membership is definitive.
 * bounded: arbitrary relations, wrappers with |l| + |r| <= wrapper_len; a
   failed search proves nothing, so the verdict is INCONCLUSIVE, never
-  NON_MEMBER.
+  NON_MEMBER.  A wrapper length whose span would pass MAX_SPAN_ROWS rows is
+  refused with ValueError before any row is built.
 
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
@@ -36,6 +37,11 @@ UNSTABLE = "UNSTABLE"
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
+
+# A bounded span is refused before it is built when its row estimate passes
+# this budget; on 7 relations over 4 generators it admits wrapper lengths
+# up to 5.
+MAX_SPAN_ROWS = 100_000
 
 
 class Presentation:
@@ -212,8 +218,10 @@ def _span(relations: Sequence[NcPoly], space: Space, degree: Optional[int],
     then by relation index.  With a degree, the rows with |l| + |r| =
     degree - deg g_i: the complete degree slice of the ideal.  With degree
     None, the rows with |l| + |r| <= wrapper_len."""
-    span = _Span(relations, space)
     n = len(relations[0].alphabet)
+    if degree is None:
+        _check_bounded_rows(len(relations), n, wrapper_len)
+    span = _Span(relations, space)
     degrees = [rel.degree() for rel in relations]
     for total in range((wrapper_len if degree is None else degree) + 1):
         indices = [i for i, d in enumerate(degrees)
@@ -226,6 +234,24 @@ def _span(relations: Sequence[NcPoly], space: Space, degree: Optional[int],
                     for i in indices:
                         span.add_wrapped(l, i, r)
     return span
+
+
+def _check_bounded_rows(relations: int, n: int, wrapper_len: int):
+    """Raise ValueError when relations * sum of (t+1) * n^t over t <=
+    wrapper_len, the rows of a bounded span over n generators, passes
+    MAX_SPAN_ROWS.  The sum stops at a thousand times the budget, so that
+    any wrapper length is checked at once."""
+    rows = 0
+    for t in range(wrapper_len + 1):
+        rows += relations * (t + 1) * n ** t
+        if rows > 1000 * MAX_SPAN_ROWS:
+            break
+    if rows > MAX_SPAN_ROWS:
+        about = "more than " if t < wrapper_len else ""
+        raise ValueError(
+            f"wrapper length {wrapper_len} needs {about}{rows:,} wrapped "
+            f"rows ({relations} relations over {n} generators); the limit "
+            f"is {MAX_SPAN_ROWS:,}")
 
 
 def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],

@@ -41,7 +41,8 @@ class _Token:
 _OPS = set("+-*/^()=")
 
 # Bad input is refused after bounded work: a '(' level costs five frames of
-# the default 1000, and p^k has up to len(p.terms)^k terms.
+# the default 1000, p^k has up to len(p.terms)^k terms and p*q up to
+# len(p.terms)*len(q.terms).
 MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_POWER_TERMS = 10_000
@@ -136,6 +137,10 @@ class _ExprParser:
             op = self.next()
             q = self.unary()
             if op.kind == "*":
+                if len(p.terms) * len(q.terms) > MAX_POWER_TERMS:
+                    self.error(f"product of up to "
+                               f"{len(p.terms) * len(q.terms)} terms "
+                               f"exceeds {MAX_POWER_TERMS}", op)
                 p = p * q
             else:
                 c = _as_scalar(q)

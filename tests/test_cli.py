@@ -9,6 +9,8 @@ import time
 import pytest
 
 from ckverify.cli import main
+from ckverify.parser import print_presentation
+from ckverify.presentations import CKMatrix, cuntz_krieger
 
 CKVERIFY = [sys.executable, "-m", "ckverify"]
 
@@ -238,8 +240,9 @@ def test_check_file_deep_nesting_exit_three(relation, tmp_path, capsys):
 
 @pytest.mark.parametrize("relation,message",
                          [("(x1+x2)^40", "1099511627776 terms"),
-                          ("x1^1000000", "exponent 1000000")],
-                         ids=["terms", "exponent"])
+                          ("x1^1000000", "exponent 1000000"),
+                          ("(x1+x2)^8*(x1+x2)^8", "product of up to 65536")],
+                         ids=["terms", "exponent", "product"])
 def test_check_file_power_bound_exit_three(relation, message, tmp_path,
                                            capsys):
     f = _relation_file(tmp_path, relation)
@@ -249,3 +252,34 @@ def test_check_file_power_bound_exit_three(relation, message, tmp_path,
     assert time.monotonic() - started < 1.0
     assert code == 3
     assert message in err
+
+
+def _exchange_file(tmp_path):
+    f = tmp_path / "exchange.pres"
+    f.write_text(print_presentation(cuntz_krieger(CKMatrix.for_modulus(7))))
+    return f
+
+
+@pytest.mark.parametrize("command,wrapper_len,message",
+                         [("verify", "8", "needs 5,301,135 wrapped rows"),
+                          ("check-file", "8", "needs 2,271,915 wrapped rows"),
+                          ("check-file", str(10 ** 12), "needs more than")],
+                         ids=["verify", "check_file", "check_file_huge"])
+def test_wrapper_len_budget_exit_three(command, wrapper_len, message,
+                                       tmp_path, capsys):
+    # theorem1 checks 7 relations, the exchange file has 3, all over 4
+    # generators: 7 or 3 times the sum of (t+1)*4^t for t <= 8 rows
+    argv = ["verify", "theorem1", "--b", "7"] if command == "verify" else \
+        ["check-file", str(_exchange_file(tmp_path)), "--involution-stability"]
+    started = time.monotonic()
+    code, out, err = main_quiet(argv + ["--wrapper-len", wrapper_len], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 3 and out == ""
+    assert message in err and "the limit is 100,000" in err
+
+
+def test_wrapper_len_within_budget_runs(tmp_path, capsys):
+    f = _exchange_file(tmp_path)
+    code, out, _ = main_quiet(["check-file", str(f), "--involution-stability",
+                               "--wrapper-len", "3"], capsys)
+    assert code == 0 and "verdict: STABLE" in out

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -155,3 +156,130 @@ def test_random_field_laws():
         assert (f - g) + g == f
         if not g.is_zero():
             assert (f / g) * g == f
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel over at most one name, against sympy as an oracle
+
+def _rand_poly(rng, names, name, max_deg, bits):
+    p = MultiPoly.const(names, 0)
+    for k in range(rng.randint(0, max_deg) + 1):
+        c = rng.randint(-2 ** bits, 2 ** bits)
+        if c:
+            p = p + MultiPoly.var(names, name) ** k * MultiPoly.const(names, c)
+    return p
+
+
+def _sympy_pair(c: Coefficient, gens):
+    """(numerator, denominator) of c as sympy Polys over QQ in gens."""
+    import sympy
+
+    def conv(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(v.numerator, v.denominator)
+             for e, v in p.terms.items()} or {(0,) * len(gens): 0},
+            *gens, domain="QQ")
+    return conv(c.num), conv(c.den)
+
+
+def _assert_value(c: Coefficient, expected, gens):
+    """c equals the sympy pair expected = (num, den), compared after
+    sympy.cancel by cross-multiplication."""
+    import sympy
+    scale, num, den = sympy.cancel(expected)
+    cn, cd = _sympy_pair(c, gens)
+    assert cn * den == cd * num * scale
+
+
+def _assert_canonical(c: Coefficient, gens):
+    """num and den coprime, integer and jointly primitive, with a positive
+    leading denominator coefficient."""
+    import sympy
+    coeffs = list(c.num.terms.values()) + list(c.den.terms.values())
+    assert all(v.denominator == 1 for v in coeffs)
+    g = 0
+    for v in coeffs:
+        g = gcd(g, v.numerator)
+    assert g == 1
+    assert c.den.leading_coeff() > 0
+    assert sympy.gcd(*_sympy_pair(c, gens)).is_ground
+
+
+def test_kernel_matches_sympy_on_random_rational_functions():
+    sympy = pytest.importorskip("sympy")
+    names = ("t",)
+    gens = (sympy.Symbol("t"),)
+    rng = random.Random(4041)
+    t = MultiPoly.var(names, "t")
+
+    def rand_coeff():
+        den = MultiPoly.const(names, 0)
+        while den.is_zero():
+            den = _rand_poly(rng, names, "t", 3, 40)
+        # a factor with an integer root, so that substitution meets poles
+        den = den * (t - MultiPoly.const(names, rng.randint(-3, 3)))
+        num = _rand_poly(rng, names, "t", 6, 40)
+        if rng.random() < 0.3:  # a common factor for the GCD to find
+            shift = t + MultiPoly.const(names, rng.randint(-3, 3))
+            num, den = num * shift, den * shift
+        return Coefficient(num, den)
+
+    for _ in range(40):
+        f, g = rand_coeff(), rand_coeff()
+        (fn, fd), (gn, gd) = _sympy_pair(f, gens), _sympy_pair(g, gens)
+        results = [(f + g, (fn * gd + gn * fd, fd * gd)),
+                   (f - g, (fn * gd - gn * fd, fd * gd)),
+                   (f * g, (fn * gn, fd * gd)),
+                   (-f, (-fn, fd)),
+                   (f + 3, (fn + 3 * fd, fd)),
+                   (Fraction(2, 7) * f, (2 * fn, 7 * fd))]
+        if g.is_zero():
+            with pytest.raises(PoleError):
+                g.inv()
+        else:
+            results += [(f / g, (fn * gd, fd * gn)), (g.inv(), (gd, gn))]
+            assert (f * g) / g == f
+        for c, expected in results:
+            _assert_value(c, expected, gens)
+            _assert_canonical(c, gens)
+        _, fn, fd = sympy.cancel((fn, fd))
+        for point in range(-4, 5):
+            if fd.eval(point) == 0:
+                with pytest.raises(PoleError):
+                    f.substitute({"t": point})
+            else:
+                value = f.substitute({"t": point})
+                assert value.is_rational()
+                expected = sympy.Rational(fn.eval(point), fd.eval(point))
+                assert value.as_fraction() == Fraction(int(expected.p),
+                                                       int(expected.q))
+
+
+def test_kernel_over_q_and_one_name_of_six():
+    sympy = pytest.importorskip("sympy")
+    q = Coefficient.const(RATIONALS, Fraction(-6, 4))
+    assert (q * 2 + 1).as_fraction() == -2
+    assert str(q.inv()) == "-2/3"
+    six = ("alpha", "beta", "gamma", "alphabar", "betabar", "gammabar")
+    one = ("alpha",)
+    gens = sympy.symbols(six)
+    rng = random.Random(4042)
+    ops = [(lambda x, y: x + y, lambda a, b: (a[0] * b[1] + b[0] * a[1],
+                                             a[1] * b[1])),
+           (lambda x, y: x * y, lambda a, b: (a[0] * b[0], a[1] * b[1])),
+           (lambda x, y: x / y, lambda a, b: (a[0] * b[1], a[1] * b[0]))]
+    for _ in range(10):
+        polys = [_rand_poly(rng, one, "alpha", 4, 20) for _ in range(4)]
+        if any(p.is_zero() for p in polys[1:]):
+            continue
+        narrow = [Coefficient(polys[0], polys[1]),
+                  Coefficient(polys[2], polys[3])]
+        wide = [c.extend(six) for c in narrow]
+        pairs = [_sympy_pair(c, gens) for c in wide]
+        for op, pair_op in ops:
+            n, w = op(*narrow), op(*wide)
+            # only alpha occurs, so the six-name value takes the same GCD
+            # and the same canonical form as the one-name value
+            assert str(w) == str(n)
+            _assert_value(w, pair_op(*pairs), gens)
+            _assert_canonical(w, gens)

@@ -30,6 +30,10 @@ VERIFY_GOLDEN = [
      "420ee2ba6430b7db7de721c3dd01ac8c3954c0694863988d419629704bda8f50"),
     (["verify", "lemma5", "--symbolic"], 0,
      "b5894f0fa4999e8edac7612b77d9ce344c8355d40fd23d31ea590b49f95ca9b2"),
+    (["verify", "theorem1", "--symbolic"], 0,
+     "238b1c3e035ec91c570be38e9fdec87083d24ec9c2c57b964f1b14e68df1b24b"),
+    (["verify", "corollary1", "--symbolic"], 0,
+     "448c267ce66edd60c34ea0cd6366f2f8a418620a2c6e7620ff72312aa267cd8c"),
     (["verify", "theorem1", "--b", "7"], 0,
      "e4c0e458e9757c6b9488f45f32a197bd1828b547a90d27e8b300cca7aebb5c42"),
     (["verify", "corollary1", "--b", "7"], 0,
