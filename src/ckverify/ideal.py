@@ -16,12 +16,15 @@ word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
 scalar field, with plain Fractions when no symbolic parameter is present;
 rows are kept monic and inserted smallest-wrapper-first, which makes
-certificates deterministic.
+certificates deterministic.  A reduction records its elimination steps
+(pivot, multiplier) and touches only the row vector; the steps are expanded
+into a combination of wrapped rows only for a target that reduces to zero,
+so a span pays for certificates only at its MEMBER targets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain, product
 from typing import Optional, Sequence
 
@@ -122,16 +125,19 @@ class MembershipVerdict:
 # span engine
 
 class _Span:
-    """Echelon basis of a list of wrapped-relation rows with combination
-    tracking for certificate extraction."""
+    """Echelon basis of a list of wrapped-relation rows.  Each basis row
+    keeps the elimination steps that produced it; the combination of
+    wrapped rows behind a target is expanded from those steps only when the
+    target reduces to zero."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.relations = list(relations)
         self.space = space
         self.rational = not space
-        self.one = Fraction(1) if self.rational else Coefficient.const(space, 1)
         self.tags: list = []       # (left, rel_index, right) in insertion order
-        self.basis: dict = {}      # pivot word -> (vec, combo)
+        # pivot word -> (monic vec, tag, inverse of the pivot, steps); a
+        # row's tag is also its creation index, since rows enter in tag order
+        self.basis: dict = {}
         self._vec_cache = [self._to_vec(r) for r in self.relations]
 
     def _to_vec(self, p: NcPoly) -> dict:
@@ -139,53 +145,75 @@ class _Span:
             return {w: c.as_fraction() for w, c in p.terms.items()}
         return dict(p.terms)
 
-    def _reduce(self, vec: dict, combo: dict):
+    def _reduce(self, vec: dict) -> list:
+        """Reduce vec in place against the basis and return the steps
+        (pivot, multiplier): vec loses the sum of multiplier * row(pivot)."""
         basis = self.basis
+        steps = []
         while True:
-            piv = None
-            for w in vec:
-                if w in basis and (piv is None or word_key(w) > word_key(piv)):
-                    piv = w
+            piv = max((w for w in vec if w in basis), key=word_key,
+                      default=None)
             if piv is None:
-                return vec, combo
+                return steps
             c = vec[piv]
-            bvec, bcombo = basis[piv]
-            for w, bc in bvec.items():
+            steps.append((piv, c))
+            for w, bc in basis[piv][0].items():
                 nv = vec.get(w, 0) - c * bc
                 if nv:
                     vec[w] = nv
                 else:
                     vec.pop(w, None)
-            for t, bc in bcombo.items():
-                nv = combo.get(t, 0) + c * bc
-                if nv:
-                    combo[t] = nv
-                else:
-                    combo.pop(t, None)
+
+    def _combination(self, steps: list) -> dict:
+        """tag -> coefficient of the wrapped rows whose sum is the sum of
+        multiplier * row(pivot) over the steps.  Row k expands to inv_k *
+        (e_tag_k - sum of c_j * row_j over its own steps), and every row_j
+        there is older than row k, so the rows are expanded newest first:
+        each after every newer row has added to its weight."""
+        basis = self.basis
+        weight: dict = {}          # tag of a basis row -> its weight so far
+        newest: list = []          # heap of (-tag, pivot)
+        combo: dict = {}
+
+        def add(steps, scale):
+            for piv, c in steps:
+                tag = basis[piv][1]
+                if tag not in weight:
+                    heappush(newest, (-tag, piv))
+                weight[tag] = weight.get(tag, 0) + scale * c
+
+        add(steps, 1)
+        while newest:
+            _, piv = heappop(newest)
+            _, tag, inv, row_steps = basis[piv]
+            a = weight[tag] * inv
+            if a:
+                combo[tag] = a
+                add(row_steps, -a)
+        return combo
 
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
         base = self._vec_cache[rel_index]
         vec = {left + w + right: c for w, c in base.items()}
         tag = len(self.tags)
         self.tags.append((left, rel_index, right))
-        # after reduction: vec = row_tag - sum(combo[t] * row_t)
-        vec, combo = self._reduce(vec, {})
+        steps = self._reduce(vec)
         if not vec:
             return
         piv = max(vec, key=word_key)
         inv = 1 / vec[piv] if self.rational else vec[piv].inv()
         vec = {w: c * inv for w, c in vec.items()}
-        bcombo = {t: -c * inv for t, c in combo.items()}
-        bcombo[tag] = inv
-        self.basis[piv] = (vec, bcombo)
+        self.basis[piv] = (vec, tag, inv, steps)
 
     def membership(self, target: NcPoly) -> Optional[MembershipCertificate]:
         """Certificate if target is in the span, else None.  The combination
         is re-expanded from scratch and compared with the target first: no
         certificate leaves the engine unchecked."""
-        vec, combo = self._reduce(self._to_vec(target), {})
+        vec = self._to_vec(target)
+        steps = self._reduce(vec)
         if vec:
             return None
+        combo = self._combination(steps)
         rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
         if _residual(rows, self._vec_cache, self._to_vec(target)):
             raise RuntimeError("internal error: certificate failed re-expansion")

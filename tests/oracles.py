@@ -2,8 +2,10 @@
 
 Everything in this file recomputes results through a different code path
 than the package: raw word-dict arithmetic for noncommutative expansion
-and for evaluation at commutative points, dense Gaussian elimination over Fraction for span questions, and sympy
-for curve invariants.  Tests compare package output against these.
+and for evaluation at commutative points, dense Gaussian elimination over
+Fraction for span questions, an eager-combination reducer for certificate
+entries, and sympy for curve invariants.  Tests compare package output
+against these.
 """
 from __future__ import annotations
 
@@ -145,6 +147,83 @@ def _words(ngen: int, size: int):
     for head in range(ngen):
         for tail in _words(ngen, size - 1):
             yield (head,) + tail
+
+
+# ---------------------------------------------------------------------------
+# certificates by eager combination tracking
+
+def wrapper_order(ngen: int, degrees: list, degree=None, wrapper_len=None):
+    """The wrapped rows (left, relation index, right) of a span in insertion
+    order: by total wrapper length, then left word, then right word (each
+    in lexicographic order of generator indices), then relation index.
+    With a degree, the rows whose total degree is that degree; otherwise
+    the rows with |left| + |right| <= wrapper_len."""
+    top = wrapper_len if degree is None else degree
+    rows = []
+    for total in range(top + 1):
+        indices = [i for i, d in enumerate(degrees)
+                   if degree is None or d + total == degree]
+        for lsize in range(total + 1):
+            for left in _words(ngen, lsize):
+                for right in _words(ngen, total - lsize):
+                    rows.extend((left, i, right) for i in indices)
+    return rows
+
+
+def _axpy(acc: dict, scale, x: dict):
+    """acc += scale * x, dropping zero entries."""
+    for key, c in x.items():
+        s = acc.get(key, 0) + scale * c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _deglex(word):
+    return (len(word), word)
+
+
+class EagerSpan:
+    """Echelon basis over the wrapped rows in the given order, in which every
+    basis row carries its combination (row number -> coefficient) of wrapped
+    rows, updated at every elimination step.  relations are word -> scalar
+    dicts over one exact field (Fraction or Coefficient)."""
+
+    def __init__(self, relations: list, rows: list):
+        self.rows = rows
+        self.basis = {}            # pivot -> (monic vec, combination)
+        for number, (left, i, right) in enumerate(rows):
+            vec, combo = self._reduce(wrap(left, relations[i], right))
+            if vec:
+                pivot = max(vec, key=_deglex)
+                inv = 1 / vec[pivot]
+                row_combo = {}
+                _axpy(row_combo, -inv, combo)
+                row_combo[number] = inv
+                self.basis[pivot] = ({w: c * inv for w, c in vec.items()},
+                                     row_combo)
+
+    def _reduce(self, vec: dict):
+        """(remainder, combo) with remainder = vec - sum of combo[k] * row k."""
+        combo = {}
+        while True:
+            pivots = [w for w in vec if w in self.basis]
+            if not pivots:
+                return vec, combo
+            pivot = max(pivots, key=_deglex)
+            c = vec[pivot]
+            row_vec, row_combo = self.basis[pivot]
+            _axpy(vec, -c, row_vec)
+            _axpy(combo, c, row_combo)
+
+    def certificate(self, target: dict):
+        """[(left, relation index, right, coeff)] in row order, or None when
+        the target is not in the span."""
+        rest, combo = self._reduce(dict(target))
+        if rest:
+            return None
+        return [(*self.rows[k], combo[k]) for k in sorted(combo)]
 
 
 # ---------------------------------------------------------------------------

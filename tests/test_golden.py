@@ -40,7 +40,20 @@ VERIFY_GOLDEN = [
      "67c22eda6429502ae4fb8490a803720153f18ebff7bf04b787609b5cae9459b5"),
     (["verify", "theorem1", "--b", "2"], 2,
      "802884baf1d6a257ed6bbf6e5781043cc97a430f74f088c4bad51ffe68de8b7f"),
+    (["verify", "theorem1", "--b", "3"], 0,
+     "e33e95b978eecd8e6aeb3ab310026a74519be9053a23058a97baf2699b306870"),
+    (["verify", "corollary1", "--b", "2"], 0,
+     "4545446d9bac30ea6b50b776b16f2a37ab9704b7422ae759f9748f1ee3a98fcb"),
+    (["verify", "corollary1", "--b", "3"], 0,
+     "bb2ffbc3c9fc59f9f6faa1771550d5a7898552efc127a78fe8f6600e839a517e"),
 ]
+
+# The symbolic certificates have poles at b = 2 and 3, so the elimination at
+# those moduli cannot follow the symbolic one step for step; the runs at
+# b = 2, 3 above and this sweep pin the output there and on either side.
+SWEEP_ARGV = ["sweep", "--from", "2", "--to", "8", "--format", "json"]
+SWEEP_GOLDEN = (2,
+                "1388486ad0cf962308be57e7b6f4ef8e05c6cd33090b74ea0866ae48a71fc69f")
 
 # check-file on printed presentations: the exchange system takes the bounded
 # path (its unit relation is inhomogeneous), the six quadratic relations the
@@ -64,6 +77,11 @@ def _run(argv, capsys):
                          ids=[" ".join(a[1:]) for a, _, _ in VERIFY_GOLDEN])
 def test_verify_golden(argv, code, digest, capsys):
     assert _run(argv + _CERT_JSON, capsys) == (code, digest)
+
+
+@pytest.mark.filterwarnings("ignore:alpha in")
+def test_sweep_golden(capsys):
+    assert _run(SWEEP_ARGV, capsys) == SWEEP_GOLDEN
 
 
 @pytest.mark.parametrize("build,code,digest", FILE_GOLDEN,

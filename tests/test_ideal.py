@@ -13,10 +13,13 @@ from ckverify.ideal import (
     presentations_equivalent)
 from ckverify.ncpoly import NcPoly, adjoint_involution
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
+                                    _defining_pair, _exchange_relations,
                                     cuntz_krieger, ideal_I0, ideal_Omega0,
-                                    sklyanin)
+                                    lemma2_solve, modulus_family, sklyanin,
+                                    verify)
 
-from oracles import expand_certificate, graded_member_oracle, poly_to_dict
+from oracles import (EagerSpan, expand_certificate, graded_member_oracle,
+                     poly_to_dict, wrapper_order)
 
 X = GENERATORS
 
@@ -172,3 +175,63 @@ def test_wrapper_len_zero():
     unit = gen(0) * gen(1) + gen(2) * gen(3) - NcPoly.one(X, RATIONALS)
     v = bounded_membership(unit.scale(3), [unit], wrapper_len=0)
     assert v.kind == MEMBER
+
+
+def _entries(cert):
+    return [(e.left, e.rel_index, e.right, e.coeff) for e in cert]
+
+
+@pytest.mark.filterwarnings("ignore:alpha in")
+@pytest.mark.parametrize("with_omega", [False, True],
+                         ids=["plain", "with_omega"])
+@pytest.mark.parametrize("b", [2, 3, 7])
+def test_family_certificates_match_eager_oracle(b, with_omega):
+    """Every MEMBER certificate of the modulus family equals, entry for
+    entry and in order, the one an eager-combination reducer finds over
+    the same wrapped rows; each INCONCLUSIVE target is outside the
+    oracle's span too."""
+    p, q = modulus_family(b, with_omega=with_omega)
+    rep = presentations_equivalent(p, q)
+    members = 0
+    for sources, targets, verdicts in ((p, q, rep.forward),
+                                       (q, p, rep.backward)):
+        # the unit relation makes both sides inhomogeneous: bounded spans
+        assert not targets.homogeneous
+        rows = wrapper_order(4, [r.degree() for r in targets.relations],
+                             wrapper_len=rep.wrapper_len)
+        oracle = EagerSpan([poly_to_dict(r) for r in targets.relations], rows)
+        for rel, v in zip(sources.relations, verdicts):
+            expected = oracle.certificate(poly_to_dict(rel))
+            if v.kind != MEMBER:
+                assert expected is None
+                continue
+            members += 1
+            got = [(l, i, r, c.as_fraction()) for l, i, r, c in
+                   _entries(v.certificate)]
+            assert got == expected
+    assert members >= 12
+
+
+def test_lemma2_symbolic_certificates_match_eager_oracle():
+    """The Q(alpha, b) certificates of symbolic lemma2 (the defining and the
+    solved pair in each other's quadratic slice) equal the eager oracle's,
+    in value and in printed form."""
+    report = verify("lemma2", symbolic=True)
+    [step] = [s for s in report.steps if s.name == "solved_pair_span"]
+    sp = ("alpha", "b")
+    alpha = Coefficient.param(sp, "alpha")
+    defining = _defining_pair(sp, alpha, 1, 2, 3)
+    solved = _exchange_relations(sp, *lemma2_solve(alpha).entries())
+    checked = 0
+    for key, sources, relations in (("defining_in_solved", defining, solved),
+                                    ("solved_in_defining", solved, defining)):
+        rows = wrapper_order(4, [r.degree() for r in relations], degree=2)
+        oracle = EagerSpan([dict(r.terms) for r in relations], rows)
+        for source, cert in zip(sources, step.certificate[key]):
+            expected = oracle.certificate(dict(source.terms))
+            got = _entries(cert)
+            assert [e[:3] for e in got] == [e[:3] for e in expected]
+            for (_, _, _, c), (_, _, _, e) in zip(got, expected):
+                assert c == e and str(c) == str(e)
+            checked += 1
+    assert checked == 4
