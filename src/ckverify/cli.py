@@ -247,9 +247,6 @@ def _cmd_check_file(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.wrapper_len < 0:
-        print("error: wrapper length must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     report = ideal.involution_stability(presentation, args.wrapper_len)
     for r in report.relations:
         rel = presentation.relations[r.index]

@@ -2,21 +2,23 @@
 
 A parameter space is a fixed, ordered tuple of names.  MultiPoly is a sparse
 polynomial over such a space with Fraction coefficients; Coefficient is an
-element of the field of rational functions over the space, and the space
-alone decides how it is stored:
+element of the field of rational functions over the space, and the names a
+value uses decide how it is stored:
 
-* at most one name (Q and Q(t), which is where every symbolic claim in the
-  modulus lives): numerator and denominator are tuples of Python ints,
-  lowest degree first, in a canonical form -- coprime, with jointly
-  primitive integer content and a positive leading denominator coefficient.
-  Arithmetic cancels with one integer univariate GCD (primitive
-  pseudo-remainder sequence, Brown 1971) and exact integer division, and
-  equality is equality of the canonical tuples.
-* two or more names: a quotient of two MultiPolys.  Equality is decided by
-  cross-multiplication, so no canonical form (and no multivariate GCD) is
-  ever required for correctness.  Light normalization keeps intermediate
-  values small: content scaling, and the same integer GCD when only one
-  name occurs in the value.
+* at most one name (every constant, and every value of Q(t), which is where
+  each symbolic claim in the modulus lives): numerator and denominator are
+  tuples of Python ints in that name, lowest degree first, beside the
+  name's index.  The pair is canonical -- coprime, with jointly primitive
+  integer content and a positive leading denominator coefficient.
+  Arithmetic between two such values in the same name, or with a constant,
+  cancels with one integer univariate GCD (primitive pseudo-remainder
+  sequence, Brown 1971) and exact integer division, and equality is
+  equality of the canonical tuples.
+* two or more names: a quotient of two MultiPolys scaled to integral,
+  primitive content.  An operation with such a value, or between values in
+  different names, runs on MultiPolys and stores its result by the same
+  rule.  Equality is then decided by cross-multiplication, so no canonical
+  form (and no multivariate GCD) is ever required for correctness.
 
 Either way `num` and `den` read as MultiPolys, and the printed form is the
 same: integer coefficients, a positive leading denominator coefficient, and
@@ -262,15 +264,6 @@ def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
     return num.scaled(factor), den.scaled(factor)
 
 
-def _only_name(num: MultiPoly, den: MultiPoly):
-    """The index of the one name that occurs in num or den, 0 if none does,
-    None if two or more do."""
-    used = num.used_names() | den.used_names()
-    if len(used) > 1:
-        return None
-    return num.names.index(used.pop()) if used else 0
-
-
 # ---------------------------------------------------------------------------
 # integer univariate polynomials: tuples of ints, lowest degree first, with
 # no trailing zeros; () is the zero polynomial
@@ -395,7 +388,7 @@ def _int_pair(num: MultiPoly, den: MultiPoly):
     return out
 
 
-def _poly_of(coeffs: tuple, names: Space, idx: int = 0) -> MultiPoly:
+def _poly_of(coeffs: tuple, names: Space, idx: int) -> MultiPoly:
     """The MultiPoly sum of coeffs[k] * names[idx]^k."""
     return MultiPoly(names, {
         tuple(k if i == idx else 0 for i in range(len(names))): Fraction(c)
@@ -405,58 +398,70 @@ def _poly_of(coeffs: tuple, names: Space, idx: int = 0) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # the field
 
-def _qt(names: Space, pair) -> "Coefficient":
-    """A Coefficient over a space of at most one name, from a canonical
-    pair of integer tuples."""
+def _qt(names: Space, pair, idx: int = 0) -> "Coefficient":
+    """A Coefficient from a canonical pair of integer tuples in names[idx]."""
     c = object.__new__(Coefficient)
     c.names = names
     c._num, c._den = pair
+    c._idx = idx
     return c
+
+
+def _shared(x: "Coefficient", y: "Coefficient"):
+    """The index of the one name that x and y use between them, when both
+    are integer pairs; None when either is a MultiPoly quotient or they use
+    two different names."""
+    i, j = x._idx, y._idx
+    if i is None or j is None:
+        return None
+    if i == j or y.is_rational():
+        return i
+    return j if x.is_rational() else None
 
 
 class Coefficient:
     """Element of the field of rational functions over a parameter space.
 
-    Over at most one name, _num and _den hold the canonical integer tuples;
-    otherwise they hold MultiPolys.
+    When at most one name occurs in the value, _num and _den hold its
+    canonical integer tuples and _idx that name's index (a constant may
+    carry any index); otherwise they hold MultiPolys and _idx is None.
     """
 
-    __slots__ = ("names", "_num", "_den")
+    __slots__ = ("names", "_num", "_den", "_idx")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise PoleError("zero denominator in Coefficient")
         num._check(den)
         self.names = num.names
-        if len(num.names) < 2:
-            self._num, self._den = _canon(*_int_pair(num, den))
+        used = (num.used_names() | den.used_names()) if num.terms else set()
+        if len(used) > 1:
+            self._num, self._den = _scale_to_primitive(num, den)
+            self._idx = None
         else:
-            self._num, self._den = _normalize(num, den)
+            self._num, self._den = _canon(*_int_pair(num, den))
+            self._idx = num.names.index(used.pop()) if used else 0
 
     @property
     def num(self) -> MultiPoly:
-        if len(self.names) < 2:
-            return _poly_of(self._num, self.names)
-        return self._num
+        if self._idx is None:
+            return self._num
+        return _poly_of(self._num, self.names, self._idx)
 
     @property
     def den(self) -> MultiPoly:
-        if len(self.names) < 2:
-            return _poly_of(self._den, self.names)
-        return self._den
+        if self._idx is None:
+            return self._den
+        return _poly_of(self._den, self.names, self._idx)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(names: Space, value) -> "Coefficient":
-        if len(names) < 2:
-            if type(value) is int:
-                return _qt(names, ((value,), _ONE) if value else _ZERO)
-            q = _as_fraction(value)
-            return _qt(names, ((q.numerator,), (q.denominator,)) if q
-                       else _ZERO)
-        return Coefficient(MultiPoly.const(names, value),
-                           MultiPoly.const(names, 1))
+        if type(value) is int:
+            return _qt(names, ((value,), _ONE) if value else _ZERO)
+        q = _as_fraction(value)
+        return _qt(names, ((q.numerator,), (q.denominator,)) if q else _ZERO)
 
     @staticmethod
     def param(names: Space, name: str) -> "Coefficient":
@@ -483,23 +488,26 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.names) >= 2:
-            num = self._num * other._den + other._num * self._den
-            return Coefficient(num, self._den * other._den)
+        idx = _shared(self, other)
+        if idx is None:
+            return Coefficient(self.num * other.den + other.num * self.den,
+                               self.den * other.den)
         a, b, c, d = self._num, self._den, other._num, other._den
         if not c:
             return self
         if not a:
             return other
         return _qt(self.names, _canon(
-            _ipoly_add(_ipoly_mul(a, d), _ipoly_mul(c, b)), _ipoly_mul(b, d)))
+            _ipoly_add(_ipoly_mul(a, d), _ipoly_mul(c, b)), _ipoly_mul(b, d)),
+            idx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if len(self.names) >= 2:
+        if self._idx is None:
             return Coefficient(-self._num, self._den)
-        return _qt(self.names, (tuple(-x for x in self._num), self._den))
+        return _qt(self.names, (tuple(-x for x in self._num), self._den),
+                   self._idx)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -514,8 +522,9 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.names) >= 2:
-            return Coefficient(self._num * other._num, self._den * other._den)
+        idx = _shared(self, other)
+        if idx is None:
+            return Coefficient(self.num * other.num, self.den * other.den)
         a, b, c, d = self._num, self._den, other._num, other._den
         if not a or not c:
             return _qt(self.names, _ZERO)
@@ -524,16 +533,17 @@ class Coefficient:
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return _qt(self.names,
-                   _strip_content(_ipoly_mul(a, c), _ipoly_mul(b, d)))
+                   _strip_content(_ipoly_mul(a, c), _ipoly_mul(b, d)), idx)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Coefficient":
         if self.is_zero():
             raise PoleError("inverse of the zero coefficient")
-        if len(self.names) >= 2:
+        if self._idx is None:
             return Coefficient(self._den, self._num)
-        return _qt(self.names, _strip_content(self._den, self._num))
+        return _qt(self.names, _strip_content(self._den, self._num),
+                   self._idx)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -547,9 +557,8 @@ class Coefficient:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if len(self.names) >= 2:
-            return self._num.is_zero()
-        return not self._num
+        # zero is the pair ((), (1,)); a MultiPoly quotient uses two names
+        return self._num == ()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -558,20 +567,19 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.names) < 2:
+        if _shared(self, other) is not None:
             return self._num == other._num and self._den == other._den
         # cross-multiplication: a/b = c/d  iff  a*d - c*b = 0
-        return (self._num * other._den - other._num * self._den).is_zero()
+        return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None
 
     def is_rational(self) -> bool:
-        if len(self.names) < 2:
-            return len(self._num) < 2 and len(self._den) == 1
-        return self._num.is_constant() and self._den.is_constant()
+        return (self._idx is not None and len(self._num) < 2
+                and len(self._den) == 1)
 
     def as_fraction(self) -> Fraction:
-        if len(self.names) < 2 and self.is_rational():
+        if self.is_rational():
             return Fraction(self._num[0] if self._num else 0, self._den[0])
         return self.num.constant_value() / self.den.constant_value()
 
@@ -637,18 +645,6 @@ def _evaluate(p: MultiPoly, bindings: Mapping, const, var):
     return out
 
 
-def _normalize(num: MultiPoly, den: MultiPoly):
-    """Cheap exact simplification over two or more names: the canonical
-    pair when at most one name occurs, content scaling otherwise."""
-    if num.is_zero():
-        return num, MultiPoly.const(num.names, 1)
-    idx = _only_name(num, den)
-    if idx is None:
-        return _scale_to_primitive(num, den)
-    n, d = _canon(*_int_pair(num, den))
-    return _poly_of(n, num.names, idx), _poly_of(d, num.names, idx)
-
-
 class ConjugationSpec:
     """Self-inverse permutation of parameter names (formal conjugation).
 
@@ -682,5 +678,3 @@ class ConjugationSpec:
         pairs = sorted((k, v) for k, v in self.mapping.items() if k <= v)
         return f"<ConjugationSpec {pairs}>"
 
-
-IDENTITY_CONJUGATION = ConjugationSpec()

@@ -289,6 +289,8 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
     against the wrappers up to wrapper_len, so a failed search is
     INCONCLUSIVE."""
+    if wrapper_len is not None and wrapper_len < 0:
+        raise ValueError("wrapper length must be nonnegative")
     spans: dict = {}
     verdicts = []
     for target in targets:
@@ -339,8 +341,6 @@ def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
                        wrapper_len: int = 2) -> MembershipVerdict:
     """Membership search over wrappers with |l|+|r| <= wrapper_len; returns
     MEMBER with certificate or INCONCLUSIVE (never NON_MEMBER)."""
-    if wrapper_len < 0:
-        raise ValueError("wrapper_len must be nonnegative")
     if not relations:
         raise ValueError("empty relation list")
     return _verdicts([target], relations, target.space, False, wrapper_len)[0]

@@ -249,8 +249,7 @@ def lemma2_solve(alpha) -> Matrix2:
     """Solve the defining pair for (x2*x1, x4*x3) as combinations of
     (x1*x2, x3*x4).  Requires alpha != 1; the result is checked by
     substituting the solved words back into the defining pair."""
-    alpha = _coeff(RATIONALS, alpha) if not isinstance(alpha, Coefficient) \
-        else alpha
+    alpha = _coeff(RATIONALS, alpha)
     space = alpha.names
     one = Coefficient.const(space, 1)
     if (one - alpha).is_zero():
@@ -537,7 +536,7 @@ def _family(b: Optional[int], with_omega: bool):
         omega = ideal_Omega0(sp)
         p = p.with_relations(omega)
         q = q.with_relations(omega)
-    return p, q
+    return p, q, alpha
 
 
 def modulus_family(b: Optional[int] = None, with_omega: bool = False):
@@ -548,7 +547,7 @@ def modulus_family(b: Optional[int] = None, with_omega: bool = False):
     """
     if b is not None:
         _check_modulus(b)
-    return _family(b, with_omega)
+    return _family(b, with_omega)[:2]
 
 
 def _equivalence_steps(p, q, wrapper_len: int):
@@ -568,19 +567,14 @@ def _equivalence_steps(p, q, wrapper_len: int):
 
 
 def _theorem1(b: Optional[int], wrapper_len: int):
-    p, q = _family(b, with_omega=False)
+    p, q, _ = _family(b, with_omega=False)
     return _equivalence_steps(p, q, wrapper_len)
 
 
 def _corollary1(b: Optional[int], wrapper_len: int):
-    p, q = _family(b, with_omega=True)
-    steps = _equivalence_steps(p, q, wrapper_len)
-    if b is None:
-        bc = Coefficient.param(("b",), "b")
-        curve = curves.legendre_invariants((bc - 2) / (bc + 2))
-    else:
-        curve = curves.curve_for_b(b)
-    return steps, curve
+    p, q, alpha = _family(b, with_omega=True)
+    return (_equivalence_steps(p, q, wrapper_len),
+            curves.legendre_invariants(alpha))
 
 
 # -- the commutative chain ---------------------------------------------------

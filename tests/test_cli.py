@@ -278,6 +278,14 @@ def test_wrapper_len_budget_exit_three(command, wrapper_len, message,
     assert message in err and "the limit is 100,000" in err
 
 
+def test_check_file_negative_wrapper_len_exit_three(tmp_path, capsys):
+    argv = ["check-file", str(_exchange_file(tmp_path)),
+            "--involution-stability", "--wrapper-len", "-1"]
+    code, out, err = main_quiet(argv, capsys)
+    assert (code, out, err) == (3, "", "error: wrapper length must be "
+                                      "nonnegative\n")
+
+
 def test_wrapper_len_within_budget_runs(tmp_path, capsys):
     f = _exchange_file(tmp_path)
     code, out, _ = main_quiet(["check-file", str(f), "--involution-stability",

@@ -283,3 +283,39 @@ def test_kernel_over_q_and_one_name_of_six():
             assert str(w) == str(n)
             _assert_value(w, pair_op(*pairs), gens)
             _assert_canonical(w, gens)
+    # alpha-only against beta-only values: a result that keeps both names is
+    # a MultiPoly quotient, and one in which a single name is left again is
+    # stored, printed and compared like that name's own value
+    def rand_value(name, polynomial):
+        while True:
+            num = _rand_poly(rng, six, name, 3, 20)
+            den = MultiPoly.const(six, rng.randint(1, 9)) if polynomial \
+                else _rand_poly(rng, six, name, 3, 20)
+            if not num.is_zero() and not den.is_zero():
+                value = Coefficient(num, den)
+                if not value.is_rational():
+                    return value
+
+    for i in range(12):
+        x, y = rand_value("alpha", False), rand_value("beta", i % 2 == 0)
+        (xn, xd), (yn, yd) = _sympy_pair(x, gens), _sympy_pair(y, gens)
+        # (x + y) - y is left in alpha alone exactly when y's denominator is
+        # constant; (x * y) / y keeps both names, as no multivariate GCD is
+        # taken
+        for c, expected, left, one_name in [
+                (x + y, (xn * yd + yn * xd, xd * yd), None, False),
+                (x * y, (xn * yn, xd * yd), None, False),
+                ((x + y) - y, (xn, xd), x, y.den.is_constant()),
+                ((x * y) / y, (xn, xd), x, False),
+                ((y * x) / x, (yn, yd), y, False)]:
+            _assert_value(c, expected, gens)
+            assert (len(c.num.used_names() | c.den.used_names()) < 2) \
+                == one_name
+            assert (c - c).is_zero() and str(c - c) == "0"
+            if left is None:
+                continue
+            assert c == left and left == c and c != left + 1
+            if one_name:
+                assert (c.num, c.den) == (left.num, left.den)
+                assert str(c) == str(left)
+                _assert_canonical(c, gens)

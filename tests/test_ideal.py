@@ -177,6 +177,20 @@ def test_wrapper_len_zero():
     assert v.kind == MEMBER
 
 
+def test_negative_wrapper_len_refused():
+    # refused by every entry point that takes a wrapper length, also on the
+    # graded path, which does not read it
+    unit = gen(0) * gen(1) + gen(2) * gen(3) - NcPoly.one(X, RATIONALS)
+    graded = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
+    bounded = cuntz_krieger(CKMatrix.for_modulus(7))
+    for call in (lambda: bounded_membership(unit, [unit], wrapper_len=-1),
+                 lambda: involution_stability(graded, -1),
+                 lambda: involution_stability(bounded, -1),
+                 lambda: presentations_equivalent(*modulus_family(7), -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+
 def _entries(cert):
     return [(e.left, e.rel_index, e.right, e.coeff) for e in cert]
 
