@@ -16,10 +16,10 @@ word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
 scalar field, with plain Fractions when no symbolic parameter is present;
 rows are kept monic and inserted smallest-wrapper-first, which makes
-certificates deterministic.  A reduction records its elimination steps
-(pivot, multiplier) and touches only the row vector; the steps are expanded
-into a combination of wrapped rows only for a target that reduces to zero,
-so a span pays for certificates only at its MEMBER targets.
+certificates deterministic.  Rows are fed until every target is settled, so
+a member costs only the rows up to its last pivot.  Reductions record their
+steps (pivot, multiplier), expanded into a combination of wrapped rows only
+for a target reduced to zero; basis rows are independent, so it is unique.
 """
 from __future__ import annotations
 
@@ -125,10 +125,10 @@ class MembershipVerdict:
 # span engine
 
 class _Span:
-    """Echelon basis of a list of wrapped-relation rows.  Each basis row
-    keeps the elimination steps that produced it; the combination of
-    wrapped rows behind a target is expanded from those steps only when the
-    target reduces to zero."""
+    """Echelon basis of wrapped-relation rows, fed one at a time until every
+    target is settled.  Each basis row keeps the elimination steps that
+    produced it; the combination of wrapped rows behind a target is expanded
+    from those steps only when the target reduces to zero."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.relations = list(relations)
@@ -193,26 +193,24 @@ class _Span:
         return combo
 
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
+        """Reduce left * relation * right; the pivot of a new basis row."""
         base = self._vec_cache[rel_index]
         vec = {left + w + right: c for w, c in base.items()}
         tag = len(self.tags)
         self.tags.append((left, rel_index, right))
         steps = self._reduce(vec)
         if not vec:
-            return
+            return None
         piv = max(vec, key=word_key)
         inv = 1 / vec[piv] if self.rational else vec[piv].inv()
         vec = {w: c * inv for w, c in vec.items()}
         self.basis[piv] = (vec, tag, inv, steps)
+        return piv
 
-    def membership(self, target: NcPoly) -> Optional[MembershipCertificate]:
-        """Certificate if target is in the span, else None.  The combination
-        is re-expanded from scratch and compared with the target first: no
-        certificate leaves the engine unchecked."""
-        vec = self._to_vec(target)
-        steps = self._reduce(vec)
-        if vec:
-            return None
+    def certificate(self, target: NcPoly, steps: list) -> MembershipCertificate:
+        """The certificate of a target that the steps reduce to zero.  The
+        combination is re-expanded from scratch and compared with the
+        target first: no certificate leaves the engine unchecked."""
         combo = self._combination(steps)
         rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
         if _residual(rows, self._vec_cache, self._to_vec(target)):
@@ -240,28 +238,23 @@ def _residual(rows, relation_terms, target_terms) -> dict:
     return acc
 
 
-def _span(relations: Sequence[NcPoly], space: Space, degree: Optional[int],
-          wrapper_len: Optional[int]) -> _Span:
-    """Span of the rows l * g_i * r, inserted in deglex order of (l, r) and
-    then by relation index.  With a degree, the rows with |l| + |r| =
-    degree - deg g_i: the complete degree slice of the ideal.  With degree
-    None, the rows with |l| + |r| <= wrapper_len."""
+def _span(relations: Sequence[NcPoly], degree: Optional[int],
+          wrapper_len: Optional[int]):
+    """The rows (l, i, r) for l * g_i * r, in deglex order of (l, r), then by
+    i.  With a degree, those with |l| + |r| = degree - deg g_i: the complete
+    degree slice of the ideal.  Else those with |l| + |r| <= wrapper_len."""
     n = len(relations[0].alphabet)
     if degree is None:
         _check_bounded_rows(len(relations), n, wrapper_len)
-    span = _Span(relations, space)
     degrees = [rel.degree() for rel in relations]
     for total in range((wrapper_len if degree is None else degree) + 1):
         indices = [i for i, d in enumerate(degrees)
                    if degree is None or d + total == degree]
-        if not indices:
-            continue
         for llen in range(total + 1):
             for l in product(range(n), repeat=llen):
                 for r in product(range(n), repeat=total - llen):
                     for i in indices:
-                        span.add_wrapped(l, i, r)
-    return span
+                        yield l, i, r
 
 
 def _check_bounded_rows(relations: int, n: int, wrapper_len: int):
@@ -291,22 +284,28 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     INCONCLUSIVE."""
     if wrapper_len is not None and wrapper_len < 0:
         raise ValueError("wrapper length must be nonnegative")
-    spans: dict = {}
-    verdicts = []
-    for target in targets:
-        if target.is_zero():
-            verdicts.append(MembershipVerdict(MEMBER, MembershipCertificate([])))
-            continue
-        degree = target.degree() if graded else None
-        if degree not in spans:
-            spans[degree] = _span(relations, space, degree, wrapper_len)
-        cert = spans[degree].membership(target)
-        if cert is not None:
-            verdicts.append(MembershipVerdict(MEMBER, cert))
-        elif graded:
-            verdicts.append(MembershipVerdict(NON_MEMBER))
-        else:
-            verdicts.append(MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
+    verdicts = [MembershipVerdict(MEMBER, MembershipCertificate([]))
+                if t.is_zero() else MembershipVerdict(NON_MEMBER) if graded
+                else MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)
+                for t in targets]
+    batches: dict = {}         # degree (None if bounded) -> target indices
+    for k, target in enumerate(targets):
+        if not target.is_zero():
+            batches.setdefault(target.degree() if graded else None, []).append(k)
+    for degree, batch in batches.items():
+        span = _Span(relations, space)
+        open_ = {k: (span._to_vec(targets[k]), []) for k in batch}
+        for row in _span(relations, degree, wrapper_len):
+            piv = span.add_wrapped(*row)
+            for k in [k for k, (vec, _) in open_.items() if piv in vec]:
+                vec, steps = open_[k]
+                steps += span._reduce(vec)
+                if not vec:
+                    del open_[k]
+                    verdicts[k] = MembershipVerdict(
+                        MEMBER, span.certificate(targets[k], steps))
+            if not open_:
+                break
     return verdicts
 
 

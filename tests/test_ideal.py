@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from ckverify import ideal
 from ckverify.coeff import Coefficient, RATIONALS
 from ckverify.ideal import (
-    INCONCLUSIVE, MEMBER, NON_MEMBER, Presentation, STABLE, UNSTABLE,
-    bounded_membership, graded_membership, involution_stability,
+    EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, Presentation, STABLE,
+    UNSTABLE, bounded_membership, graded_membership, involution_stability,
     presentations_equivalent)
 from ckverify.ncpoly import NcPoly, adjoint_involution
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
@@ -249,3 +250,60 @@ def test_lemma2_symbolic_certificates_match_eager_oracle():
                 assert c == e and str(c) == str(e)
             checked += 1
     assert checked == 4
+
+
+def _report_entries(rep):
+    return [_entries(v.certificate) for v in rep.forward + rep.backward]
+
+
+def test_member_search_stops_at_the_last_pivot(monkeypatch):
+    """A bounded search whose targets are all members stops feeding rows
+    once the last one is certified: at wrapper length 5 the modulus family
+    at b = 7 builds no more rows than the two complete wrapper-length-2
+    spans, and every certificate equals its wrapper-length-2 counterpart
+    entry by entry."""
+    p, q = modulus_family(7)
+    short = presentations_equivalent(p, q, 2)
+    built = 0
+    add_wrapped = ideal._Span.add_wrapped
+
+    def counting(self, *row):
+        nonlocal built
+        built += 1
+        return add_wrapped(self, *row)
+
+    monkeypatch.setattr(ideal._Span, "add_wrapped", counting)
+    long = presentations_equivalent(p, q, 5)
+    assert long.verdict == short.verdict == EQUIVALENT
+    assert _report_entries(long) == _report_entries(short)
+    k2_rows = sum(len(s.relations) * (t + 1) * 4 ** t
+                  for s in (p, q) for t in range(3))
+    assert k2_rows == 798
+    assert built <= k2_rows
+
+
+@pytest.mark.parametrize("b", [7, None], ids=["b7", "symbolic"])
+def test_bounded_certificate_does_not_depend_on_its_batch(b):
+    """The relations of one direction share a span and stop it together;
+    each certificate still equals the one found for its target alone."""
+    p, q = modulus_family(b)
+    rep = presentations_equivalent(p, q)
+    for sources, targets, verdicts in ((p, q, rep.forward),
+                                       (q, p, rep.backward)):
+        for rel, v in zip(sources.relations, verdicts):
+            alone = bounded_membership(rel, targets.relations, 2)
+            assert alone.kind == v.kind == MEMBER
+            assert _entries(alone.certificate) == _entries(v.certificate)
+
+
+def test_graded_certificate_does_not_depend_on_its_batch():
+    """The same on the graded path: the six involution images share one
+    degree-2 slice."""
+    p = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
+    rep = involution_stability(p)
+    assert rep.verdict == STABLE
+    for r in rep.relations:
+        img = p.relations[r.index].involute(p.involution)
+        alone = graded_membership(img, p.relations)
+        assert alone.kind == MEMBER
+        assert _entries(alone.certificate) == _entries(r.verdict.certificate)
