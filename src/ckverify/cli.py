@@ -7,6 +7,7 @@ one membership search exhausted its bound without an answer; 3 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged,
+    so every call of main can share it."""
     parser = _Parser(
         prog="ckverify",
         description="Exact verification of the quadratic-presentation "

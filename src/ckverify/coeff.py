@@ -13,7 +13,9 @@ value uses decide how it is stored:
   Arithmetic between two such values in the same name, or with a constant,
   cancels with one integer univariate GCD (primitive pseudo-remainder
   sequence, Brown 1971) and exact integer division, and equality is
-  equality of the canonical tuples.
+  equality of the canonical tuples.  A parameter, the formal conjugate of
+  such a value (the same pair at the conjugate name's index) and its
+  printed form are also read straight off the pair.
 * two or more names: a quotient of two MultiPolys scaled to integral,
   primitive content.  An operation with such a value, or between values in
   different names, runs on MultiPolys and stores its result by the same
@@ -388,6 +390,31 @@ def _int_pair(num: MultiPoly, den: MultiPoly):
     return out
 
 
+def _nonzero(coeffs: tuple) -> int:
+    return len(coeffs) - coeffs.count(0)
+
+
+def _ipoly_str(coeffs: tuple, name: str, den: int = 1) -> str:
+    """str() of the MultiPoly sum of coeffs[k]/den * name^k, for den > 0."""
+    out = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        g = gcd(c, den)
+        p, q = abs(c) // g, den // g
+        mag = str(p) if q == 1 else f"{p}/{q}"
+        mono = "" if k == 0 else name if k == 1 else f"{name}^{k}"
+        if not mono:
+            body = mag
+        elif p == q == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
+
+
 def _poly_of(coeffs: tuple, names: Space, idx: int) -> MultiPoly:
     """The MultiPoly sum of coeffs[k] * names[idx]^k."""
     return MultiPoly(names, {
@@ -465,8 +492,9 @@ class Coefficient:
 
     @staticmethod
     def param(names: Space, name: str) -> "Coefficient":
-        return Coefficient(MultiPoly.var(names, name),
-                           MultiPoly.const(names, 1))
+        if name not in names:
+            raise KeyError(f"unknown parameter {name!r} (space has {names})")
+        return _qt(names, ((0, 1), _ONE), names.index(name))
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "Coefficient":
@@ -600,8 +628,22 @@ class Coefficient:
         return num / den
 
     def conjugate(self, spec: "ConjugationSpec") -> "Coefficient":
-        return Coefficient(self.num.permute_names(spec.mapping),
-                           self.den.permute_names(spec.mapping))
+        """The value with its names relabelled by spec.  A constant is
+        fixed; a value in one name keeps its pair and moves to the
+        conjugate name, which must be in the space."""
+        if self._idx is None:
+            return Coefficient(self.num.permute_names(spec.mapping),
+                               self.den.permute_names(spec.mapping))
+        if self.is_rational():
+            return self
+        name = self.names[self._idx]
+        target = spec(name)
+        if target == name:
+            return self
+        if target not in self.names:
+            raise KeyError(f"unknown parameter {target!r}")
+        return _qt(self.names, (self._num, self._den),
+                   self.names.index(target))
 
     def extend(self, names: Space) -> "Coefficient":
         return Coefficient(self.num.extend(names), self.den.extend(names))
@@ -609,6 +651,17 @@ class Coefficient:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
+        if self._idx is not None and not self.is_rational():
+            name = self.names[self._idx]
+            num, den = self._num, self._den
+            if len(den) == 1:
+                return _ipoly_str(num, name, den[0])
+            ns, ds = _ipoly_str(num, name), _ipoly_str(den, name)
+            if _nonzero(num) > 1 or num[-1] < 0:
+                ns = f"({ns})"
+            if _nonzero(den) > 1 or ds != name:
+                ds = f"({ds})"
+            return f"{ns}/{ds}"
         num, den = self.num, self.den
         if den.is_constant():
             c = den.constant_value()

@@ -17,7 +17,7 @@ RELATIONS (one expression per line; a single '=' is normalized to left-right).
 """
 from __future__ import annotations
 
-from .coeff import Coefficient, ConjugationSpec, Space
+from .coeff import Coefficient, ConjugationSpec, Space, _nonzero
 from .ncpoly import NcPoly, InvolutionSpec
 
 
@@ -249,6 +249,15 @@ def _coeff_factor(c: Coefficient):
     None magnitude means the coefficient is +-1 and should be omitted before
     a nonempty word.
     """
+    if c._idx is not None:  # at most one name: read the integer pair
+        neg = bool(c._num) and c._num[-1] < 0
+        mag = -c if neg else c
+        if mag._num == mag._den == (1,):
+            return neg, None
+        s = str(mag)
+        if len(mag._den) == 1 and _nonzero(mag._num) > 1:
+            s = f"({s})"
+        return neg, s
     lead = c.num.leading_coeff()
     neg = lead < 0
     mag = -c if neg else c
@@ -291,12 +300,13 @@ _SECTIONS = ("GENERATORS", "PARAMS", "INVOLUTION", "RELATIONS")
 class PresentationFile:
     """Parsed sections of a presentation file, before semantic assembly."""
 
-    __slots__ = ("generators", "params", "pairs", "involution_lines", "relations")
+    __slots__ = ("generators", "params", "partner", "involution_lines",
+                 "relations")
 
     def __init__(self):
         self.generators = []
         self.params = []
-        self.pairs = []
+        self.partner = {}  # name -> its conjugate, for each declared pair
         self.involution_lines = []
         self.relations = []  # (text, line_number)
 
@@ -337,10 +347,13 @@ def parse_presentation_text(text: str):
                     a, _, b = entry.partition("~")
                     if not (_is_name(a) and _is_name(b)):
                         raise ParseError(f"bad parameter pair {entry!r}", lineno, 1)
-                    for n in (a, b):
+                    for n, m in ((a, b), (b, a)):
+                        if pf.partner.setdefault(n, m) != m:
+                            raise ParseError(
+                                f"parameter {n!r} paired with both "
+                                f"{pf.partner[n]!r} and {m!r}", lineno, 1)
                         if n not in pf.params:
                             pf.params.append(n)
-                    pf.pairs.append((a, b))
                 else:
                     if not _is_name(entry):
                         raise ParseError(f"bad parameter name {entry!r}", lineno, 1)
@@ -381,8 +394,7 @@ def parse_presentation_text(text: str):
             raise ParseError(
                 f"involution is not self-inverse at {src!r} -> {dst!r}", 1, 1)
     space: Space = tuple(pf.params)
-    conj = ConjugationSpec({a: b for a, b in pf.pairs} |
-                           {b: a for a, b in pf.pairs})
+    conj = ConjugationSpec(pf.partner)
     involution = InvolutionSpec(
         tuple(gen_index[perm[g]] for g in pf.generators), conj)
     relations = []

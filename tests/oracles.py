@@ -4,7 +4,8 @@ Everything in this file recomputes results through a different code path
 than the package: raw word-dict arithmetic for noncommutative expansion
 and for evaluation at commutative points, dense Gaussian elimination over
 Fraction for span questions, an eager-combination reducer for certificate
-entries, and sympy for curve invariants.  Tests compare package output
+entries, the MultiPoly route for printing, conjugating and building
+coefficients, and sympy for curve invariants.  Tests compare package output
 against these.
 """
 from __future__ import annotations
@@ -12,6 +13,50 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+
+
+# ---------------------------------------------------------------------------
+# coefficients through MultiPoly numerators and denominators (independent of
+# the integer pairs that store a value in at most one name)
+
+def coefficient_str(c) -> str:
+    """str(c), rendered from the MultiPolys c.num and c.den."""
+    num, den = c.num, c.den
+    if den.is_constant():
+        return str(num.scaled(Fraction(1) / den.constant_value()))
+    ns, ds = str(num), str(den)
+    if len(num.terms) > 1 or ns.startswith("-"):
+        ns = f"({ns})"
+    if len(den.terms) > 1 or "*" in ds or "^" in ds or "/" in ds:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def coefficient_factor(c) -> tuple:
+    """parser._coeff_factor(c): the sign of c's leading numerator term and
+    the magnitude's printed form, None for 1 and parenthesised when it is a
+    sum over a constant denominator."""
+    neg = c.num.leading_coeff() < 0
+    mag = -c if neg else c
+    if mag == 1:
+        return neg, None
+    s = coefficient_str(mag)
+    if mag.den.is_constant() and len(mag.num.terms) > 1:
+        s = f"({s})"
+    return neg, s
+
+
+def coefficient_conjugate(c, spec):
+    """c with its names relabelled by spec, through MultiPoly.permute_names."""
+    from ckverify.coeff import Coefficient
+    return Coefficient(c.num.permute_names(spec.mapping),
+                       c.den.permute_names(spec.mapping))
+
+
+def coefficient_param(names, name):
+    """The value of the parameter name, as a quotient of MultiPolys."""
+    from ckverify.coeff import Coefficient, MultiPoly
+    return Coefficient(MultiPoly.var(names, name), MultiPoly.const(names, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,66 @@ def test_wrapper_len_within_budget_runs(tmp_path, capsys):
     code, out, _ = main_quiet(["check-file", str(f), "--involution-stability",
                                "--wrapper-len", "3"], capsys)
     assert code == 0 and "verdict: STABLE" in out
+
+
+# The image of r3 is x1*r1*x1, so it is certified at wrapper length 2 (the
+# default) and left open at 1.
+WRAPPER_TWO_TEXT = """\
+GENERATORS: x1 x2 x3 x4
+INVOLUTION: x1 -> x1; x2 -> x2; x3 -> x4; x4 -> x3
+RELATIONS:
+  x3 - 1
+  x4 - 1
+  x1*x4*x1 - x1*x1
+"""
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its argument parser once per process; no call may leave
+    # an option value or an error behind for the next one
+    lemma5 = ["verify", "lemma5", "--b", "7"]
+    code, out, _ = main_quiet(lemma5 + ["--wrapper-len", "3"], capsys)
+    assert code == 0 and "wrapper length: 3\n" in out
+    code, out, _ = main_quiet(lemma5, capsys)
+    assert code == 0 and "wrapper length: 2\n" in out
+
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma5", "--b", "7", "--symbolic"])
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 3 and "not allowed with argument" in errors[0][1]
+
+    f = tmp_path / "p.pres"
+    f.write_text(WRAPPER_TWO_TEXT)
+    argv = ["check-file", str(f), "--involution-stability"]
+    code, out, _ = main_quiet(argv + ["--wrapper-len", "1"], capsys)
+    assert code == 2 and "r3 [x1*x4*x1 - x1*x1]: INCONCLUSIVE" in out
+    code, out, _ = main_quiet(argv, capsys)
+    assert code == 0 and "r3 [x1*x4*x1 - x1*x1]: MEMBER" in out
+
+
+@pytest.mark.parametrize("params,line", [("a~b b~c", 2), ("a~b\nPARAMS: a~c", 3),
+                                         ("a~a a~b", 2)],
+                         ids=["chain", "second_line", "self_paired"])
+def test_check_file_param_paired_twice_exit_three(params, line, tmp_path,
+                                                  capsys):
+    f = tmp_path / "p.pres"
+    f.write_text(f"GENERATORS: x1\nPARAMS: {params}\n"
+                 "INVOLUTION: x1 -> x1\nRELATIONS:\n  x1\n")
+    code, out, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: parameter ") and "paired with both" in err
+    assert err.endswith(f"(line {line}, column 1)\n")
+
+
+def test_check_file_repeated_param_pair_allowed(tmp_path, capsys):
+    f = tmp_path / "p.pres"
+    f.write_text("GENERATORS: x1 x2\nPARAMS: a~abar abar~a\nPARAMS: a~abar\n"
+                 "INVOLUTION: x1 -> x2; x2 -> x1\nRELATIONS:\n"
+                 "  a*x1*x1 + abar*x2*x2\n")
+    code, out, _ = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert code == 0 and "verdict: STABLE" in out

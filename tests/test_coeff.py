@@ -9,6 +9,9 @@ import pytest
 
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
+from ckverify.parser import _coeff_factor
+from oracles import (coefficient_conjugate, coefficient_factor,
+                     coefficient_param, coefficient_str)
 
 AB = ("a", "b")
 
@@ -319,3 +322,91 @@ def test_kernel_over_q_and_one_name_of_six():
                 assert (c.num, c.den) == (left.num, left.den)
                 assert str(c) == str(left)
                 _assert_canonical(c, gens)
+
+
+# ---------------------------------------------------------------------------
+# printing, conjugation and param on the integer pair, against the MultiPoly
+# route
+
+SIX = ("alpha", "alphabar", "beta", "betabar", "gamma", "gammabar")
+# alpha and alphabar are fixed (as in the identified lemma1 stages), the
+# other names paired
+SIX_SPEC = ConjugationSpec({"beta": "betabar", "betabar": "beta",
+                            "gamma": "gammabar", "gammabar": "gamma"})
+
+
+def _one_name_value(rng, name):
+    """A seeded value in one of SIX's names: over a constant, a monomial or
+    a polynomial denominator, with small coefficients so that 1, -1 and
+    missing powers are common."""
+    var = MultiPoly.var(SIX, name)
+    while True:
+        num = _rand_poly(rng, SIX, name, 4, rng.choice((1, 2, 30)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            den = MultiPoly.const(SIX, rng.randint(1, 12))
+        elif kind == 1:
+            den = var ** rng.randint(1, 3) * \
+                MultiPoly.const(SIX, rng.choice((1, 1, 2, 5)))
+        else:
+            den = _rand_poly(rng, SIX, name, 3, rng.choice((1, 2)))
+        if num.is_zero() or den.is_zero():
+            continue
+        value = Coefficient(num, den)
+        if not value.is_rational():
+            return value
+
+
+def _assert_same(c, expected):
+    assert (c.names, c.num, c.den) == (expected.names, expected.num,
+                                       expected.den)
+    assert str(c) == str(expected)
+
+
+def test_one_name_paths_match_multipoly_route():
+    rng = random.Random(8008)
+    printed = set()
+    for i in range(600):
+        c = _one_name_value(rng, SIX[i % len(SIX)])
+        for v in (c, -c):
+            printed.add(str(v))
+            assert str(v) == coefficient_str(v)
+            assert _coeff_factor(v) == coefficient_factor(v)
+            _assert_same(v.conjugate(SIX_SPEC),
+                         coefficient_conjugate(v, SIX_SPEC))
+    for name in SIX:
+        p = Coefficient.param(SIX, name)
+        _assert_same(p, coefficient_param(SIX, name))
+        assert (str(p), _coeff_factor(p)) == (name, (False, name))
+        _assert_same(p.conjugate(SIX_SPEC), Coefficient.param(
+            SIX, SIX_SPEC(name)))
+    # the seeded values reach every branch of the printed form: a bare and
+    # a parenthesised numerator and denominator, a leading minus, powers
+    # and reduced fractions
+    for part in ("(-", ")/(", "/(", "/alpha", "^", "1/7*", "/5", "-"):
+        assert any(part in t for t in printed), part
+
+
+def test_constants_match_multipoly_route():
+    rng = random.Random(8009)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7),
+              Fraction(-3, 7)]
+    values += [Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+               for _ in range(200)]
+    for q in values:
+        for names, spec in ((RATIONALS, ConjugationSpec()), (SIX, SIX_SPEC)):
+            c = Coefficient.const(names, q)
+            assert str(c) == coefficient_str(c)
+            assert _coeff_factor(c) == coefficient_factor(c)
+            _assert_same(c.conjugate(spec), coefficient_conjugate(c, spec))
+
+
+def test_one_name_paths_keep_their_errors():
+    alpha = Coefficient.param(SIX, "alpha") + 2
+    outside = ConjugationSpec({"alpha": "delta", "delta": "alpha"})
+    for route in (alpha.conjugate, lambda s: coefficient_conjugate(alpha, s)):
+        with pytest.raises(KeyError):
+            route(outside)
+    for build in (Coefficient.param, coefficient_param):
+        with pytest.raises(KeyError):
+            build(SIX, "delta")

@@ -66,6 +66,61 @@ FILE_GOLDEN = [
 ]
 
 
+# check-file on hand-written files with named parameters: these pin the
+# printed form of a coefficient in one name (a sign, a rational factor,
+# parentheses) and of one in two names, which has no canonical form.  The
+# six-name lemma1 file mixes relations inside each pair, so that one
+# coefficient carries both a name and a constant.
+LEMMA1_MIXED = """\
+GENERATORS: x1 x2 x3 x4
+PARAMS: alpha~alphabar beta~betabar gamma~gammabar
+INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3
+RELATIONS:
+  (17/7)*x1*x2 + (11/7)*x2*x1 + (-3/7*alpha - 2)*x3*x4 + (-3/7*alpha + 2)*x4*x3
+  (-5/3)*x1*x2 + (-5/3)*x2*x1 + (5/3)*x3*x4 + (-5/3)*x4*x3
+  (-3/2)*x1*x3 + (-7/2)*x3*x1 + (-beta + 5/2)*x4*x2 + (-beta - 5/2)*x2*x4
+  (2)*x1*x3 + (2)*x3*x1 + (-2)*x4*x2 + (2)*x2*x4
+  (-4/9)*x1*x4 + (4/9)*x4*x1 + (4/9*gamma)*x2*x3 + (4/9*gamma)*x3*x2
+  x1*x4 + x4*x1 - x2*x3 + x3*x2
+"""
+
+# The same relations at beta = 1 and gamma = -1, with alpha self-conjugate.
+LEMMA1_MIXED_IDENTIFIED = """\
+GENERATORS: x1 x2 x3 x4
+PARAMS: alpha alphabar beta~betabar gamma~gammabar
+INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3
+RELATIONS:
+  (17/7)*x1*x2 + (11/7)*x2*x1 + (-3/7*alpha - 2)*x3*x4 + (-3/7*alpha + 2)*x4*x3
+  (-5/3)*x1*x2 + (-5/3)*x2*x1 + (5/3)*x3*x4 + (-5/3)*x4*x3
+  (-3/2)*x1*x3 + (-7/2)*x3*x1 + (-1 + 5/2)*x4*x2 + (-1 - 5/2)*x2*x4
+  (2)*x1*x3 + (2)*x3*x1 + (-2)*x4*x2 + (2)*x2*x4
+  (-4/9)*x1*x4 + (4/9)*x4*x1 + (-4/9)*x2*x3 + (-4/9)*x3*x2
+  x1*x4 + x4*x1 - x2*x3 + x3*x2
+"""
+
+# Q(a) with a formal conjugate: denominators in a, an inhomogeneous
+# relation (the bounded search stays open, exit 2), and a two-name
+# quotient that is never reduced: it prints as (abar^2-a^2)/(abar-a).
+QA_FILE = """\
+GENERATORS: x1 x2 x3 x4
+PARAMS: a~abar
+INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3
+RELATIONS:
+  1/(a+1)*x1*x2 - x3*x4 + (2*a^2-3)/(5*a)*x2*x1 - a/4*x4*x4
+  x1*x1 = 1/(a-1)
+  (a^2-abar^2)/(a-abar)*x2*x3 + x4*x1 + (1-a)/(a^2+1)*x3*x3
+"""
+
+PARAM_FILE_GOLDEN = [
+    (LEMMA1_MIXED, 1,
+     "3f78b31c9632eb1f3dbedbed73e0e84680f8bd06f59e4daa9cebed628077ad38"),
+    (LEMMA1_MIXED_IDENTIFIED, 0,
+     "97c24c8587be96b058df1f8334b24a2514c7b77ed717e07b0b524e8bb03c8386"),
+    (QA_FILE, 2,
+     "42b5769a06ef9bac23c1b5c0ea922199fc3990268c92c35c5989220d0fdd8c96"),
+]
+
+
 def _run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -89,5 +144,15 @@ def test_sweep_golden(capsys):
 def test_check_file_golden(build, code, digest, tmp_path, capsys):
     path = tmp_path / "presentation.txt"
     path.write_text(print_presentation(build()), encoding="utf-8")
+    argv = ["check-file", str(path), "--involution-stability"]
+    assert _run(argv, capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("text,code,digest", PARAM_FILE_GOLDEN,
+                         ids=["lemma1_mixed", "lemma1_mixed_identified",
+                              "qa_conjugate_pair"])
+def test_check_file_param_golden(text, code, digest, tmp_path, capsys):
+    path = tmp_path / "presentation.txt"
+    path.write_text(text, encoding="utf-8")
     argv = ["check-file", str(path), "--involution-stability"]
     assert _run(argv, capsys) == (code, digest)
