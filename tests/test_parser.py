@@ -134,3 +134,78 @@ def test_presentation_file_errors():
     with pytest.raises(ParseError) as e:
         parse_presentation_text(bad)
     assert e.value.line == 4
+
+
+# Every ParseError branch of the expression parser, with its exact message
+# and position: (entry point, text, line0, message, line, column).  "rel"
+# rows go through parse_relation, the rest through parse_expr; "a" is the
+# one parameter.
+_NEST = 101
+ERROR_TABLE = [
+    ("expr", "(x1 + x2", 1, "unbalanced parentheses", 1, 9),
+    ("expr", "(x1 x2)", 1, "unbalanced parentheses", 1, 5),
+    ("expr", "x1 + )", 1, "unbalanced parentheses", 1, 6),
+    ("expr", "()", 1, "unbalanced parentheses", 1, 2),
+    ("expr", "x1 + x2)", 1, "unexpected ')' (missing operator?)", 1, 8),
+    ("expr", "x1 x2", 1, "unexpected 'x2' (missing operator?)", 1, 4),
+    ("expr", "3x1", 1, "unexpected 'x1' (missing operator?)", 1, 2),
+    ("expr", "x1^2^3", 1, "unexpected '^' (missing operator?)", 1, 5),
+    ("expr", "x1 * y", 1, "unknown identifier 'y'", 1, 6),
+    ("expr", "x²", 1, "unknown identifier 'x²'", 1, 1),
+    ("expr", "x1^-2", 1, "exponent must be a nonnegative integer", 1, 3),
+    ("expr", "x1^x2", 1, "expected integer exponent", 1, 4),
+    ("expr", "x1^(2)", 1, "expected integer exponent", 1, 4),
+    ("expr", "x1^", 1, "expected integer exponent", 1, 4),
+    ("expr", "x1^\t", 1, "expected integer exponent", 1, 5),
+    ("expr", "x1^101", 1, "exponent 101 exceeds 100", 1, 4),
+    ("expr", "(x1+x2+x3+x4)^7", 1,
+     "power of up to 16384 terms exceeds 10000", 1, 14),
+    ("expr", "(x1+x2+x3+x4)^6*(x1+x2)^2", 1,
+     "product of up to 16384 terms exceeds 10000", 1, 16),
+    ("expr", "x1/x2", 1, "division by an expression involving generators",
+     1, 3),
+    ("expr", "x1/0", 1, "division by zero", 1, 3),
+    ("expr", "x1/(a-a)", 1, "division by zero", 1, 3),
+    ("expr", "x1/(x2 - x2)", 1, "division by zero", 1, 3),
+    ("expr", "(" * _NEST + "x1" + ")" * _NEST, 1,
+     "expression nested deeper than 100 levels", 1, 101),
+    ("expr", "-" * _NEST + "x1", 1,
+     "expression nested deeper than 100 levels", 1, 101),
+    ("rel", "x1 = x2 = x3", 1, "more than one '=' in relation", 1, 9),
+    ("rel", "= x2", 1, "'=' needs expressions on both sides", 1, 1),
+    ("rel", "x1 =", 1, "'=' needs expressions on both sides", 1, 4),
+    ("rel", "x1 = ", 1, "'=' needs expressions on both sides", 1, 4),
+    ("rel", "(x1 = x2)", 1, "unbalanced parentheses", 1, 10),
+    ("expr", "x1 + $", 1, "unexpected character '$'", 1, 6),
+    ("expr", "x1 + 3.5", 1, "unexpected character '.'", 1, 7),
+    ("expr", "x1 + ½", 1, "unexpected character '½'", 1, 6),
+    ("expr", "x1 + \f", 1, "unexpected character '\\x0c'", 1, 6),
+    ("expr", "\tx1 $", 1, "unexpected character '$'", 1, 5),
+    ("expr", "x1 +\n  x2 $", 1, "unexpected character '$'", 2, 6),
+    ("expr", "x1 + $", 7, "unexpected character '$'", 7, 6),
+    ("expr", "x1 +\n  x2 $", 7, "unexpected character '$'", 8, 6),
+    ("rel", "x1 = x2 = x3", 4, "more than one '=' in relation", 4, 9),
+    ("expr", "x1 * y", 12, "unknown identifier 'y'", 12, 6),
+    # an expression that ends early
+    ("expr", "x1 +", 1, "unexpected None", 1, 5),
+    ("expr", "x1 *", 1, "unexpected None", 1, 5),
+    ("expr", "-", 1, "unexpected None", 1, 2),
+    ("expr", "", 1, "unexpected None", 1, 1),
+    ("expr", "x1 + # note", 1, "unexpected None", 1, 6),
+    ("expr", "x1 +\r", 1, "unexpected None", 1, 6),
+    ("expr", "x1\n+\n", 1, "unexpected None", 3, 1),
+    ("expr", "x1 +", 5, "unexpected None", 5, 5),
+    ("rel", "x1 + = x2", 1, "unexpected None", 1, 10),
+    ("rel", "x1 = x2 +", 1, "unexpected None", 1, 10),
+]
+
+
+@pytest.mark.parametrize("entry, text, line0, message, line, col",
+                         ERROR_TABLE,
+                         ids=[f"{r[0]}-{r[2]}-{r[1]!r:.30}" for r in ERROR_TABLE])
+def test_error_table(entry, text, line0, message, line, col):
+    parse = parse_relation if entry == "rel" else parse_expr
+    with pytest.raises(ParseError) as e:
+        parse(text, X, ("a",), line0=line0)
+    assert str(e.value) == f"{message} (line {line}, column {col})"
+    assert (e.value.line, e.value.col) == (line, col)
