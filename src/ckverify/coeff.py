@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: rational functions over Q in named parameters.
 
 A parameter space is a fixed, ordered tuple of names.  MultiPoly is a sparse
-polynomial over such a space with Fraction coefficients; Coefficient is an
-element of the field of rational functions over the space, and the names a
-value uses decide how it is stored:
+polynomial over such a space with rational coefficients (ints or Fractions);
+Coefficient is an element of the field of rational functions over the space,
+and the names a value uses decide how it is stored:
 
 * at most one name (every constant, and every value of Q(t), which is where
   each symbolic claim in the modulus lives): numerator and denominator are
@@ -12,15 +12,19 @@ value uses decide how it is stored:
   integer content and a positive leading denominator coefficient.
   Arithmetic between two such values in the same name, or with a constant,
   cancels with one integer univariate GCD (primitive pseudo-remainder
-  sequence, Brown 1971) and exact integer division, and equality is
+  sequence, Brown 1971) and exact integer division -- a sum over one
+  denominator, or over two constant ones, needs no GCD -- and equality is
   equality of the canonical tuples.  A parameter, the formal conjugate of
   such a value (the same pair at the conjugate name's index) and its
   printed form are also read straight off the pair.
-* two or more names: a quotient of two MultiPolys scaled to integral,
-  primitive content.  An operation with such a value, or between values in
-  different names, runs on MultiPolys and stores its result by the same
-  rule.  Equality is then decided by cross-multiplication, so no canonical
-  form (and no multivariate GCD) is ever required for correctness.
+* two or more names: a quotient of two MultiPolys with int coefficients,
+  scaled to jointly primitive content and a positive leading denominator
+  coefficient.  An operation with such a value, or between values in
+  different names, runs on MultiPolys (int ones: `num` and `den` of a
+  value in one name have int coefficients too) and stores its result by
+  the same rule.  Equality is then decided by cross-multiplication, so no
+  canonical form (and no multivariate GCD) is ever required for
+  correctness.
 
 Either way `num` and `den` read as MultiPolys, and the printed form is the
 same: integer coefficients, a positive leading denominator coefficient, and
@@ -50,7 +54,8 @@ def _as_fraction(v) -> Fraction:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero Fraction."""
+    """Sparse multivariate polynomial: exponent tuple -> nonzero int or
+    Fraction."""
 
     __slots__ = ("names", "terms")
 
@@ -249,21 +254,18 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
-    """Scale num/den by a common rational so coefficients are integral and
-    jointly primitive, with the denominator's leading coefficient positive."""
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    if not coeffs:
-        return num, den
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-    factor = Fraction(den_lcm, num_gcd or 1)
-    if den.leading_coeff() * factor < 0:
-        factor = -factor
-    return num.scaled(factor), den.scaled(factor)
+    """num and den scaled by a common rational to int coefficients that are
+    jointly primitive, with the denominator's leading coefficient positive.
+    den is nonzero."""
+    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
+    terms = [{e: c.numerator * (scale // c.denominator)
+              for e, c in p.terms.items()} for p in (num, den)]
+    g = gcd(*terms[0].values(), *terms[1].values())
+    if den.leading_coeff() < 0:
+        g = -g
+    if g != 1:
+        terms = [{e: c // g for e, c in t.items()} for t in terms]
+    return tuple(MultiPoly(num.names, t) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +276,13 @@ _ONE = (1,)
 _ZERO = ((), _ONE)  # the canonical pair of the zero function
 
 
-def _ipoly_add(a: tuple, b: tuple) -> tuple:
+def _ipoly_lin(x: int, a: tuple, y: int, b: tuple) -> tuple:
+    """x*a + y*b for integers x and y."""
     if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
+        x, a, y, b = y, b, x, a
+    out = list(a) if x == 1 else [x * v for v in a]
+    for i, v in enumerate(b):
+        out[i] += y * v
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -416,9 +419,9 @@ def _ipoly_str(coeffs: tuple, name: str, den: int = 1) -> str:
 
 
 def _poly_of(coeffs: tuple, names: Space, idx: int) -> MultiPoly:
-    """The MultiPoly sum of coeffs[k] * names[idx]^k."""
+    """The MultiPoly sum of coeffs[k] * names[idx]^k, with int coefficients."""
     return MultiPoly(names, {
-        tuple(k if i == idx else 0 for i in range(len(names))): Fraction(c)
+        tuple(k if i == idx else 0 for i in range(len(names))): c
         for k, c in enumerate(coeffs) if c})
 
 
@@ -432,6 +435,18 @@ def _qt(names: Space, pair, idx: int = 0) -> "Coefficient":
     c._num, c._den = pair
     c._idx = idx
     return c
+
+
+def _pair_sum(x: "Coefficient", y: "Coefficient", sign: int):
+    """The canonical pair of x + sign*y for two nonzero integer pairs."""
+    a, b, c, d = x._num, x._den, y._num, y._den
+    if b == d:  # one denominator: no products
+        return _canon(_ipoly_lin(1, a, sign, c), b)
+    if len(b) == len(d) == 1:  # two constants: no GCD to find
+        n = _ipoly_lin(d[0], a, sign * b[0], c)
+        return _strip_content(n, (b[0] * d[0],)) if n else _ZERO
+    return _canon(_ipoly_lin(1, _ipoly_mul(a, d), sign, _ipoly_mul(c, b)),
+                  _ipoly_mul(b, d))
 
 
 def _shared(x: "Coefficient", y: "Coefficient"):
@@ -520,30 +535,37 @@ class Coefficient:
         if idx is None:
             return Coefficient(self.num * other.den + other.num * self.den,
                                self.den * other.den)
-        a, b, c, d = self._num, self._den, other._num, other._den
-        if not c:
+        if not other._num:
             return self
-        if not a:
+        if not self._num:
             return other
-        return _qt(self.names, _canon(
-            _ipoly_add(_ipoly_mul(a, d), _ipoly_mul(c, b)), _ipoly_mul(b, d)),
-            idx)
+        return _qt(self.names, _pair_sum(self, other, 1), idx)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._idx is None:
             return Coefficient(-self._num, self._den)
-        return _qt(self.names, (tuple(-x for x in self._num), self._den),
+        return _qt(self.names, (tuple([-x for x in self._num]), self._den),
                    self._idx)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        idx = _shared(self, other)
+        if idx is None:
+            return Coefficient(self.num * other.den - other.num * self.den,
+                               self.den * other.den)
+        if not other._num:
+            return self
+        if not self._num:
+            return -other
+        return _qt(self.names, _pair_sum(self, other, -1), idx)
 
     def __rsub__(self, other):
+        if type(other) is int and not other:
+            return -self
         return (-self) + other
 
     def __mul__(self, other):
@@ -607,9 +629,9 @@ class Coefficient:
                 and len(self._den) == 1)
 
     def as_fraction(self) -> Fraction:
-        if self.is_rational():
-            return Fraction(self._num[0] if self._num else 0, self._den[0])
-        return self.num.constant_value() / self.den.constant_value()
+        if not self.is_rational():
+            raise ValueError(f"not a rational constant: {self}")
+        return Fraction(self._num[0] if self._num else 0, self._den[0])
 
     # -- structural maps ---------------------------------------------------
 

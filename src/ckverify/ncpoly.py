@@ -89,14 +89,8 @@ class NcPoly:
                 return NotImplemented
             other = NcPoly.scalar(self.alphabet, self.space, c)
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms[w] + c if w in terms else c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return NcPoly(self.alphabet, self.space, terms)
+        return NcPoly(self.alphabet, self.space,
+                      _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -106,7 +100,9 @@ class NcPoly:
 
     def __sub__(self, other):
         if isinstance(other, NcPoly):
-            return self + (-other)
+            self._check(other)
+            return NcPoly(self.alphabet, self.space,
+                          _add_terms(self.terms, other.terms, True))
         c = self._coerce_scalar(other)
         if c is None:
             return NotImplemented
@@ -122,20 +118,8 @@ class NcPoly:
                 return NotImplemented
             return self.scale(c)
         self._check(other)
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                if w in terms:
-                    s = terms[w] + c
-                    if s.is_zero():
-                        del terms[w]
-                    else:
-                        terms[w] = s
-                elif not c.is_zero():
-                    terms[w] = c
-        return NcPoly(self.alphabet, self.space, terms)
+        return NcPoly(self.alphabet, self.space,
+                      _mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         c = self._coerce_scalar(other)
@@ -258,6 +242,41 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"<NcPoly {self}>"
+
+
+# term dicts (word -> nonzero Coefficient), shared with the parser
+
+def _add_terms(p: dict, q: dict, subtract: bool = False) -> dict:
+    """p + q, or p - q."""
+    terms = dict(p)
+    for w, c in q.items():
+        if w in terms:
+            s = terms[w] - c if subtract else terms[w] + c
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
+        else:
+            terms[w] = -c if subtract else c
+    return terms
+
+
+def _mul_terms(p: dict, q: dict, one: Coefficient = None) -> dict:
+    """p*q; a coefficient that is the object one is not multiplied."""
+    terms: dict = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            w = w1 + w2
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+            if w in terms:
+                s = terms[w] + c
+                if s:
+                    terms[w] = s
+                else:
+                    del terms[w]
+            else:
+                terms[w] = c
+    return terms
 
 
 def _contains(w: Word, pat: Word) -> bool:

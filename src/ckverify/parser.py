@@ -8,6 +8,11 @@ Expression grammar (explicit '*' required between factors):
     power  := atom ('^' INT)?
     atom   := INT | IDENT | '(' expr ')'
 
+INT is a run of decimal digits, in any script (exactly what int() reads);
+IDENT starts with a letter or '_' and goes on with letters, digits or '_'.
+Any other character is refused with its line and column, and an
+expression that stops before it is complete is reported as an unexpected
+end of expression, at the end of the input.
 Division is scalar-only: the right operand must be free of generators (and
 nonzero); this covers rational literals like 3/7 and parameter quotients like
 (b-2)/(b+2).  Presentation files are line-oriented UTF-8 with '#' comments and
@@ -17,8 +22,10 @@ RELATIONS (one expression per line; a single '=' is normalized to left-right).
 """
 from __future__ import annotations
 
+import re
+
 from .coeff import Coefficient, ConjugationSpec, Space, _nonzero
-from .ncpoly import NcPoly, InvolutionSpec
+from .ncpoly import InvolutionSpec, NcPoly, _add_terms, _mul_terms
 
 
 class ParseError(ValueError):
@@ -28,18 +35,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-_OPS = set("+-*/^()=")
-
 # Bad input is refused after bounded work: a '(' level costs five frames of
 # the default 1000, p^k has up to len(p.terms)^k terms and p*q up to
 # len(p.terms)*len(q.terms).
@@ -47,197 +42,197 @@ MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_POWER_TERMS = 10_000
 
+# One match per token, after any blanks and comments: a number (decimal
+# digits, all of which int() reads), a name, an operator, any other
+# character, or the empty string at the end of the text.  Tokens are the
+# matched strings; an empty one ends the input.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*(\d+|[^\W\d]\w*|[-+*/^()=]|.|$)")
+_OPS = frozenset("+-*/^()=")
 
-def _tokenize(text: str, line0: int = 1):
-    tokens = []
-    line, col = line0, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
+
+def _tokenize(text: str, line0: int) -> list:
+    """The token strings of text, ending with an empty one."""
+    tokens = _TOKEN.findall(text)
+    bad = [tokens.index(t) for t in set(tokens) if t and t not in _OPS
+           and not (t[0].isalpha() or t[0] == "_" or t[0].isdecimal())]
+    if bad:  # a stray character, or one like '²' that is \w but no letter
+        i = min(bad)
+        raise _error(text, line0, f"unexpected character {tokens[i][0]!r}",
+                     _offset(text, tokens, i))
     return tokens
 
 
+def _offset(text: str, tokens: list, i: int) -> int:
+    """Where token i starts in text; the end of the input is where a
+    comment on its last line starts, if there is one."""
+    if not tokens[i]:
+        cut = text.find("#", text.rfind("\n") + 1)
+        return len(text) if cut < 0 else cut
+    return [m.start(1) for m in _TOKEN.finditer(text)][i]
+
+
+def _error(text: str, line0: int, message: str, offset: int) -> ParseError:
+    """The error at an offset into text, whose first line is line0; a tab
+    counts as one column."""
+    return ParseError(message, line0 + text.count("\n", 0, offset),
+                      offset - text.rfind("\n", 0, offset))
+
+
 class _ExprParser:
-    def __init__(self, tokens, generators, space: Space):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        self.generators = {name: i for i, name in enumerate(generators)}
+    """Recursive descent over the token strings into word -> Coefficient
+    dicts (NcPoly's term arithmetic), with one NcPoly per expression."""
+
+    def __init__(self, generators, space: Space):
         self.alphabet = tuple(generators)
         self.space = space
-        self.params = set(space)
+        self.one = one = Coefficient.const(space, 1)
+        # the value of each name and number token seen: a parameter or a
+        # number is a scalar, a generator a word of length one (generators
+        # win a clash); the dicts are shared and never mutated
+        self.atoms = {name: {(): Coefficient.param(space, name)}
+                      for name in space}
+        self.atoms.update({name: {(i,): one}
+                           for i, name in enumerate(self.alphabet)})
+        self.atoms["1"] = {(): one}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expression(self, text: str, line0: int) -> NcPoly:
+        return self._poly(self._parse(text, line0, _tokenize(text, line0), 0))
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def relation(self, text: str, line0: int) -> NcPoly:
+        """left = right as left - right; no '=' means '= 0'."""
+        tokens = _tokenize(text, line0)
+        if "=" not in tokens:
+            return self._poly(self._parse(text, line0, tokens, 0))
+        cut = tokens.index("=")
+        if "=" in tokens[cut + 1:]:
+            raise _error(text, line0, "more than one '=' in relation",
+                         _offset(text, tokens, tokens.index("=", cut + 1)))
+        if cut == 0 or not tokens[cut + 1]:
+            raise _error(text, line0, "'=' needs expressions on both sides",
+                         _offset(text, tokens, cut))
+        tokens[cut] = ""  # the left side ends where the input does
+        left = self._parse(text, line0, tokens, 0)
+        right = self._parse(text, line0, tokens, cut + 1)
+        return self._poly(_add_terms(left, right, True))
 
-    def error(self, message: str, tok: _Token = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def _poly(self, terms: dict) -> NcPoly:
+        return NcPoly(self.alphabet, self.space, dict(terms))
 
-    def parse(self) -> NcPoly:
+    def _parse(self, text: str, line0: int, tokens: list, start: int) -> dict:
+        self.text, self.line0 = text, line0
+        self.tokens, self.pos, self.depth = tokens, start, 0
         p = self.expr()
-        t = self.peek()
-        if t.kind != "eof":
-            self.error(f"unexpected {t.value!r} (missing operator?)", t)
+        t = tokens[self.pos]
+        if t:  # a number is shown as its value
+            t = int(t) if t[0].isdecimal() else t
+            self.error(f"unexpected {t!r} (missing operator?)")
         return p
 
-    def expr(self) -> NcPoly:
+    def error(self, message: str, i: int = None):
+        """Raise at token i, by default the current one."""
+        i = self.pos if i is None else i
+        raise _error(self.text, self.line0, message,
+                     _offset(self.text, self.tokens, i))
+
+    def expr(self) -> dict:
         p = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            q = self.term()
-            p = p + q if op == "+" else p - q
+        tokens = self.tokens
+        while tokens[self.pos] in ("+", "-"):
+            subtract = tokens[self.pos] == "-"
+            self.pos += 1
+            p = _add_terms(p, self.term(), subtract)
         return p
 
-    def term(self) -> NcPoly:
+    def term(self) -> dict:
         p = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next()
+        tokens = self.tokens
+        while tokens[self.pos] in ("*", "/"):
+            op = self.pos
+            self.pos += 1
             q = self.unary()
-            if op.kind == "*":
-                if len(p.terms) * len(q.terms) > MAX_POWER_TERMS:
-                    self.error(f"product of up to "
-                               f"{len(p.terms) * len(q.terms)} terms "
+            if tokens[op] == "*":
+                if len(p) * len(q) > MAX_POWER_TERMS:
+                    self.error(f"product of up to {len(p) * len(q)} terms "
                                f"exceeds {MAX_POWER_TERMS}", op)
-                p = p * q
+                p = _mul_terms(p, q, self.one)
             else:
-                c = _as_scalar(q)
-                if c is None:
-                    self.error("division by an expression involving generators", op)
-                if c.is_zero():
+                if not q:
                     self.error("division by zero", op)
-                p = p.scale(c.inv())
+                if len(q) > 1 or () not in q:
+                    self.error("division by an expression involving "
+                               "generators", op)
+                inv = q[()].inv()
+                p = {w: c * inv for w, c in p.items()}
         return p
 
-    def unary(self) -> NcPoly:
+    def unary(self) -> dict:
         self.depth += 1  # every '(' and unary '-' level passes through here
         if self.depth > MAX_NESTING:
             self.error(f"expression nested deeper than {MAX_NESTING} levels")
-        if self.peek().kind == "-":
-            self.next()
-            p = -self.unary()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
+            p = {w: -c for w, c in self.unary().items()}
         else:
             p = self.power()
         self.depth -= 1
         return p
 
-    def power(self) -> NcPoly:
+    def power(self) -> dict:
         p = self.atom()
-        if self.peek().kind == "^":
-            caret = self.next()
-            t = self.peek()
-            if t.kind == "-" or (t.kind == "num" and t.value < 0):
+        tokens = self.tokens
+        if tokens[self.pos] == "^":
+            caret = self.pos
+            t = tokens[caret + 1]
+            if t == "-":
                 self.error("exponent must be a nonnegative integer", caret)
-            if t.kind != "num":
-                self.error("expected integer exponent", t)
-            if t.value > MAX_EXPONENT:
-                self.error(f"exponent {t.value} exceeds {MAX_EXPONENT}", t)
-            if len(p.terms) ** t.value > MAX_POWER_TERMS:
-                self.error(f"power of up to {len(p.terms) ** t.value} terms "
+            if not t[:1].isdecimal():
+                self.error("expected integer exponent", caret + 1)
+            k = int(t)
+            if k > MAX_EXPONENT:
+                self.error(f"exponent {k} exceeds {MAX_EXPONENT}", caret + 1)
+            if len(p) ** k > MAX_POWER_TERMS:
+                self.error(f"power of up to {len(p) ** k} terms "
                            f"exceeds {MAX_POWER_TERMS}", caret)
-            self.next()
-            p = p ** t.value
+            self.pos += 2
+            q, p = p, {(): self.one}
+            for _ in range(k):
+                p = _mul_terms(p, q, self.one)
         return p
 
-    def atom(self) -> NcPoly:
-        t = self.next()
-        if t.kind == "num":
-            return NcPoly.scalar(self.alphabet, self.space, t.value)
-        if t.kind == "ident":
-            if t.value in self.generators:
-                return NcPoly.generator(self.alphabet, self.space,
-                                        self.generators[t.value])
-            if t.value in self.params:
-                return NcPoly.scalar(self.alphabet, self.space,
-                                     Coefficient.param(self.space, t.value))
-            self.error(f"unknown identifier {t.value!r}", t)
-        if t.kind == "(":
-            p = self.expr()
-            closing = self.next()
-            if closing.kind != ")":
-                self.error("unbalanced parentheses", closing)
+    def atom(self) -> dict:
+        t = self.tokens[self.pos]
+        self.pos += 1
+        p = self.atoms.get(t)
+        if p is not None:
             return p
-        if t.kind == ")":
-            self.error("unbalanced parentheses", t)
-        self.error(f"unexpected {t.value!r}", t)
-
-
-def _as_scalar(p: NcPoly):
-    """Return p's scalar value if it has no generator content, else None."""
-    if p.is_zero():
-        return Coefficient.const(p.space, 0)
-    if set(p.terms) == {()}:
-        return p.terms[()]
-    return None
+        if t == "(":
+            p = self.expr()
+            if self.tokens[self.pos] != ")":
+                self.error("unbalanced parentheses")
+            self.pos += 1
+            return p
+        if t[:1].isdecimal():
+            c = Coefficient.const(self.space, int(t))
+            p = self.atoms[t] = {(): c} if c else {}
+            return p
+        if t == ")":
+            self.error("unbalanced parentheses", self.pos - 1)
+        if not t:
+            self.error("unexpected end of expression", self.pos - 1)
+        if t not in _OPS:
+            self.error(f"unknown identifier {t!r}", self.pos - 1)
+        self.error(f"unexpected {t!r}", self.pos - 1)
 
 
 def parse_expr(text: str, generators, params: Space = (), *, line0: int = 1) -> NcPoly:
     """Parse a single expression (no '=') into an NcPoly."""
-    tokens = _tokenize(text, line0)
-    return _ExprParser(tokens, generators, tuple(params)).parse()
+    return _ExprParser(generators, tuple(params)).expression(text, line0)
 
 
 def parse_relation(text: str, generators, params: Space = (), *, line0: int = 1) -> NcPoly:
     """Parse a relation: either an expression (meaning '= 0') or
     'left = right', normalized to left - right."""
-    tokens = _tokenize(text, line0)
-    eq_positions = [i for i, t in enumerate(tokens) if t.kind == "="]
-    if not eq_positions:
-        return _ExprParser(tokens, generators, tuple(params)).parse()
-    if len(eq_positions) > 1:
-        t = tokens[eq_positions[1]]
-        raise ParseError("more than one '=' in relation", t.line, t.col)
-    cut = eq_positions[0]
-    left = tokens[:cut] + [tokens[-1]]
-    right = tokens[cut + 1:]
-    if cut == 0 or len(right) == 1:
-        t = tokens[cut]
-        raise ParseError("'=' needs expressions on both sides", t.line, t.col)
-    lp = _ExprParser(left, generators, tuple(params)).parse()
-    rp = _ExprParser(right, generators, tuple(params)).parse()
-    return lp - rp
+    return _ExprParser(generators, tuple(params)).relation(text, line0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +392,10 @@ def parse_presentation_text(text: str):
     conj = ConjugationSpec(pf.partner)
     involution = InvolutionSpec(
         tuple(gen_index[perm[g]] for g in pf.generators), conj)
+    parser = _ExprParser(pf.generators, space)
     relations = []
     for text_line, lineno in pf.relations:
-        rel = parse_relation(text_line, pf.generators, space, line0=lineno)
+        rel = parser.relation(text_line, lineno)
         if rel.is_zero():
             raise ParseError("relation is identically zero", lineno, 1)
         relations.append(rel)

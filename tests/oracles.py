@@ -5,8 +5,8 @@ than the package: raw word-dict arithmetic for noncommutative expansion
 and for evaluation at commutative points, dense Gaussian elimination over
 Fraction for span questions, an eager-combination reducer for certificate
 entries, the MultiPoly route for printing, conjugating and building
-coefficients, and sympy for curve invariants.  Tests compare package output
-against these.
+coefficients, and sympy for reading relation text and for curve
+invariants.  Tests compare package output against these.
 """
 from __future__ import annotations
 
@@ -269,6 +269,51 @@ class EagerSpan:
         if rest:
             return None
         return [(*self.rows[k], combo[k]) for k in sorted(combo)]
+
+
+# ---------------------------------------------------------------------------
+# relation text through sympy (independent of the parser)
+
+def sympy_relation(text: str, generators, params) -> dict:
+    """{word: nonzero coefficient, cancelled} of the relation text, read by
+    sympy's parser with noncommutative generators and commutative
+    parameters, '^' read as '**' and 'left = right' as left - right.  A word
+    is a tuple of generator indices."""
+    from sympy.parsing.sympy_parser import parse_expr
+
+    gens = sympy.symbols(generators, commutative=False)
+    names = dict(zip(generators, gens))
+    names.update(zip(params, sympy.symbols(params)))
+    index = {g: i for i, g in enumerate(gens)}
+
+    def letters(f) -> tuple:  # a generator, or a power of a factor
+        base, k = f.as_base_exp()
+        return (index[base],) * int(k) if base in index else \
+            letters(base) * int(k)
+
+    sides = [parse_expr(side.replace("^", "**"), local_dict=names)
+             for side in text.split("=")]
+    expr = sympy.expand(sides[0] - sides[1] if len(sides) == 2 else sides[0])
+    out: dict = {}
+    for term in sympy.Add.make_args(expr):
+        scalars, factors = term.args_cnc()
+        word = sum((letters(f) for f in factors), ())
+        out[word] = out.get(word, 0) + sympy.Mul(*scalars)
+    out = {w: sympy.cancel(c) for w, c in out.items()}
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def coefficient_matches(c, value, params) -> bool:
+    """A package Coefficient equals a cancelled sympy quotient when the
+    cross-products of the two agree."""
+    syms = sympy.symbols(params)
+
+    def conv(p):
+        return sum((sympy.Rational(v.numerator, v.denominator)
+                    * sympy.Mul(*(g ** k for g, k in zip(syms, e)))
+                    for e, v in p.terms.items()), sympy.Integer(0))
+    num, den = sympy.fraction(value)
+    return sympy.expand(conv(c.num) * den - num * conv(c.den)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -410,3 +410,138 @@ def test_one_name_paths_keep_their_errors():
     for build in (Coefficient.param, coefficient_param):
         with pytest.raises(KeyError):
             build(SIX, "delta")
+
+
+# ---------------------------------------------------------------------------
+# values in two or more names: int MultiPolys, against sympy as an oracle
+
+def _assert_pair(c: Coefficient, expected, gens):
+    """c equals the quotient of the sympy Polys expected = (num, den): the
+    cross-products agree."""
+    n, d = expected
+    cn, cd = _sympy_pair(c, gens)
+    assert cn * d == cd * n
+
+
+def _assert_int_storage(c: Coefficient):
+    """A value in two or more names holds int MultiPolys with jointly
+    primitive content and a positive leading denominator coefficient."""
+    assert c._idx is None
+    coeffs = list(c._num.terms.values()) + list(c._den.terms.values())
+    assert all(type(v) is int for v in coeffs)
+    assert gcd(*coeffs) == 1
+    assert c._den.leading_coeff() > 0
+
+
+def _multi_value(rng, names):
+    """A seeded value that uses at least two of names, built from
+    MultiPolys with Fraction coefficients."""
+    while True:
+        def poly():
+            p = MultiPoly.const(names, 0)
+            for _ in range(rng.randint(1, 4)):
+                mono = MultiPoly.const(names, Fraction(rng.randint(-9, 9),
+                                                       rng.randint(1, 6)))
+                for n in names:
+                    mono = mono * MultiPoly.var(names, n) ** rng.randint(0, 2)
+                p = p + mono
+            return p
+        num, den = poly(), poly()
+        if num.is_zero() or den.is_zero():
+            continue
+        c = Coefficient(num, den)
+        if c._idx is None:
+            return c
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")])
+def test_multi_name_values_are_int_and_match_sympy(names):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(names)
+    rng = random.Random(9090 + len(names))
+    for _ in range(30):
+        f, g = _multi_value(rng, names), _multi_value(rng, names)
+        (fn, fd), (gn, gd) = _sympy_pair(f, gens), _sympy_pair(g, gens)
+        results = [(f + g, (fn * gd + gn * fd, fd * gd)),
+                   (f - g, (fn * gd - gn * fd, fd * gd)),
+                   (f * g, (fn * gn, fd * gd)), (f / g, (fn * gd, fd * gn)),
+                   (-f, (-fn, fd)), (0 - f, (-fn, fd)),
+                   (f + 3, (fn + 3 * fd, fd)),
+                   (Fraction(2, 7) * f, (2 * fn, 7 * fd)),
+                   (f * Coefficient.param(names, "a"), (fn * gens[0], fd))]
+        for c, expected in results:
+            _assert_pair(c, expected, gens)
+        for c, _ in [(f, None), (g, None)] + results:
+            if c._idx is None:
+                _assert_int_storage(c)
+        assert (f == g) == (fn * gd == gn * fd)
+        assert (f + g) - g == f
+        assert f * g / g == f
+        assert f != f + 1
+
+
+def test_int_multi_name_printing_and_reading():
+    names = ("a", "b")
+    a, b = (Coefficient.param(names, n) for n in names)
+    c = (a * a - b * b) / (a - b)
+    _assert_int_storage(c)
+    assert str(c) == "(b^2-a^2)/(b-a)"
+    assert str(a * b / 6) == "1/6*a*b"
+    assert str((a + b) / (3 * a * b)) == "(b+a)/(3*a*b)"
+    assert c.substitute({"a": Coefficient.const(names, 3)}) == b + 3
+    half = Coefficient(MultiPoly.var(names, "a") * MultiPoly.var(names, "b"),
+                       MultiPoly.const(names, Fraction(2, 3)))
+    _assert_int_storage(half)
+    assert str(half) == "3/2*a*b"
+
+
+# ---------------------------------------------------------------------------
+# the one-name kernel's sum paths: one denominator, two constant ones
+
+def test_one_name_sums_over_constant_and_equal_denominators():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    gens = (t,)
+    names = ("t",)
+    rng = random.Random(7070)
+    var = MultiPoly.var(names, "t")
+    shared = var * var + MultiPoly.const(names, 1)  # irreducible over Q
+    seen = {"constant": 0, "equal": 0}
+    for _ in range(120):
+        kind = rng.choice(("constant", "equal"))
+        pair = []
+        for _ in range(2):
+            num = MultiPoly.const(names, 0)
+            while num.is_zero():
+                num = _rand_poly(rng, names, "t", 4, rng.choice((2, 30)))
+            den = MultiPoly.const(names, rng.randint(1, 12)) \
+                if kind == "constant" else shared
+            pair.append(Coefficient(num, den))
+        f, g = pair
+        if kind == "equal" and f._den != g._den or \
+                kind == "constant" and (len(f._den), len(g._den)) != (1, 1):
+            continue
+        seen[kind] += 1
+        (fn, fd), (gn, gd) = _sympy_pair(f, gens), _sympy_pair(g, gens)
+        zero = (0 * fn, fd)
+        for c, expected in ((f - g, (fn * gd - gn * fd, fd * gd)),
+                            (0 - f, (-fn, fd)),
+                            (f + g, (fn * gd + gn * fd, fd * gd)),
+                            (f * g, (fn * gn, fd * gd)), (f - f, zero),
+                            (g + (-g), zero)):
+            _assert_pair(c, expected, gens)
+            assert all(type(v) is int for v in c._num + c._den)
+            _assert_canonical(c, gens)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_as_fraction_refuses_a_non_rational_value():
+    names = ("a", "b")
+    a, b = (Coefficient.param(names, n) for n in names)
+    assert Coefficient.const(names, Fraction(-3, 7)).as_fraction() == \
+        Fraction(-3, 7)
+    assert type((a - a + 2).as_fraction()) is Fraction
+    for c in (a, a + 1, 1 / a, (a + 1) / (a + 2), a * b, 1 / (a * b),
+              (a * b + 1) / (a * b)):
+        with pytest.raises(ValueError, match="not a rational constant"):
+            c.as_fraction()

@@ -150,6 +150,11 @@ ERROR_TABLE = [
     ("expr", "x1 x2", 1, "unexpected 'x2' (missing operator?)", 1, 4),
     ("expr", "3x1", 1, "unexpected 'x1' (missing operator?)", 1, 2),
     ("expr", "x1^2^3", 1, "unexpected '^' (missing operator?)", 1, 5),
+    ("expr", "x1 007", 1, "unexpected 7 (missing operator?)", 1, 4),
+    ("expr", "x1 ٣", 1, "unexpected 3 (missing operator?)", 1, 4),
+    ("expr", "x1 = x2", 1, "unexpected '=' (missing operator?)", 1, 4),
+    ("expr", "= x1", 1, "unexpected '='", 1, 1),
+    ("expr", "x1 + +", 1, "unexpected '+'", 1, 6),
     ("expr", "x1 * y", 1, "unknown identifier 'y'", 1, 6),
     ("expr", "x²", 1, "unknown identifier 'x²'", 1, 1),
     ("expr", "x1^-2", 1, "exponent must be a nonnegative integer", 1, 3),
@@ -179,6 +184,8 @@ ERROR_TABLE = [
     ("expr", "x1 + $", 1, "unexpected character '$'", 1, 6),
     ("expr", "x1 + 3.5", 1, "unexpected character '.'", 1, 7),
     ("expr", "x1 + ½", 1, "unexpected character '½'", 1, 6),
+    ("expr", "x1 + ²", 1, "unexpected character '²'", 1, 6),
+    ("expr", "x1 + 1²", 3, "unexpected character '²'", 3, 7),
     ("expr", "x1 + \f", 1, "unexpected character '\\x0c'", 1, 6),
     ("expr", "\tx1 $", 1, "unexpected character '$'", 1, 5),
     ("expr", "x1 +\n  x2 $", 1, "unexpected character '$'", 2, 6),
@@ -186,17 +193,18 @@ ERROR_TABLE = [
     ("expr", "x1 +\n  x2 $", 7, "unexpected character '$'", 8, 6),
     ("rel", "x1 = x2 = x3", 4, "more than one '=' in relation", 4, 9),
     ("expr", "x1 * y", 12, "unknown identifier 'y'", 12, 6),
-    # an expression that ends early
-    ("expr", "x1 +", 1, "unexpected None", 1, 5),
-    ("expr", "x1 *", 1, "unexpected None", 1, 5),
-    ("expr", "-", 1, "unexpected None", 1, 2),
-    ("expr", "", 1, "unexpected None", 1, 1),
-    ("expr", "x1 + # note", 1, "unexpected None", 1, 6),
-    ("expr", "x1 +\r", 1, "unexpected None", 1, 6),
-    ("expr", "x1\n+\n", 1, "unexpected None", 3, 1),
-    ("expr", "x1 +", 5, "unexpected None", 5, 5),
-    ("rel", "x1 + = x2", 1, "unexpected None", 1, 10),
-    ("rel", "x1 = x2 +", 1, "unexpected None", 1, 10),
+    # an expression that ends early, at the end of the input or where a
+    # comment on its last line starts
+    ("expr", "x1 +", 1, "unexpected end of expression", 1, 5),
+    ("expr", "x1 *", 1, "unexpected end of expression", 1, 5),
+    ("expr", "-", 1, "unexpected end of expression", 1, 2),
+    ("expr", "", 1, "unexpected end of expression", 1, 1),
+    ("expr", "x1 + # note", 1, "unexpected end of expression", 1, 6),
+    ("expr", "x1 +\r", 1, "unexpected end of expression", 1, 6),
+    ("expr", "x1\n+\n", 1, "unexpected end of expression", 3, 1),
+    ("expr", "x1 +", 5, "unexpected end of expression", 5, 5),
+    ("rel", "x1 + = x2", 1, "unexpected end of expression", 1, 10),
+    ("rel", "x1 = x2 +", 1, "unexpected end of expression", 1, 10),
 ]
 
 
@@ -209,3 +217,98 @@ def test_error_table(entry, text, line0, message, line, col):
         parse(text, X, ("a",), line0=line0)
     assert str(e.value) == f"{message} (line {line}, column {col})"
     assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_non_decimal_digit_is_a_positioned_error():
+    """'²' is a digit to str.isdigit but not to int(); it is refused as a
+    character with its position, not with int()'s message."""
+    for text, col in (("x1 + ²", 6), ("x1 + 1²", 7), ("²*x1", 1)):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text, X)
+        assert str(e.value) == \
+            f"unexpected character '²' (line 1, column {col})"
+    assert parse_expr("x1*٣", X) == parse_expr("3*x1", X)  # Arabic-Indic 3
+
+
+def test_early_end_is_reported_as_such():
+    for text, col in (("x1 +", 5), ("x1 *", 5), ("-", 2), ("", 1),
+                      ("(x1 - ", 7)):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text, X)
+        assert str(e.value) == \
+            f"unexpected end of expression (line 1, column {col})"
+
+
+def test_presentation_error_positions_count_from_the_file():
+    head = ("GENERATORS: x1 x2\nINVOLUTION: x1 -> x2; x2 -> x1\n"
+            "RELATIONS:\n  x1*x2\n")
+    for rel, message in (("x1 + ²", "unexpected character '²' (line 5, "
+                                    "column 6)"),
+                         ("x1*x2 -", "unexpected end of expression (line 5, "
+                                     "column 8)")):
+        with pytest.raises(ParseError) as e:
+            parse_presentation_text(head + "  " + rel + "\n")
+        assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# valid relations against sympy's reading of the same text
+
+PARAMS = ("a", "b", "c")
+
+
+def _random_relation(rng) -> str:
+    """Seeded relation text: sums of products of generators, parameters,
+    integers, rationals and parameter quotients, with parentheses, powers,
+    unary minus and sometimes '='."""
+    def factor(depth):
+        roll = rng.random()
+        if roll < 0.35:
+            f = rng.choice(X)
+        elif roll < 0.5:
+            f = rng.choice(PARAMS)
+        elif roll < 0.62:
+            f = str(rng.randint(0, 12))
+        elif roll < 0.72:
+            f = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+        elif roll < 0.8:  # a parameter quotient
+            f = (f"({rng.choice(PARAMS)} + {rng.randint(1, 5)})"
+                 f"/({rng.choice(PARAMS)} - {rng.randint(1, 5)})")
+        elif depth < 2:  # a group, squared at most (sympy expands it)
+            f = f"({expr(depth + 1)})"
+            return f + f"^{rng.randint(0, 2)}" if rng.random() < 0.1 else f
+        else:
+            f = rng.choice(X)
+        if rng.random() < 0.15:
+            f += f"^{rng.randint(0, 3)}"
+        return f
+
+    def term(depth):
+        t = "*".join(factor(depth) for _ in range(rng.randint(1, 3)))
+        return ("-" * rng.randint(0, 2)) + t if rng.random() < 0.3 else t
+
+    def expr(depth):
+        out = term(depth)
+        for _ in range(rng.randint(0, 2 if depth else 3)):
+            out += rng.choice((" + ", " - ")) + term(depth)
+        return out
+
+    text = expr(0)
+    return text + " = " + expr(0) if rng.random() < 0.4 else text
+
+
+def test_parses_match_sympy_on_random_relations():
+    pytest.importorskip("sympy")
+    from oracles import coefficient_matches, sympy_relation
+    rng = random.Random(2024)
+    seen = {"multi": 0, "eq": 0}
+    for _ in range(100):
+        text = _random_relation(rng)
+        expected = sympy_relation(text, X, PARAMS)
+        p = parse_relation(text, X, PARAMS)
+        assert set(p.terms) == set(expected), text
+        for w, c in p.terms.items():
+            assert coefficient_matches(c, expected[w], PARAMS), (text, w)
+            seen["multi"] += c._idx is None
+        seen["eq"] += "=" in text
+    assert seen["multi"] > 100 and seen["eq"] > 30, seen
