@@ -10,9 +10,9 @@ certificates (ideal), and the presentation builders plus claim pipelines
 from __future__ import annotations
 
 from .coeff import Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS
-from .ncpoly import InvolutionSpec, NcPoly, adjoint_involution
+from .ncpoly import InvolutionSpec, NcPoly, adjoint_involution, print_expr
 from .parser import ParseError, parse_expr, parse_presentation, \
-    parse_presentation_text, parse_relation, print_expr, print_presentation
+    parse_presentation_text, parse_relation, print_presentation
 from .ideal import (
     EQUIVALENT,
     EquivalenceReport,

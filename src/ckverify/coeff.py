@@ -500,8 +500,12 @@ class Coefficient:
 
     @staticmethod
     def const(names: Space, value) -> "Coefficient":
+        """The int or Fraction value as a constant over names; a Coefficient
+        is returned unchanged, whatever its space."""
         if type(value) is int:
             return _qt(names, ((value,), _ONE) if value else _ZERO)
+        if isinstance(value, Coefficient):
+            return value
         q = _as_fraction(value)
         return _qt(names, ((q.numerator,), (q.denominator,)) if q else _ZERO)
 
@@ -696,6 +700,27 @@ class Coefficient:
         if len(den.terms) > 1 or "*" in ds or "^" in ds or "/" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+    def sign_split(self):
+        """(negative?, printed magnitude or None) for a printed term: the
+        sign is the leading numerator coefficient's, None stands for a
+        magnitude of 1, and a sum over a constant denominator is
+        parenthesised."""
+        if self._idx is None:
+            neg = self._num.leading_coeff() < 0
+        else:
+            neg = bool(self._num) and self._num[-1] < 0
+        mag = -self if neg else self
+        # the value 1 in either storage (an uncancelled quotient in two
+        # names, such as a*b/(a*b), can be 1 too)
+        if mag._num == mag._den:
+            return neg, None
+        if mag._idx is None:
+            paren = mag._den.is_constant() and len(mag._num.terms) > 1
+        else:
+            paren = len(mag._den) == 1 and _nonzero(mag._num) > 1
+        s = str(mag)
+        return neg, f"({s})" if paren else s
 
     def __repr__(self) -> str:
         return f"<Coefficient {self}>"

@@ -5,11 +5,13 @@ Word order is deglex: length first, then lexicographic with lower-indexed
 generators smaller.  NcPoly is a sparse map word -> Coefficient.  The
 *-involution reverses words, permutes generators by a self-inverse map and
 conjugates coefficients, which makes it an anti-automorphism of order two.
+Ring operations take NcPoly operands only; `scale` multiplies by a scalar.
+print_expr (NcPoly's str) is the rendering that parser reads back.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coeff import Coefficient, ConjugationSpec, Space
 
@@ -45,7 +47,7 @@ class NcPoly:
 
     @staticmethod
     def scalar(alphabet, space: Space, value) -> "NcPoly":
-        c = value if isinstance(value, Coefficient) else Coefficient.const(space, value)
+        c = Coefficient.const(space, value)
         if c.is_zero():
             return NcPoly.zero(alphabet, space)
         return NcPoly(alphabet, space, {EMPTY_WORD: c})
@@ -58,7 +60,7 @@ class NcPoly:
 
     @staticmethod
     def monomial(alphabet, space: Space, word: Word, coeff=1) -> "NcPoly":
-        c = coeff if isinstance(coeff, Coefficient) else Coefficient.const(space, coeff)
+        c = Coefficient.const(space, coeff)
         if c.is_zero():
             return NcPoly.zero(alphabet, space)
         return NcPoly(alphabet, space, {tuple(word): c})
@@ -73,76 +75,35 @@ class NcPoly:
             raise ValueError(
                 f"parameter space mismatch: {self.space} vs {other.space}")
 
-    def _coerce_scalar(self, value):
-        if isinstance(value, Coefficient):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Coefficient.const(self.space, value)
-        return None
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, NcPoly):
-            c = self._coerce_scalar(other)
-            if c is None:
-                return NotImplemented
-            other = NcPoly.scalar(self.alphabet, self.space, c)
+            return NotImplemented
         self._check(other)
         return NcPoly(self.alphabet, self.space,
                       _add_terms(self.terms, other.terms))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NcPoly(self.alphabet, self.space,
-                      {w: -c for w, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, NcPoly):
-            self._check(other)
-            return NcPoly(self.alphabet, self.space,
-                          _add_terms(self.terms, other.terms, True))
-        c = self._coerce_scalar(other)
-        if c is None:
+        if not isinstance(other, NcPoly):
             return NotImplemented
-        return self + NcPoly.scalar(self.alphabet, self.space, -c)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        self._check(other)
+        return NcPoly(self.alphabet, self.space,
+                      _add_terms(self.terms, other.terms, True))
 
     def __mul__(self, other):
         if not isinstance(other, NcPoly):
-            c = self._coerce_scalar(other)
-            if c is None:
-                return NotImplemented
-            return self.scale(c)
+            return NotImplemented
         self._check(other)
         return NcPoly(self.alphabet, self.space,
                       _mul_terms(self.terms, other.terms))
 
-    def __rmul__(self, other):
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self.scale(c)
-
     def scale(self, value) -> "NcPoly":
-        c = self._coerce_scalar(value)
-        if c is None:
-            raise TypeError(f"cannot scale by {type(value).__name__}")
+        c = Coefficient.const(self.space, value)
         if c.is_zero():
             return NcPoly.zero(self.alphabet, self.space)
         return NcPoly(self.alphabet, self.space,
                       {w: cc * c for w, cc in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = NcPoly.one(self.alphabet, self.space)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- predicates and structure -----------------------------------------
 
@@ -214,20 +175,12 @@ class NcPoly:
     # -- involution --------------------------------------------------------
 
     def involute(self, spec: "InvolutionSpec") -> "NcPoly":
-        terms = {}
-        perm = spec.perm
-        for w, c in self.terms.items():
-            nw = tuple(perm[i] for i in reversed(w))
-            nc = c.conjugate(spec.conj)
-            if nw in terms:
-                s = terms[nw] + nc
-                if s.is_zero():
-                    del terms[nw]
-                else:
-                    terms[nw] = s
-            else:
-                terms[nw] = nc
-        return NcPoly(self.alphabet, self.space, terms)
+        # reversing a word and permuting its letters is one-to-one on words,
+        # so no two terms land on the same word
+        perm, conj = spec.perm, spec.conj
+        return NcPoly(self.alphabet, self.space,
+                      {tuple(perm[i] for i in reversed(w)): c.conjugate(conj)
+                       for w, c in self.terms.items()})
 
     # -- rendering ---------------------------------------------------------
 
@@ -237,11 +190,32 @@ class NcPoly:
         return "*".join(self.alphabet[i] for i in w)
 
     def __str__(self) -> str:
-        from .parser import print_expr
         return print_expr(self)
 
     def __repr__(self) -> str:
         return f"<NcPoly {self}>"
+
+
+def print_expr(p: NcPoly) -> str:
+    """Deterministic rendering: degree-descending, then word-lex ascending."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for w, c in p.sorted_terms():
+        neg, mag = c.sign_split()
+        word = p.word_str(w)
+        if not w:
+            body = mag if mag is not None else "1"
+        elif mag is None:
+            body = word
+        else:
+            body = f"{mag}*{word}"
+        parts.append((neg, body))
+    neg, body = parts[0]
+    out = ("-" if neg else "") + body
+    for neg, body in parts[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
 
 
 # term dicts (word -> nonzero Coefficient), shared with the parser

@@ -1,4 +1,4 @@
-"""Expression and presentation-file parsing, plus the inverse printers.
+"""Expression and presentation-file parsing, plus the presentation printer.
 
 Expression grammar (explicit '*' required between factors):
 
@@ -19,13 +19,16 @@ nonzero); this covers rational literals like 3/7 and parameter quotients like
 four sections: GENERATORS, PARAMS (entries may declare conjugate pairs as
 "a~abar"), INVOLUTION ("x1 -> x2" items separated by ';' or newlines) and
 RELATIONS (one expression per line; a single '=' is normalized to left-right).
+Expressions are printed by ncpoly.print_expr (re-exported here), which
+print_presentation uses for each relation.
 """
 from __future__ import annotations
 
 import re
 
-from .coeff import Coefficient, ConjugationSpec, Space, _nonzero
-from .ncpoly import InvolutionSpec, NcPoly, _add_terms, _mul_terms
+from .coeff import Coefficient, ConjugationSpec, Space
+from .ideal import Presentation
+from .ncpoly import InvolutionSpec, NcPoly, _add_terms, _mul_terms, print_expr
 
 
 class ParseError(ValueError):
@@ -236,74 +239,9 @@ def parse_relation(text: str, generators, params: Space = (), *, line0: int = 1)
 
 
 # ---------------------------------------------------------------------------
-# printing
-
-def _coeff_factor(c: Coefficient):
-    """Split a coefficient for printing: (negative?, rendered magnitude or None).
-
-    None magnitude means the coefficient is +-1 and should be omitted before
-    a nonempty word.
-    """
-    if c._idx is not None:  # at most one name: read the integer pair
-        neg = bool(c._num) and c._num[-1] < 0
-        mag = -c if neg else c
-        if mag._num == mag._den == (1,):
-            return neg, None
-        s = str(mag)
-        if len(mag._den) == 1 and _nonzero(mag._num) > 1:
-            s = f"({s})"
-        return neg, s
-    lead = c.num.leading_coeff()
-    neg = lead < 0
-    mag = -c if neg else c
-    if mag == 1:
-        return neg, None
-    s = str(mag)
-    if mag.den.is_constant() and len(mag.num.terms) > 1:
-        s = f"({s})"
-    return neg, s
-
-
-def print_expr(p: NcPoly) -> str:
-    """Deterministic rendering: degree-descending, then word-lex ascending."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for w, c in p.sorted_terms():
-        neg, mag = _coeff_factor(c)
-        word = p.word_str(w)
-        if not w:
-            body = mag if mag is not None else "1"
-        elif mag is None:
-            body = word
-        else:
-            body = f"{mag}*{word}"
-        parts.append((neg, body))
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-# ---------------------------------------------------------------------------
 # presentation files
 
 _SECTIONS = ("GENERATORS", "PARAMS", "INVOLUTION", "RELATIONS")
-
-
-class PresentationFile:
-    """Parsed sections of a presentation file, before semantic assembly."""
-
-    __slots__ = ("generators", "params", "partner", "involution_lines",
-                 "relations")
-
-    def __init__(self):
-        self.generators = []
-        self.params = []
-        self.partner = {}  # name -> its conjugate, for each declared pair
-        self.involution_lines = []
-        self.relations = []  # (text, line_number)
 
 
 def _strip_comment(line: str) -> str:
@@ -312,10 +250,10 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_presentation_text(text: str):
-    """Parse file text into a Presentation (assembled in the ideal module)."""
-    from .ideal import Presentation
-
-    pf = PresentationFile()
+    """Parse file text into a Presentation."""
+    generators, params = [], []
+    partner = {}  # name -> its conjugate, for each declared pair
+    involution_lines, relation_lines = [], []  # (text, line number)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -333,9 +271,9 @@ def parse_presentation_text(text: str):
             for name in line.split():
                 if not _is_name(name):
                     raise ParseError(f"bad generator name {name!r}", lineno, 1)
-                if name in pf.generators:
+                if name in generators:
                     raise ParseError(f"duplicate generator {name!r}", lineno, 1)
-                pf.generators.append(name)
+                generators.append(name)
         elif section == "PARAMS":
             for entry in line.split():
                 if "~" in entry:
@@ -343,37 +281,37 @@ def parse_presentation_text(text: str):
                     if not (_is_name(a) and _is_name(b)):
                         raise ParseError(f"bad parameter pair {entry!r}", lineno, 1)
                     for n, m in ((a, b), (b, a)):
-                        if pf.partner.setdefault(n, m) != m:
+                        if partner.setdefault(n, m) != m:
                             raise ParseError(
                                 f"parameter {n!r} paired with both "
-                                f"{pf.partner[n]!r} and {m!r}", lineno, 1)
-                        if n not in pf.params:
-                            pf.params.append(n)
+                                f"{partner[n]!r} and {m!r}", lineno, 1)
+                        if n not in params:
+                            params.append(n)
                 else:
                     if not _is_name(entry):
                         raise ParseError(f"bad parameter name {entry!r}", lineno, 1)
-                    if entry not in pf.params:
-                        pf.params.append(entry)
+                    if entry not in params:
+                        params.append(entry)
         elif section == "INVOLUTION":
             for item in line.split(";"):
                 item = item.strip()
                 if item:
-                    pf.involution_lines.append((item, lineno))
+                    involution_lines.append((item, lineno))
         elif section == "RELATIONS":
-            pf.relations.append((line, lineno))
-    if not pf.generators:
+            relation_lines.append((line, lineno))
+    if not generators:
         raise ParseError("missing GENERATORS section", 1, 1)
-    if not pf.relations:
+    if not relation_lines:
         raise ParseError("missing RELATIONS section", 1, 1)
-    if not pf.involution_lines:
+    if not involution_lines:
         raise ParseError("missing INVOLUTION section", 1, 1)
 
-    gen_index = {g: i for i, g in enumerate(pf.generators)}
-    for name in pf.params:
+    gen_index = {g: i for i, g in enumerate(generators)}
+    for name in params:
         if name in gen_index:
             raise ParseError(f"{name!r} is both generator and parameter", 1, 1)
     perm = {}
-    for item, lineno in pf.involution_lines:
+    for item, lineno in involution_lines:
         src, sep, dst = item.partition("->")
         src, dst = src.strip(), dst.strip()
         if not sep or src not in gen_index or dst not in gen_index:
@@ -381,25 +319,25 @@ def parse_presentation_text(text: str):
         if src in perm:
             raise ParseError(f"generator {src!r} mapped twice", lineno, 1)
         perm[src] = dst
-    missing = [g for g in pf.generators if g not in perm]
+    missing = [g for g in generators if g not in perm]
     if missing:
         raise ParseError(f"involution does not cover {missing[0]!r}", 1, 1)
     for src, dst in perm.items():
         if perm[dst] != src:
             raise ParseError(
                 f"involution is not self-inverse at {src!r} -> {dst!r}", 1, 1)
-    space: Space = tuple(pf.params)
-    conj = ConjugationSpec(pf.partner)
+    space: Space = tuple(params)
+    conj = ConjugationSpec(partner)
     involution = InvolutionSpec(
-        tuple(gen_index[perm[g]] for g in pf.generators), conj)
-    parser = _ExprParser(pf.generators, space)
+        tuple(gen_index[perm[g]] for g in generators), conj)
+    parser = _ExprParser(generators, space)
     relations = []
-    for text_line, lineno in pf.relations:
+    for text_line, lineno in relation_lines:
         rel = parser.relation(text_line, lineno)
         if rel.is_zero():
             raise ParseError("relation is identically zero", lineno, 1)
         relations.append(rel)
-    return Presentation(tuple(pf.generators), space, relations, involution)
+    return Presentation(tuple(generators), space, relations, involution)
 
 
 def parse_presentation(path):

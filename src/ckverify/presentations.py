@@ -31,12 +31,6 @@ def _check_modulus(b):
         raise ValueError("modulus must be an integer >= 2")
 
 
-def _coeff(space: Space, value) -> Coefficient:
-    if isinstance(value, Coefficient):
-        return value
-    return Coefficient.const(space, value)
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -63,8 +57,9 @@ class SklyaninParams:
 
     @staticmethod
     def of(alpha, beta, gamma, space: Space = RATIONALS) -> "SklyaninParams":
-        return SklyaninParams(_coeff(space, alpha), _coeff(space, beta),
-                              _coeff(space, gamma))
+        return SklyaninParams(Coefficient.const(space, alpha),
+                              Coefficient.const(space, beta),
+                              Coefficient.const(space, gamma))
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ class Matrix2:
 
     @staticmethod
     def of(space: Space, entries) -> "Matrix2":
-        return Matrix2(*(_coeff(space, e) for e in entries))
+        return Matrix2(*(Coefficient.const(space, e) for e in entries))
 
     @staticmethod
     def identity(space: Space) -> "Matrix2":
@@ -249,7 +244,7 @@ def lemma2_solve(alpha) -> Matrix2:
     """Solve the defining pair for (x2*x1, x4*x3) as combinations of
     (x1*x2, x3*x4).  Requires alpha != 1; the result is checked by
     substituting the solved words back into the defining pair."""
-    alpha = _coeff(RATIONALS, alpha)
+    alpha = Coefficient.const(RATIONALS, alpha)
     space = alpha.names
     one = Coefficient.const(space, 1)
     if (one - alpha).is_zero():
@@ -346,8 +341,10 @@ def _membership_verdict(kind: str) -> str:
     return {ideal.MEMBER: PASS, ideal.NON_MEMBER: FAIL}.get(kind, INCONCLUSIVE)
 
 
-def _modulus_alpha(b: int) -> Coefficient:
-    return Coefficient.const(RATIONALS, Fraction(b - 2, b + 2))
+def _modulus_alpha(b) -> Coefficient:
+    """alpha_b = (b - 2)/(b + 2), for an integer modulus or the formal b."""
+    b = Coefficient.const(RATIONALS, b)
+    return (b - 2) / (b + 2)
 
 
 # -- the iff stability scan -------------------------------------------------
@@ -449,8 +446,7 @@ def _lemma2(b: Optional[int]):
         "both defining relations vanish under the solved pair" if ok
         else "a defining relation survives back-substitution"))
 
-    alpha_b = (bc - 2) / (bc + 2)
-    m_b = m.substitute({"alpha": alpha_b}) if b is None else m
+    m_b = m.substitute({"alpha": _modulus_alpha(bc)}) if b is None else m
     half_b = bc / 2
     expected_modulus = Matrix2(half_b, one - half_b, -one - half_b, half_b)
     ok = m_b == expected_modulus
@@ -519,13 +515,11 @@ def _lemma4(b: Optional[int], wrapper_len: int):
 def _family(b: Optional[int], with_omega: bool):
     if b is None:
         sp = ("b",)
-        bc = Coefficient.param(sp, "b")
-        alpha = (bc - 2) / (bc + 2)
-        a11, a21 = bc - 1, bc - 2
+        b = Coefficient.param(sp, "b")
     else:
         sp = RATIONALS
-        alpha = _modulus_alpha(b)
-        a11, a21 = b - 1, b - 2
+    alpha = _modulus_alpha(b)
+    a11, a21 = b - 1, b - 2
     p = sklyanin(SklyaninParams.of(alpha, 1, -1, sp)) \
         .with_relations(ideal_I0(sp))
     q_rels = _exchange_relations(sp, a11, 1, a21, 1)
@@ -580,8 +574,7 @@ def _corollary1(b: Optional[int], wrapper_len: int):
 # -- the commutative chain ---------------------------------------------------
 
 def _lemma5(b: Optional[int]):
-    chain = curves.reduction_chain(
-        None if b is None else Fraction(b - 2, b + 2))
+    chain = curves.reduction_chain(None if b is None else _modulus_alpha(b))
     steps = [
         StepReport(
             "square_substitution",

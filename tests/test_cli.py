@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -102,6 +103,15 @@ def test_verify_timing_opt_in(capsys):
     doc = json.loads(out)
     assert "elapsed_ms" in doc
     assert isinstance(doc["elapsed_ms"], int)
+
+
+def test_verify_timing_text_ends_with_elapsed_line(capsys):
+    code, out, _ = main_quiet(["verify", "lemma5", "--timing"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert re.fullmatch(r"elapsed: \d+ ms", lines[-1])
+    assert lines[-2] == "verdict: PASS"
+    assert sum(line.startswith("elapsed:") for line in lines) == 1
 
 
 def test_byte_identical_json_two_runs():

@@ -9,7 +9,6 @@ import pytest
 
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
-from ckverify.parser import _coeff_factor
 from oracles import (coefficient_conjugate, coefficient_factor,
                      coefficient_param, coefficient_str)
 
@@ -371,13 +370,13 @@ def test_one_name_paths_match_multipoly_route():
         for v in (c, -c):
             printed.add(str(v))
             assert str(v) == coefficient_str(v)
-            assert _coeff_factor(v) == coefficient_factor(v)
+            assert v.sign_split() == coefficient_factor(v)
             _assert_same(v.conjugate(SIX_SPEC),
                          coefficient_conjugate(v, SIX_SPEC))
     for name in SIX:
         p = Coefficient.param(SIX, name)
         _assert_same(p, coefficient_param(SIX, name))
-        assert (str(p), _coeff_factor(p)) == (name, (False, name))
+        assert (str(p), p.sign_split()) == (name, (False, name))
         _assert_same(p.conjugate(SIX_SPEC), Coefficient.param(
             SIX, SIX_SPEC(name)))
     # the seeded values reach every branch of the printed form: a bare and
@@ -397,7 +396,7 @@ def test_constants_match_multipoly_route():
         for names, spec in ((RATIONALS, ConjugationSpec()), (SIX, SIX_SPEC)):
             c = Coefficient.const(names, q)
             assert str(c) == coefficient_str(c)
-            assert _coeff_factor(c) == coefficient_factor(c)
+            assert c.sign_split() == coefficient_factor(c)
             _assert_same(c.conjugate(spec), coefficient_conjugate(c, spec))
 
 
@@ -478,6 +477,22 @@ def test_multi_name_values_are_int_and_match_sympy(names):
         assert (f + g) - g == f
         assert f * g / g == f
         assert f != f + 1
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")])
+def test_multi_name_sign_split_matches_multipoly_route(names):
+    rng = random.Random(4040 + len(names))
+    signs = set()
+    for _ in range(200):
+        c = _multi_value(rng, names)
+        # c / c and -c / c keep both names uncancelled and equal 1 and -1
+        for v in (c, -c, c * Coefficient.param(names, "a"), c / c, -c / c):
+            assert v.sign_split() == coefficient_factor(v)
+            signs.add(v.sign_split()[0])
+    assert signs == {False, True}
+    ab = Coefficient.param(names, "a") * Coefficient.param(names, "b")
+    assert ((ab / ab).sign_split(), (-ab / ab).sign_split()) == \
+        ((False, None), (True, None))
 
 
 def test_int_multi_name_printing_and_reading():

@@ -55,6 +55,23 @@ SWEEP_ARGV = ["sweep", "--from", "2", "--to", "8", "--format", "json"]
 SWEEP_GOLDEN = (2,
                 "1388486ad0cf962308be57e7b6f4ef8e05c6cd33090b74ea0866ae48a71fc69f")
 
+# The same CLI in text format, with certificates: a dict of engine
+# certificates (lemma1 at b = 7), dicts of certificate lists (lemma2), lists
+# of ints (lemma5) and one certificate per step (theorem1 at b = 3); the
+# sweep table covers the text rows of the same moduli as SWEEP_ARGV.
+TEXT_GOLDEN = [
+    (["verify", "lemma1", "--b", "7", "--certificates"], 0,
+     "2e3250c067ba470a527303fb284eb58d23dfb71b2c3a10ff8113192789559623"),
+    (["verify", "lemma2", "--symbolic", "--certificates"], 0,
+     "35962fa6904ca394fc5701ac30146304a4815102730fdabe5475dab3c3b0a0a7"),
+    (["verify", "lemma5", "--symbolic", "--certificates"], 0,
+     "64c53ba00752189b595a1711ae4e72f30a6a2c540939711f88b0fcd8e7bee414"),
+    (["verify", "theorem1", "--b", "3", "--certificates"], 0,
+     "9d718f2161e353582899c988f50fa86e3512b176b1348a8d1d88aa0ee80f6c3b"),
+    (["sweep", "--from", "2", "--to", "8"], 2,
+     "2ed44eb62800d05d2ead613f27e4a5657aae983d4113f8a3e20cbf7b71852c2b"),
+]
+
 # check-file on printed presentations: the exchange system takes the bounded
 # path (its unit relation is inhomogeneous), the six quadratic relations the
 # graded path.
@@ -137,6 +154,13 @@ def test_verify_golden(argv, code, digest, capsys):
 @pytest.mark.filterwarnings("ignore:alpha in")
 def test_sweep_golden(capsys):
     assert _run(SWEEP_ARGV, capsys) == SWEEP_GOLDEN
+
+
+@pytest.mark.filterwarnings("ignore:alpha in")
+@pytest.mark.parametrize("argv,code,digest", TEXT_GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in TEXT_GOLDEN])
+def test_text_golden(argv, code, digest, capsys):
+    assert _run(argv, capsys) == (code, digest)
 
 
 @pytest.mark.parametrize("build,code,digest", FILE_GOLDEN,

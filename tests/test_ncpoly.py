@@ -141,6 +141,28 @@ def test_scale_coercion():
     assert x1.scale(c) == x1.scale(3)
 
 
+def test_scalar_operands_are_refused():
+    """Ring operations take NcPoly operands only; scale is the one way to
+    multiply by a scalar, and equality still compares with scalars."""
+    x1 = gen(0)
+    p = x1 * gen(1) + x1
+    for k in (2, Fraction(1, 2), Coefficient.const(RATIONALS, 2)):
+        for op in (lambda: p + k, lambda: k + p, lambda: p - k,
+                   lambda: k - p, lambda: k * p, lambda: p * k):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        -p
+    with pytest.raises(TypeError):
+        p ** 2
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        p.scale("2")
+    assert p.scale(2) == p + p
+    assert p == x1 * gen(1) + x1 and p != x1
+    assert NcPoly.zero(X, RATIONALS) == 0
+    assert NcPoly.one(X, RATIONALS) == 1 and x1 != 1
+
+
 def test_support_and_str():
     x1, x2 = gen(0), gen(1)
     p = x1 * x2 - x2 * x1

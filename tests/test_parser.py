@@ -122,6 +122,34 @@ def test_presentation_file_symbolic_roundtrip():
     assert q.involution == p.involution
 
 
+def test_presentation_file_paired_params_roundtrip():
+    """A declared conjugate pair prints once, as the file declared it, and
+    a coefficient in two names survives printing and reading back."""
+    text = ("GENERATORS: x1 x2 x3 x4\n"
+            "PARAMS: abar~a b\n"
+            "INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3\n"
+            "RELATIONS:\n"
+            "  (a*b - 1)/(a + 2)*x1*x2 - x3*x4\n"
+            "  x1*x1 + (abar - a)*b*x4*x4\n")
+    p = parse_presentation_text(text)
+    assert p.space == ("abar", "a", "b")
+    printed = print_presentation(p)
+    assert "PARAMS: abar~a b\n" in printed
+    q = parse_presentation_text(printed)
+    assert q.space == p.space
+    assert q.relations == p.relations
+    assert q.involution == p.involution
+    assert print_presentation(q) == printed
+
+
+def test_uncancelled_unit_coefficient_prints_as_one():
+    """A quotient in two names is not reduced, so (a*b)/(a*b) is stored
+    as it is read; it still prints as the coefficient 1."""
+    p = parse_expr("(a*b)/(a*b)*x1 - (a*b)/(a*b) + (b-a)/(a-b)*x2", X,
+                   ("a", "b"))
+    assert print_expr(p) == "x1 - x2 - 1"
+
+
 def test_presentation_file_errors():
     with pytest.raises(ParseError):
         parse_presentation_text("RELATIONS:\n  x1*x2\n")
