@@ -2,13 +2,16 @@
 family, and check involution stability of presentation files.
 
 Exit codes: 0 every check passed; 1 a checked identity failed; 2 at least
-one membership search exhausted its bound without an answer; 3 bad input.
+one membership search exhausted its bound without an answer; 3 bad input;
+141 (128 + SIGPIPE) the reader closed stdout before the report was written,
+as in `ckverify sweep --from 2 --to 30 | head -n 2`.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -266,13 +269,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_check_file(args)
+            status = _cmd_verify(args)
+        elif args.command == "sweep":
+            status = _cmd_sweep(args)
+        else:
+            status = _cmd_check_file(args)
+        # a reader that closed stdout early shows here, not at exit
+        sys.stdout.flush()
+        return status
     except (ValueError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as for a process that signal ended
 
 
 if __name__ == "__main__":

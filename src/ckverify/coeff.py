@@ -11,12 +11,15 @@ and the names a value uses decide how it is stored:
   name's index.  The pair is canonical -- coprime, with jointly primitive
   integer content and a positive leading denominator coefficient.
   Arithmetic between two such values in the same name, or with a constant,
-  cancels with one integer univariate GCD (primitive pseudo-remainder
-  sequence, Brown 1971) and exact integer division -- a sum over one
-  denominator, or over two constant ones, needs no GCD -- and equality is
-  equality of the canonical tuples.  A parameter, the formal conjugate of
-  such a value (the same pair at the conjugate name's index) and its
-  printed form are also read straight off the pair.
+  takes only the integer univariate GCDs that can cancel (primitive
+  pseudo-remainder sequence, Brown 1971, or a root test when one operand
+  is linear) and divides exactly.  A sum a/b + c/d follows Henrici's rule
+  (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled against
+  g = gcd(b, d) only, so coprime denominators -- one of them constant, say
+  -- need no further GCD; a product by a rational constant needs none.
+  Equality is equality of the canonical tuples.  A parameter, the formal
+  conjugate of such a value (the same pair at the conjugate name's index)
+  and its printed form are also read straight off the pair.
 * two or more names: a quotient of two MultiPolys with int coefficients,
   scaled to jointly primitive content and a positive leading denominator
   coefficient.  An operation with such a value, or between values in
@@ -304,7 +307,7 @@ def _primitive(a: tuple) -> tuple:
     g = gcd(*a)
     if a[-1] < 0:
         g = -g
-    return a if g == 1 else tuple(x // g for x in a)
+    return a if g == 1 else tuple([x // g for x in a])
 
 
 def _prem(a: tuple, b: tuple) -> list:
@@ -326,10 +329,20 @@ def _prem(a: tuple, b: tuple) -> list:
 
 def _gcd(a: tuple, b: tuple) -> tuple:
     """Primitive GCD with positive leading coefficient of two nonconstant
-    integer polynomials, by the primitive pseudo-remainder sequence."""
+    integer polynomials.  A linear operand q*t - p divides the other, a,
+    exactly when p/q is a root of a, which the integer Horner value
+    q^n * a(p/q) decides; otherwise the primitive pseudo-remainder sequence
+    finds it."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 2:
+        p, q = -b[0], b[1]
+        v, qk = a[-1], 1
+        for x in reversed(a[:-1]):
+            qk *= q
+            v = v * p + x * qk
+        return _ONE if v else b
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
@@ -360,7 +373,7 @@ def _strip_content(n: tuple, d: tuple):
         g = -g
     if g == 1:
         return n, d
-    return tuple(x // g for x in n), tuple(x // g for x in d)
+    return tuple([x // g for x in n]), tuple([x // g for x in d])
 
 
 def _cancel(n: tuple, d: tuple):
@@ -442,11 +455,21 @@ def _pair_sum(x: "Coefficient", y: "Coefficient", sign: int):
     a, b, c, d = x._num, x._den, y._num, y._den
     if b == d:  # one denominator: no products
         return _canon(_ipoly_lin(1, a, sign, c), b)
-    if len(b) == len(d) == 1:  # two constants: no GCD to find
-        n = _ipoly_lin(d[0], a, sign * b[0], c)
-        return _strip_content(n, (b[0] * d[0],)) if n else _ZERO
-    return _canon(_ipoly_lin(1, _ipoly_mul(a, d), sign, _ipoly_mul(c, b)),
-                  _ipoly_mul(b, d))
+    # Henrici's rule: with g = gcd(b, d), b = g*b1 and d = g*d1, the sum is
+    # (a*d1 + sign*c*b1) / (b1*d1*g), and its numerator is coprime to b1*d1,
+    # so only g can cancel.  Canonical pairs with b != d are never each
+    # other's negatives, so the numerator is nonzero.
+    if len(b) == len(d) == 1:
+        return _strip_content(_ipoly_lin(d[0], a, sign * b[0], c),
+                              (b[0] * d[0],))
+    g = _ONE if len(b) == 1 or len(d) == 1 else _gcd(b, d)
+    if len(g) == 1:
+        return _strip_content(
+            _ipoly_lin(1, _ipoly_mul(a, d), sign, _ipoly_mul(c, b)),
+            _ipoly_mul(b, d))
+    b, d = _exquo(b, g), _exquo(d, g)  # b1 and d1
+    n, g = _cancel(_ipoly_lin(1, _ipoly_mul(a, d), sign, _ipoly_mul(c, b)), g)
+    return _strip_content(n, _ipoly_mul(_ipoly_mul(b, d), g))
 
 
 def _shared(x: "Coefficient", y: "Coefficient"):
@@ -532,9 +555,10 @@ class Coefficient:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Coefficient or other.names is not self.names:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         idx = _shared(self, other)
         if idx is None:
             return Coefficient(self.num * other.den + other.num * self.den,
@@ -554,9 +578,10 @@ class Coefficient:
                    self._idx)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Coefficient or other.names is not self.names:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         idx = _shared(self, other)
         if idx is None:
             return Coefficient(self.num * other.den - other.num * self.den,
@@ -573,15 +598,22 @@ class Coefficient:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Coefficient or other.names is not self.names:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         idx = _shared(self, other)
         if idx is None:
             return Coefficient(self.num * other.num, self.den * other.den)
         a, b, c, d = self._num, self._den, other._num, other._den
         if not a or not c:
             return _qt(self.names, _ZERO)
+        if len(a) == len(b) == 1:  # a rational constant goes to c/d
+            a, b, c, d = c, d, a, b
+        if len(c) == len(d) == 1:  # scaling a coprime pair keeps it coprime
+            c, d = c[0], d[0]
+            return _qt(self.names, _strip_content(
+                tuple([c * v for v in a]), tuple([d * v for v in b])), idx)
         # a/b and c/d are in lowest terms, so a*c/(b*d) is in lowest terms
         # once the cross factors gcd(a, d) and gcd(c, b) are divided out
         a, d = _cancel(a, d)

@@ -5,12 +5,13 @@ than the package: raw word-dict arithmetic for noncommutative expansion
 and for evaluation at commutative points, dense Gaussian elimination over
 Fraction for span questions, an eager-combination reducer for certificate
 entries, the MultiPoly route for printing, conjugating and building
-coefficients, and sympy for reading relation text and for curve
-invariants.  Tests compare package output against these.
+coefficients, a pseudo-remainder sequence for every univariate GCD, and
+sympy for reading relation text and for curve invariants.  Tests compare package output against these.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import sympy
 
@@ -57,6 +58,33 @@ def coefficient_param(names, name):
     """The value of the parameter name, as a quotient of MultiPolys."""
     from ckverify.coeff import Coefficient, MultiPoly
     return Coefficient(MultiPoly.var(names, name), MultiPoly.const(names, 1))
+
+
+def prs_gcd(a: tuple, b: tuple) -> tuple:
+    """The primitive GCD, with a positive leading coefficient, of two
+    nonconstant integer polynomials given as coefficient tuples, lowest
+    degree first: the primitive pseudo-remainder sequence, taken for every
+    divisor, a linear one included."""
+    def primitive(p):
+        g = gcd(*p)
+        return tuple(x // (-g if p[-1] < 0 else g) for x in p)
+
+    a, b = primitive(a), primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):  # r := lead(b)*r - lead(r)*t^k*b
+            top = r.pop()
+            r = [b[-1] * x for x in r]
+            for j in range(len(b) - 1):
+                r[len(r) - len(b) + 1 + j] -= top * b[j]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, primitive(r)
+    return (1,)
 
 
 # ---------------------------------------------------------------------------

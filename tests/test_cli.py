@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -123,6 +124,26 @@ def test_byte_identical_json_two_runs():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.strip()
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+
+@pytest.mark.parametrize("args", [
+    # a few hundred bytes: they wait in the stdout buffer until the flush
+    ("verify", "lemma5", "--b", "7"),
+    # about 20 KB: the write fails inside the command
+    ("verify", "theorem1", "--b", "7", "--certificates", "--format", "json"),
+])
+def test_closed_stdout_exits_141_without_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(CKVERIFY + list(args), stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, "")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
+from ckverify.coeff import _gcd, _ipoly_mul
 from oracles import (coefficient_conjugate, coefficient_factor,
-                     coefficient_param, coefficient_str)
+                     coefficient_param, coefficient_str, prs_gcd)
 
 AB = ("a", "b")
 
@@ -548,6 +549,107 @@ def test_one_name_sums_over_constant_and_equal_denominators():
             assert all(type(v) is int for v in c._num + c._den)
             _assert_canonical(c, gens)
     assert min(seen.values()) >= 30, seen
+
+
+# ---------------------------------------------------------------------------
+# the one-name kernel's shortcuts: Henrici's rule for sums, a root test for a
+# linear divisor, and no GCD for a product by a rational constant
+
+def _one_name_coeff(rng, names, den=None):
+    """A seeded value in the one name of names over den (a MultiPoly), or
+    over a random nonconstant denominator when den is None."""
+    while True:
+        num = _rand_poly(rng, names, names[0], 4, rng.choice((2, 30)))
+        d = den
+        while den is None and (d is None or d.is_constant()):
+            d = _rand_poly(rng, names, names[0], 2, rng.choice((2, 30)))
+        if not num.is_zero():
+            return Coefficient(num, d)
+
+
+def test_henrici_sums_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    names = ("b",)
+    gens = (sympy.Symbol("b"),)
+    rng = random.Random(1111)
+    var = MultiPoly.var(names, "b")
+    one = MultiPoly.const(names, 1)
+    # shared denominator factors: non-monic linear, monic linear, quadratic
+    shared = [var.scaled(3) + one.scaled(2), var - one.scaled(5),
+              var * var + one]
+    seen = {"constant": 0, "coprime": 0, "shared": 0, "cancelled": 0}
+    for i in range(90):
+        kind = ("constant", "coprime", "shared")[i % 3]
+        f = _one_name_coeff(rng, names)
+        g = _one_name_coeff(rng, names, MultiPoly.const(
+            names, rng.randint(1, 12)) if kind == "constant" else None)
+        if kind == "shared":
+            h = Coefficient.from_poly(rng.choice(shared))
+            if rng.random() < 0.5:
+                f, g = f / h, g / h
+            else:
+                # f - g = (P/h + Q/u) - (P/h + R/v): the numerator of the
+                # sum over h*u*v vanishes modulo h, so all of h cancels
+                p = _one_name_coeff(rng, names, MultiPoly.const(names, 1))
+                f, g = p / h + f, p / h + g
+        (fn, fd), (gn, gd) = _sympy_pair(f, gens), _sympy_pair(g, gens)
+        bd, dd = fd.degree(), gd.degree()
+        common_deg = sympy.gcd(fd, gd).degree()
+        if kind != "shared" and common_deg:
+            continue
+        seen[kind] += 1
+        for c, expected in ((f + g, (fn * gd + gn * fd, fd * gd)),
+                            (f - g, (fn * gd - gn * fd, fd * gd)),
+                            (g - f, (gn * fd - fn * gd, fd * gd))):
+            _assert_value(c, expected, gens)
+            _assert_canonical(c, gens)
+            # a denominator below the lcm's degree means the numerator was
+            # cancelled against gcd(b, d)
+            if c.den.degree() < bd + dd - common_deg:
+                seen["cancelled"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_products_by_a_rational_constant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    names = ("b",)
+    gens = (sympy.Symbol("b"),)
+    rng = random.Random(2222)
+    for _ in range(60):
+        f = _one_name_coeff(rng, names, rng.choice(
+            (None, MultiPoly.const(names, rng.randint(1, 12)))))
+        # constants that share content with f's pair, and negative ones
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                     rng.randint(1, 12))
+        fn, fd = _sympy_pair(f, gens)
+        k = Coefficient.const(names, q)
+        times, over = (fn * q.numerator, fd * q.denominator), \
+            (fn * q.denominator, fd * q.numerator)
+        for c, expected in ((f * k, times), (k * f, times), (f * q, times),
+                            (q * f, times), (f / k, over),
+                            (f * q.numerator, (fn * q.numerator, fd)),
+                            (q.numerator * f, (fn * q.numerator, fd))):
+            _assert_value(c, expected, gens)
+            _assert_canonical(c, gens)
+
+
+@pytest.mark.parametrize("linear", [(2, 3), (0, 1)], ids=["3b+2", "b"])
+def test_linear_gcd_matches_the_prs_route(linear):
+    rng = random.Random(3333 + linear[0])
+    planted = 0
+    for _ in range(300):
+        a = tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 6)))
+        if not a[-1]:
+            continue
+        if rng.random() < 0.5:  # a multiple of the linear divisor
+            a = _ipoly_mul(a, linear)
+            planted += 1
+        for x, y in ((a, linear), (linear, a),
+                     (tuple(-v for v in a), linear)):
+            expected = prs_gcd(x, y)
+            assert tuple(_gcd(x, y)) == expected
+            assert expected in ((1,), linear)
+    assert planted >= 100
 
 
 def test_as_fraction_refuses_a_non_rational_value():

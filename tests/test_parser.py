@@ -279,6 +279,51 @@ def test_presentation_error_positions_count_from_the_file():
         assert str(e.value) == message
 
 
+# Every ParseError that parse_presentation_text raises itself, with its exact
+# message and position: (file text, message, line, column).  A file-wide
+# check names line 1, column 1.
+_GEN = "GENERATORS: x1 x2\n"
+_INV = "INVOLUTION: x1 -> x2; x2 -> x1\n"
+_REL = "RELATIONS:\n  x1*x2\n"
+FILE_ERROR_TABLE = [
+    ("# header\nx1 x2\n" + _GEN + _INV + _REL,
+     "content before any section header", 2, 1),
+    ("GENERATORS: x1 2x\n" + _INV + _REL, "bad generator name '2x'", 1, 1),
+    (_GEN + "GENERATORS: x2\n" + _INV + _REL, "duplicate generator 'x2'",
+     2, 1),
+    (_GEN + "PARAMS: a~2b\n" + _INV + _REL, "bad parameter pair 'a~2b'",
+     2, 1),
+    (_GEN + "PARAMS: a~b\nPARAMS: c b~c\n" + _INV + _REL,
+     "parameter 'b' paired with both 'a' and 'c'", 3, 1),
+    (_GEN + "PARAMS: a 1b\n" + _INV + _REL, "bad parameter name '1b'",
+     2, 1),
+    (_INV + _REL, "missing GENERATORS section", 1, 1),
+    (_GEN + _INV, "missing RELATIONS section", 1, 1),
+    (_GEN + _REL, "missing INVOLUTION section", 1, 1),
+    (_GEN + "PARAMS: a~x2\n" + _INV + _REL,
+     "'x2' is both generator and parameter", 1, 1),
+    (_GEN + "INVOLUTION: x1 -> x2; x2 x1\n" + _REL,
+     "bad involution item 'x2 x1'", 2, 1),
+    (_GEN + _INV + "INVOLUTION: x2 -> x1\n" + _REL,
+     "generator 'x2' mapped twice", 3, 1),
+    (_GEN + "INVOLUTION: x1 -> x1\n" + _REL,
+     "involution does not cover 'x2'", 1, 1),
+    ("GENERATORS: x1 x2 x3\nINVOLUTION: x1 -> x2; x2 -> x3; x3 -> x1\n"
+     + _REL, "involution is not self-inverse at 'x1' -> 'x2'", 1, 1),
+    (_GEN + _INV + _REL + "  x1 - 2*x1 + x1\n",
+     "relation is identically zero", 5, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", FILE_ERROR_TABLE,
+                         ids=[r[1][:40] for r in FILE_ERROR_TABLE])
+def test_file_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_presentation_text(text)
+    assert str(e.value) == f"{message} (line {line}, column {col})"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 # ---------------------------------------------------------------------------
 # valid relations against sympy's reading of the same text
 
