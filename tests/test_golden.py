@@ -58,7 +58,10 @@ SWEEP_GOLDEN = (2,
 # The same CLI in text format, with certificates: a dict of engine
 # certificates (lemma1 at b = 7), dicts of certificate lists (lemma2), lists
 # of ints (lemma5) and one certificate per step (theorem1 at b = 3); the
-# sweep table covers the text rows of the same moduli as SWEEP_ARGV.
+# singular curve with j undefined (corollary1 at b = 2), the symbolic curve,
+# a stability step beside a two-way membership step (lemma4), and the detail
+# of a step left without a certificate (theorem1 at b = 2).  The sweep table
+# covers the text rows of the same moduli as SWEEP_ARGV.
 TEXT_GOLDEN = [
     (["verify", "lemma1", "--b", "7", "--certificates"], 0,
      "2e3250c067ba470a527303fb284eb58d23dfb71b2c3a10ff8113192789559623"),
@@ -68,6 +71,14 @@ TEXT_GOLDEN = [
      "64c53ba00752189b595a1711ae4e72f30a6a2c540939711f88b0fcd8e7bee414"),
     (["verify", "theorem1", "--b", "3", "--certificates"], 0,
      "9d718f2161e353582899c988f50fa86e3512b176b1348a8d1d88aa0ee80f6c3b"),
+    (["verify", "corollary1", "--b", "2", "--certificates"], 0,
+     "88e0d5624bca9752d64eb6c16ae494b1a2ed03cbf963ed8ba352763b69dadc18"),
+    (["verify", "corollary1", "--symbolic"], 0,
+     "faa24148d0307863001de7ff50e5a2c7cb6b3feb31e8c35e17a0e6e804e73c59"),
+    (["verify", "lemma4", "--symbolic", "--certificates"], 0,
+     "27eaa37f5c86906d71a55fe6dcc9fff39fed48debcaa89b1270974db15284a53"),
+    (["verify", "theorem1", "--b", "2"], 2,
+     "27c2e5108cbf375748808269b42861dc97f28852f25cb06499ebf8683f1ab74a"),
     (["sweep", "--from", "2", "--to", "8"], 2,
      "2ed44eb62800d05d2ead613f27e4a5657aae983d4113f8a3e20cbf7b71852c2b"),
 ]
