@@ -32,8 +32,6 @@ _EXIT_BY_VERDICT = {
     claims.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
-_SEVERITY = {claims.PASS: 0, claims.INCONCLUSIVE: 1, claims.FAIL: 2}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant honouring the exit-code contract (3 = bad input)."""
@@ -111,17 +109,9 @@ def _certificate_json(payload):
     return payload
 
 
-def _curve_json(curve) -> dict:
-    return {
-        "lambda": str(curve.lam),
-        "discriminant": str(curve.discriminant),
-        "j": None if curve.j_invariant is None else str(curve.j_invariant),
-        "singular": curve.singular,
-    }
-
-
-def _report_json(report, with_certificates: bool,
-                 elapsed_ms: Optional[int]) -> str:
+def _report_doc(report, with_certificates: bool,
+                elapsed_ms: Optional[int]) -> dict:
+    """The report of one claim as JSON data, which both formats print."""
     steps = []
     for s in report.steps:
         entry = {"name": s.name, "verdict": s.verdict, "detail": s.detail}
@@ -137,25 +127,30 @@ def _report_json(report, with_certificates: bool,
         "steps": steps,
     }
     if report.curve is not None:
-        doc["curve"] = _curve_json(report.curve)
+        c = report.curve
+        doc["curve"] = {
+            "lambda": str(c.lam),
+            "discriminant": str(c.discriminant),
+            "j": None if c.j_invariant is None else str(c.j_invariant),
+            "singular": c.singular,
+        }
     if elapsed_ms is not None:
         doc["elapsed_ms"] = elapsed_ms
-    return json.dumps(doc, indent=2)
+    return doc
 
 
 def _print_certificate_text(payload, indent: str):
-    if isinstance(payload, ideal.MembershipCertificate):
-        for e in payload:
-            print(f"{indent}{e.coeff} * ({_word_str(e.left)}) "
-                  f"* r{e.rel_index + 1} * ({_word_str(e.right)})")
-    elif isinstance(payload, dict):
+    if isinstance(payload, dict):
         for k, v in payload.items():
             print(f"{indent}{k}:")
             _print_certificate_text(v, indent + "  ")
-    elif isinstance(payload, (list, tuple)):
+    elif isinstance(payload, list):
         for i, v in enumerate(payload):
             if isinstance(v, (int, str)):
                 print(f"{indent}{v}")
+            elif isinstance(v, dict):  # in a list, a dict is a certificate entry
+                print(f"{indent}{v['coefficient']} * ({v['left']}) "
+                      f"* r{v['relation']} * ({v['right']})")
             else:
                 print(f"{indent}[{i}]:")
                 _print_certificate_text(v, indent + "  ")
@@ -163,26 +158,25 @@ def _print_certificate_text(payload, indent: str):
         print(f"{indent}{payload}")
 
 
-def _print_report_text(report, with_certificates: bool,
-                       elapsed_ms: Optional[int]):
-    mode = ("symbolic" if report.mode == "symbolic"
-            else f"concrete (b = {report.b})")
-    print(f"claim: {report.claim}")
+def _print_report_text(doc: dict):
+    mode = ("symbolic" if doc["mode"] == "symbolic"
+            else f"concrete (b = {doc['b']})")
+    print(f"claim: {doc['claim']}")
     print(f"mode: {mode}")
-    print(f"wrapper length: {report.wrapper_len}")
-    for s in report.steps:
-        print(f"  [{s.verdict}] {s.name}: {s.detail}")
-        if with_certificates and s.certificate is not None:
-            _print_certificate_text(s.certificate, "      ")
-    if report.curve is not None:
-        c = report.curve
-        j = "UNDEFINED" if c.j_invariant is None else str(c.j_invariant)
-        state = "SINGULAR" if c.singular else "nonsingular"
-        print(f"curve: {c.homogeneous_str()}")
-        print(f"  discriminant = {c.discriminant}; j = {j}; {state}")
-    print(f"verdict: {report.verdict}")
-    if elapsed_ms is not None:
-        print(f"elapsed: {elapsed_ms} ms")
+    print(f"wrapper length: {doc['wrapper_len']}")
+    for s in doc["steps"]:
+        print(f"  [{s['verdict']}] {s['name']}: {s['detail']}")
+        if "certificate" in s:
+            _print_certificate_text(s["certificate"], "      ")
+    if "curve" in doc:
+        c = doc["curve"]
+        j = "UNDEFINED" if c["j"] is None else c["j"]
+        state = "SINGULAR" if c["singular"] else "nonsingular"
+        print(f"curve: y^2*z = x*(x - z)*(x - ({c['lambda']})*z)")
+        print(f"  discriminant = {c['discriminant']}; j = {j}; {state}")
+    print(f"verdict: {doc['verdict']}")
+    if "elapsed_ms" in doc:
+        print(f"elapsed: {doc['elapsed_ms']} ms")
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +188,12 @@ def _cmd_verify(args) -> int:
                            wrapper_len=args.wrapper_len)
     elapsed_ms = int((time.monotonic() - started) * 1000) if args.timing \
         else None
+    doc = _report_doc(report, args.certificates, elapsed_ms)
     if args.format == "json":
-        print(_report_json(report, args.certificates, elapsed_ms))
+        print(json.dumps(doc, indent=2))
     else:
-        _print_report_text(report, args.certificates, elapsed_ms)
+        _print_report_text(doc)
     return _EXIT_BY_VERDICT[report.verdict]
-
-
-def _worst(a: str, b: str) -> str:
-    return a if _SEVERITY[a] >= _SEVERITY[b] else b
 
 
 def _cmd_sweep(args) -> int:
@@ -210,22 +201,20 @@ def _cmd_sweep(args) -> int:
         print("error: need 2 <= from <= to", file=sys.stderr)
         return EXIT_INPUT
     rows = []
-    overall = claims.PASS
     for b in range(args.start, args.stop + 1):
         t1 = claims.verify("theorem1", b=b)
         c1 = claims.verify("corollary1", b=b)
-        verdict = _worst(t1.verdict, c1.verdict)
-        overall = _worst(overall, verdict)
         curve = c1.curve
         rows.append({
             "b": b,
-            "verdict": verdict,
+            "verdict": claims.worst_verdict((t1.verdict, c1.verdict)),
             "lambda": str(curve.lam),
             "delta_nonzero": not curve.singular,
             "j": None if curve.j_invariant is None
                  else str(curve.j_invariant),
             "singular": curve.singular,
         })
+    overall = claims.worst_verdict(r["verdict"] for r in rows)
     if args.format == "json":
         doc = {"from": args.start, "to": args.stop, "verdict": overall,
                "rows": rows}

@@ -310,7 +310,7 @@ def _primitive(a: tuple) -> tuple:
     return a if g == 1 else tuple([x // g for x in a])
 
 
-def _prem(a: tuple, b: tuple) -> list:
+def _prem(a: tuple, b: tuple) -> tuple:
     """A remainder of a by b (len(a) >= len(b) >= 2) up to a nonzero integer
     factor: each step replaces a by lead(b)*a - c*x^i*b, which kills a's
     leading term without leaving the integers."""
@@ -324,7 +324,7 @@ def _prem(a: tuple, b: tuple) -> list:
                 a[top - db + j] -= c * b[j]
     while a and not a[-1]:
         a.pop()
-    return a
+    return tuple(a)
 
 
 def _gcd(a: tuple, b: tuple) -> tuple:

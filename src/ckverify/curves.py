@@ -9,6 +9,7 @@ and an independent invariant chain before any curve object is built.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -158,6 +159,16 @@ def verify_eq20_step(alpha=None) -> Eq20Report:
     return Eq20Report((img1, img2), (r1, r2), forward, backward, ok)
 
 
+def _plane_cubic(a: Coefficient) -> MultiPoly:
+    """y^2 - x(x+1)(x+1-a), in the parameter names and (x, y)."""
+    names = a.names + AFFINE
+    ap = _param_poly(a, names)
+    one = MultiPoly.const(names, 1)
+    x = MultiPoly.var(names, "x")
+    y = MultiPoly.var(names, "y")
+    return y * y - x * (x + one) * (x + one - ap)
+
+
 @dataclass(frozen=True)
 class Eq22Report:
     """Outcome of the polynomial parametrization X=-2y, Y=x^2-1+a,
@@ -190,16 +201,11 @@ def verify_eq22_step(alpha=None) -> Eq22Report:
         "T": x * x + x.scaled(2) + one - ap,
     }
     img1, img2 = (m.extend(names).substitute(bind) for m in tgt.members)
-    cubic = y * y - x * (x + one) * (x + one - ap)
-    ok = ((img1 - cubic.scaled(4) * ap).is_zero()
-          and (img2 - cubic.scaled(4)).is_zero())
-    small = a.names + AFFINE
-    ap_s = _param_poly(a, small)
-    one_s = MultiPoly.const(small, 1)
-    xs = MultiPoly.var(small, "x")
-    ys = MultiPoly.var(small, "y")
-    cubic_small = ys * ys - xs * (xs + one_s) * (xs + one_s - ap_s)
-    return Eq22Report(cubic_small, a * 4, Coefficient.const(a.names, 4), ok)
+    cubic = _plane_cubic(a)
+    four_cubic = cubic.extend(names).scaled(4)
+    ok = ((img1 - four_cubic * ap).is_zero()
+          and (img2 - four_cubic).is_zero())
+    return Eq22Report(cubic, a * 4, Coefficient.const(a.names, 4), ok)
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,7 @@ def shift_and_homogenize(alpha=None) -> ShiftReport:
     one = MultiPoly.const(small, 1)
     x = MultiPoly.var(small, "x")
     y = MultiPoly.var(small, "y")
-    pre = y * y - x * (x + one) * (x + one - ap)
-    shifted = pre.substitute({"x": x - one})
+    shifted = _plane_cubic(a).substitute({"x": x - one})
     eq23 = y * y - x * (x - one) * (x - ap)
     ok = (shifted - eq23).is_zero()
 
@@ -301,17 +306,12 @@ def _sylvester_resultant_cubic(f, g):
     return _det(rows)
 
 
-_FORMULAS_VALIDATED = False
-
-
+@functools.cache
 def _ensure_formulas_validated():
     """One-time symbolic check of the closed-form discriminant and
     j-invariant against two independent computations: the Sylvester
     resultant of the cubic with its derivative, and the classical
     b2/b4/b8 -> c4/Delta invariant chain."""
-    global _FORMULAS_VALIDATED
-    if _FORMULAS_VALIDATED:
-        return
     t = Coefficient.param(("t",), "t")
     one = Coefficient.const(("t",), 1)
     zero = Coefficient.const(("t",), 0)
@@ -335,7 +335,6 @@ def _ensure_formulas_validated():
                 * 256) / (t * t * (t - one) * (t - one))
     if j_closed * delta_chain != c4 * c4 * c4:
         raise RuntimeError("j-invariant closed form fails the invariant chain")
-    _FORMULAS_VALIDATED = True
 
 
 def legendre_invariants(lam) -> LegendreCurve:

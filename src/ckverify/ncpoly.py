@@ -125,12 +125,6 @@ class NcPoly:
             return 0
         return max(len(w) for w in self.terms)
 
-    def homogeneous_component(self, d: int) -> "NcPoly":
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return NcPoly(self.alphabet, self.space,
-                      {w: c for w, c in self.terms.items() if len(w) == d})
-
     def is_homogeneous(self) -> bool:
         degrees = {len(w) for w in self.terms}
         return len(degrees) <= 1
@@ -138,9 +132,6 @@ class NcPoly:
     def sorted_terms(self):
         """Terms ordered degree-descending, then word-lex ascending."""
         return sorted(self.terms.items(), key=lambda wc: (-len(wc[0]), wc[0]))
-
-    def support(self):
-        return set(self.terms)
 
     # -- substitution ------------------------------------------------------
 
@@ -151,26 +142,6 @@ class NcPoly:
             if not nc.is_zero():
                 terms[w] = nc
         return NcPoly(self.alphabet, self.space, terms)
-
-    def substitute_words(self, table: Mapping[Word, "NcPoly"]) -> "NcPoly":
-        """Replace whole term words according to `table`.
-
-        Only exact term-level replacement: a word appearing as a factor of a
-        longer stored word is an error, since the replacement would not be
-        well defined term-by-term.
-        """
-        for w in self.terms:
-            for pat in table:
-                if pat and pat != w and _contains(w, pat):
-                    raise ValueError(
-                        f"word {pat} occurs inside longer term {w}")
-        out = NcPoly.zero(self.alphabet, self.space)
-        for w, c in self.terms.items():
-            if w in table:
-                out = out + table[w].scale(c)
-            else:
-                out = out + NcPoly.monomial(self.alphabet, self.space, w, c)
-        return out
 
     # -- involution --------------------------------------------------------
 
@@ -251,12 +222,6 @@ def _mul_terms(p: dict, q: dict, one: Coefficient = None) -> dict:
             else:
                 terms[w] = c
     return terms
-
-
-def _contains(w: Word, pat: Word) -> bool:
-    if len(pat) > len(w):
-        return False
-    return any(w[i:i + len(pat)] == pat for i in range(len(w) - len(pat) + 1))
 
 
 class InvolutionSpec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import curves, ideal
 from .coeff import Coefficient, ConjugationSpec, PoleError, RATIONALS, Space
@@ -22,8 +22,6 @@ GENERATORS = ("x1", "x2", "x3", "x4")
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-CLAIMS = ("lemma1", "lemma2", "lemma4", "lemma5", "theorem1", "corollary1")
 
 
 def _check_modulus(b):
@@ -259,11 +257,12 @@ def lemma2_solve(alpha) -> Matrix2:
 
 def _back_substitutes(space: Space, alpha, m: Matrix2) -> bool:
     """Do both defining relations vanish once x2*x1 and x4*x3 are replaced
-    by the combinations of x1*x2 and x3*x4 that the rows of m give?"""
-    x1, x2, x3, x4 = _gens(space)
-    table = {(1, 0): (x1 * x2).scale(m.a) + (x3 * x4).scale(m.b),
-             (3, 2): (x1 * x2).scale(m.c) + (x3 * x4).scale(m.d)}
-    return all(rel.substitute_words(table).is_zero()
+    by the combinations of x1*x2 and x3*x4 that the rows of m give?  That
+    is: does rel - c21*s1 - c43*s2 vanish, for the solved pair (s1, s2) and
+    rel's coefficients c21 on x2*x1 and c43 on x4*x3?"""
+    s1, s2 = _exchange_relations(space, *m.entries())
+    return all((rel - s1.scale(rel.terms.get((1, 0), 0))
+                - s2.scale(rel.terms.get((3, 2), 0))).is_zero()
                for rel in _defining_pair(space, alpha, 1, 2, 3))
 
 
@@ -328,13 +327,13 @@ class ClaimReport:
     curve: Optional[curves.LegendreCurve] = None
 
 
-def _aggregate(steps: Sequence[StepReport]) -> str:
-    kinds = {s.verdict for s in steps}
-    if FAIL in kinds:
-        return FAIL
-    if INCONCLUSIVE in kinds:
-        return INCONCLUSIVE
-    return PASS
+def worst_verdict(verdicts) -> str:
+    """The gravest of the verdicts: FAIL over INCONCLUSIVE over PASS."""
+    return max(verdicts, key=(PASS, INCONCLUSIVE, FAIL).index)
+
+
+def _step(name: str, ok: bool, detail: str, certificate=None) -> StepReport:
+    return StepReport(name, PASS if ok else FAIL, detail, certificate)
 
 
 def _membership_verdict(kind: str) -> str:
@@ -355,32 +354,55 @@ _SCAN_PAIRS = {"alpha": "alphabar", "alphabar": "alpha",
                "gamma": "gammabar", "gammabar": "gamma"}
 
 
-def _stability_certs(rep: ideal.StabilityReport):
-    """The certificates of a stability report by relation name, or None."""
-    certs = {f"r{r.index + 1}": r.verdict.certificate for r in rep.relations
-             if r.verdict.certificate is not None}
-    return certs or None
+def _rel_names(indices) -> str:
+    return ", ".join(f"r{i + 1}" for i in indices) if indices else "none"
 
 
-def _stability_step(name: str, relations, conjugation, expected_failing,
-                    wrapper_len: int) -> StepReport:
-    p = ideal.Presentation(GENERATORS, _SCAN_SPACE, relations,
-                           adjoint_involution(conjugation))
+def _stability_step(name: str, p: ideal.Presentation, wrapper_len: int,
+                    detail: str, expected_failing: tuple = ()) -> StepReport:
+    """Involution stability of p, passing when exactly the expected
+    relations have adjoint images outside the ideal.  detail is formatted
+    with the stability verdict, the relations that fail and those expected
+    to, and the number of images certified; the certificates are filed by
+    relation name."""
     rep = ideal.involution_stability(p, wrapper_len)
     failing = tuple(rep.failing_indices())
-    expected_verdict = ideal.STABLE if not expected_failing else ideal.UNSTABLE
-    ok = failing == expected_failing and rep.verdict == expected_verdict
-    def rel_names(ix):
-        return ", ".join(f"r{i + 1}" for i in ix) if ix else "none"
-    detail = (f"{rep.verdict}; adjoint images escaping the ideal: "
-              f"{rel_names(failing)} (expected {rel_names(expected_failing)})")
-    return StepReport(name, PASS if ok else FAIL, detail, _stability_certs(rep))
+    certs = {f"r{r.index + 1}": r.verdict.certificate for r in rep.relations
+             if r.verdict.certificate is not None}
+    ok = failing == expected_failing and rep.verdict == (
+        ideal.UNSTABLE if expected_failing else ideal.STABLE)
+    return _step(name, ok,
+                 detail.format(verdict=rep.verdict, certified=len(certs),
+                               failing=_rel_names(failing),
+                               expected=_rel_names(expected_failing)),
+                 certs or None)
 
 
-def _lemma1_symbolic(wrapper_len: int):
-    """Stability of the six relations with formally independent conjugate
-    parameters, tightening one identification at a time; the per-stage
-    failure patterns are exactly the iff conditions."""
+def _two_way_step(name: str, ok: bool, detail: str, labels, first,
+                  second) -> StepReport:
+    """Graded membership of each relation of first in the ideal of second
+    and back, passing when ok holds and every membership is certified; the
+    certificates are filed as "<a>_in_<b>" and "<b>_in_<a>" for the
+    labels (a, b)."""
+    fwd = [ideal.graded_membership(r, second) for r in first]
+    bwd = [ideal.graded_membership(r, first) for r in second]
+    a, b = labels
+    return _step(name, ok and all(v.is_member() for v in fwd + bwd), detail,
+                 {f"{a}_in_{b}": [v.certificate for v in fwd],
+                  f"{b}_in_{a}": [v.certificate for v in bwd]})
+
+
+def _lemma1(b: Optional[int], wrapper_len: int):
+    """At a modulus, stability of the six relations.  Symbolically,
+    stability with formally independent conjugate parameters, tightening
+    one identification at a time; the per-stage failure patterns are
+    exactly the iff conditions."""
+    if b is not None:
+        p = sklyanin(SklyaninParams.of(_modulus_alpha(b), 1, -1))
+        return [_stability_step(
+            "stability_at_modulus", p, wrapper_len,
+            f"{{verdict}} at modulus {b}; {{certified}}/6 adjoint images "
+            "certified")], None
     sp = _SCAN_SPACE
     al = Coefficient.param(sp, "alpha")
     be = Coefficient.param(sp, "beta")
@@ -394,32 +416,21 @@ def _lemma1_symbolic(wrapper_len: int):
     fully_fixed = [r.substitute_params({"beta": Coefficient.const(sp, 1),
                                         "gamma": Coefficient.const(sp, -1)})
                    for r in rels]
-    return [
-        _stability_step("free_conjugates", rels, conj_free,
-                        (0, 2, 3, 4, 5), wrapper_len),
-        _stability_step("alpha_real", rels, conj_alpha_real,
-                        (2, 3, 4, 5), wrapper_len),
-        _stability_step("beta_identified", beta_fixed, conj_alpha_real,
-                        (4, 5), wrapper_len),
-        _stability_step("fully_identified", fully_fixed, conj_alpha_real,
-                        (), wrapper_len),
-    ]
-
-
-def _lemma1_concrete(b: int, wrapper_len: int):
-    p = sklyanin(SklyaninParams.of(_modulus_alpha(b), 1, -1))
-    rep = ideal.involution_stability(p, wrapper_len)
-    ok = rep.verdict == ideal.STABLE
-    detail = (f"{rep.verdict} at modulus {b}; "
-              f"{sum(1 for r in rep.relations if r.verdict.is_member())}/6 "
-              "adjoint images certified")
-    return [StepReport("stability_at_modulus", PASS if ok else FAIL,
-                       detail, _stability_certs(rep))]
+    stages = (("free_conjugates", rels, conj_free, (0, 2, 3, 4, 5)),
+              ("alpha_real", rels, conj_alpha_real, (2, 3, 4, 5)),
+              ("beta_identified", beta_fixed, conj_alpha_real, (4, 5)),
+              ("fully_identified", fully_fixed, conj_alpha_real, ()))
+    return [_stability_step(
+        name, ideal.Presentation(GENERATORS, sp, stage_rels,
+                                 adjoint_involution(conj)),
+        wrapper_len, "{verdict}; adjoint images escaping the ideal: "
+                     "{failing} (expected {expected})", expected)
+        for name, stage_rels, conj, expected in stages], None
 
 
 # -- the linear-solve pipeline ----------------------------------------------
 
-def _lemma2(b: Optional[int]):
+def _lemma2(b: Optional[int], wrapper_len: int):
     if b is None:
         sp = ("alpha", "b")
         alpha = Coefficient.param(sp, "alpha")
@@ -436,22 +447,20 @@ def _lemma2(b: Optional[int]):
                               (alpha * -2) / (one - alpha),
                               (one * -2) / (one - alpha),
                               (one + alpha) / (one - alpha))
-    ok = m == expected_solved
-    steps.append(StepReport("linear_solve", PASS if ok else FAIL,
-                            f"solved pair matrix {m}"))
+    steps.append(_step("linear_solve", m == expected_solved,
+                       f"solved pair matrix {m}"))
 
     ok = _back_substitutes(sp, alpha, m)
-    steps.append(StepReport(
-        "back_substitution", PASS if ok else FAIL,
+    steps.append(_step(
+        "back_substitution", ok,
         "both defining relations vanish under the solved pair" if ok
         else "a defining relation survives back-substitution"))
 
     m_b = m.substitute({"alpha": _modulus_alpha(bc)}) if b is None else m
     half_b = bc / 2
     expected_modulus = Matrix2(half_b, one - half_b, -one - half_b, half_b)
-    ok = m_b == expected_modulus
-    steps.append(StepReport("modulus_substitution", PASS if ok else FAIL,
-                            f"matrix at the modulus {m_b}"))
+    steps.append(_step("modulus_substitution", m_b == expected_modulus,
+                       f"matrix at the modulus {m_b}"))
 
     s = Matrix2.of(sp, (Fraction(1, 2), Fraction(-1, 2), 1, 0))
     t = Matrix2.of(sp, (0, 1, -2, 1))
@@ -460,19 +469,14 @@ def _lemma2(b: Optional[int]):
     ok = (sim.ok and sim.trace_b == bc and sim.det_b == one)
     detail = (f"S*M*T = B: {sim.conjugate_matches}; S*T = 1: {sim.inverse_pair}; "
               f"trace {sim.trace_m} = {sim.trace_b}; det {sim.det_m} = {sim.det_b}")
-    steps.append(StepReport("similarity", PASS if ok else FAIL, detail))
+    steps.append(_step("similarity", ok, detail))
 
-    defining_pair = _defining_pair(sp, alpha, 1, 2, 3)
-    solved_pair = _exchange_relations(sp, *m.entries())
-    fwd = [ideal.graded_membership(p, solved_pair) for p in defining_pair]
-    bwd = [ideal.graded_membership(p, defining_pair) for p in solved_pair]
-    ok = all(v.is_member() for v in fwd + bwd)
-    steps.append(StepReport(
-        "solved_pair_span", PASS if ok else FAIL,
+    steps.append(_two_way_step(
+        "solved_pair_span", True,
         "defining and solved pairs span the same quadratic slice",
-        {"defining_in_solved": [v.certificate for v in fwd],
-         "solved_in_defining": [v.certificate for v in bwd]}))
-    return steps
+        ("defining", "solved"), _defining_pair(sp, alpha, 1, 2, 3),
+        _exchange_relations(sp, *m.entries())))
+    return steps, None
 
 
 # -- the fixed quadratic pair ------------------------------------------------
@@ -486,28 +490,17 @@ def _lemma4(b: Optional[int], wrapper_len: int):
         alpha = _modulus_alpha(b)
     omega0 = ideal_Omega0(sp)
     p = ideal.Presentation(GENERATORS, sp, omega0, adjoint_involution())
-    rep = ideal.involution_stability(p, wrapper_len)
-    ok = rep.verdict == ideal.STABLE
-    steps = [StepReport(
-        "omega0_stability", PASS if ok else FAIL,
-        f"{rep.verdict}; the involution interchanges the two generators",
-        _stability_certs(rep))]
-
     params = SklyaninParams.of(alpha, 1, -1, sp)
-    central = omega_central(params)
-    one = Coefficient.const(sp, 1)
     c3, c4 = _central_coeffs(params)
-    coeffs_ok = (c3 == one) and c4.is_zero()
-    fwd = [ideal.graded_membership(q, omega0) for q in central]
-    bwd = [ideal.graded_membership(q, central) for q in omega0]
-    ok = coeffs_ok and all(v.is_member() for v in fwd + bwd)
-    steps.append(StepReport(
-        "central_pair_reduction", PASS if ok else FAIL,
-        f"scaling coefficients evaluate to {c3} and {c4}; "
-        "the pair and the fixed generators span each other",
-        {"central_in_fixed": [v.certificate for v in fwd],
-         "fixed_in_central": [v.certificate for v in bwd]}))
-    return steps
+    return [_stability_step(
+                "omega0_stability", p, wrapper_len,
+                "{verdict}; the involution interchanges the two generators"),
+            _two_way_step(
+                "central_pair_reduction",
+                c3 == Coefficient.const(sp, 1) and c4.is_zero(),
+                f"scaling coefficients evaluate to {c3} and {c4}; "
+                "the pair and the fixed generators span each other",
+                ("central", "fixed"), omega_central(params), omega0)], None
 
 
 # -- equivalence pipelines ---------------------------------------------------
@@ -562,7 +555,7 @@ def _equivalence_steps(p, q, wrapper_len: int):
 
 def _theorem1(b: Optional[int], wrapper_len: int):
     p, q, _ = _family(b, with_omega=False)
-    return _equivalence_steps(p, q, wrapper_len)
+    return _equivalence_steps(p, q, wrapper_len), None
 
 
 def _corollary1(b: Optional[int], wrapper_len: int):
@@ -573,32 +566,32 @@ def _corollary1(b: Optional[int], wrapper_len: int):
 
 # -- the commutative chain ---------------------------------------------------
 
-def _lemma5(b: Optional[int]):
+def _lemma5(b: Optional[int], wrapper_len: int):
     chain = curves.reduction_chain(None if b is None else _modulus_alpha(b))
     steps = [
-        StepReport(
-            "square_substitution",
-            PASS if chain.eq20.ok else FAIL,
-            "substituted quadrics match the target pair combinations "
-            f"{chain.eq20.forward} with inverse {chain.eq20.backward}",
-            {"forward": [list(v) for v in chain.eq20.forward],
-             "backward": [list(v) for v in chain.eq20.backward]}),
-        StepReport(
-            "plane_parametrization",
-            PASS if chain.eq22.ok else FAIL,
-            f"pullbacks equal ({chain.eq22.first_factor}) and "
-            f"({chain.eq22.second_factor}) times the plane cubic"),
-        StepReport(
-            "shift_normalization",
-            PASS if chain.shift.ok else FAIL,
-            "shift x -> x-1 reaches the normal form; homogenization "
-            "round-trips at z = 1"),
+        _step("square_substitution", chain.eq20.ok,
+              "substituted quadrics match the target pair combinations "
+              f"{chain.eq20.forward} with inverse {chain.eq20.backward}",
+              {"forward": [list(v) for v in chain.eq20.forward],
+               "backward": [list(v) for v in chain.eq20.backward]}),
+        _step("plane_parametrization", chain.eq22.ok,
+              f"pullbacks equal ({chain.eq22.first_factor}) and "
+              f"({chain.eq22.second_factor}) times the plane cubic"),
+        _step("shift_normalization", chain.shift.ok,
+              "shift x -> x-1 reaches the normal form; homogenization "
+              "round-trips at z = 1"),
     ]
     return steps, chain.curve
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+# each pipeline maps (b, wrapper_len), b None for symbolic, to (steps, curve)
+_PIPELINES = {"lemma1": _lemma1, "lemma2": _lemma2, "lemma4": _lemma4,
+              "lemma5": _lemma5, "theorem1": _theorem1,
+              "corollary1": _corollary1}
+CLAIMS = tuple(_PIPELINES)
 
 def verify(claim: str, b: Optional[int] = None, symbolic: bool = False,
            wrapper_len: int = 2) -> ClaimReport:
@@ -614,20 +607,7 @@ def verify(claim: str, b: Optional[int] = None, symbolic: bool = False,
     if wrapper_len < 0:
         raise ValueError("wrapper length must be nonnegative")
 
-    curve = None
-    if claim == "lemma1":
-        steps = (_lemma1_symbolic(wrapper_len) if b is None
-                 else _lemma1_concrete(b, wrapper_len))
-    elif claim == "lemma2":
-        steps = _lemma2(b)
-    elif claim == "lemma4":
-        steps = _lemma4(b, wrapper_len)
-    elif claim == "lemma5":
-        steps, curve = _lemma5(b)
-    elif claim == "theorem1":
-        steps = _theorem1(b, wrapper_len)
-    else:
-        steps, curve = _corollary1(b, wrapper_len)
+    steps, curve = _PIPELINES[claim](b, wrapper_len)
     return ClaimReport(claim, "symbolic" if b is None else "concrete",
                        b, wrapper_len,
-                       _aggregate(steps), steps, curve)
+                       worst_verdict(s.verdict for s in steps), steps, curve)

@@ -652,6 +652,25 @@ def test_linear_gcd_matches_the_prs_route(linear):
     assert planted >= 100
 
 
+def test_prs_gcd_is_a_tuple():
+    # the sequence ends on a remainder that is already primitive
+    assert _gcd((-16, -8, 8), (-12, -10, 8)) == (-2, 1)
+    assert type(_gcd((-16, -8, 8), (-12, -10, 8))) is tuple
+    rng = random.Random(4444)
+    planted = 0
+    for _ in range(300):
+        a, b, c = (tuple(rng.randint(-9, 9) for _ in range(rng.randint(3, 5)))
+                   for _ in range(3))
+        if not (a[-1] and b[-1] and c[-1]):
+            continue
+        if rng.random() < 0.5:  # a common factor of degree 2 or more
+            a, b = _ipoly_mul(a, c), _ipoly_mul(b, c)
+            planted += 1
+        g = _gcd(a, b)
+        assert type(g) is tuple and g == prs_gcd(a, b)
+    assert planted >= 100
+
+
 def test_as_fraction_refuses_a_non_rational_value():
     names = ("a", "b")
     a, b = (Coefficient.param(names, n) for n in names)
