@@ -5,8 +5,11 @@ Word order is deglex: length first, then lexicographic with lower-indexed
 generators smaller.  NcPoly is a sparse map word -> Coefficient.  The
 *-involution reverses words, permutes generators by a self-inverse map and
 conjugates coefficients, which makes it an anti-automorphism of order two.
-Ring operations take NcPoly operands only; `scale` multiplies by a scalar.
-print_expr (NcPoly's str) is the rendering that parser reads back.
+Ring operations take NcPoly operands only; `scale` multiplies by a scalar
+and `substitute_params` replaces parameter names by values.  There is no
+word rewriting: a word is replaced by subtracting a multiple of a relation
+that equates it to its replacement, as `presentations._back_substitutes`
+does.  print_expr (NcPoly's str) is the rendering that parser reads back.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ import pytest
 from ckverify.coeff import Coefficient, PoleError, RATIONALS
 from ckverify.ideal import MEMBER, graded_membership
 from ckverify.ncpoly import NcPoly
+from ckverify import presentations
 from ckverify.presentations import (
     CKMatrix, CLAIMS, GENERATORS, Matrix2, SklyaninParams, cuntz_krieger,
     ideal_I0, ideal_J0, ideal_Omega0, lemma2_solve, omega_central,
@@ -155,6 +156,24 @@ def test_lemma2_solve_symbolic_matrix():
     assert m.b == (a * -2) / (one - a)
     assert m.c == Coefficient.const(("alpha",), -2) / (one - a)
     assert m.d == (one + a) / (one - a)
+
+
+def test_back_substitution_refuses_a_wrong_matrix(monkeypatch):
+    """The solved pair back-substitutes; changing any one entry of it
+    leaves a defining relation standing, and lemma2_solve refuses a
+    matrix that fails the check."""
+    for alpha in (alpha_sym(), Coefficient.const(RATIONALS, Fraction(5, 9))):
+        m = lemma2_solve(alpha)
+        assert presentations._back_substitutes(alpha.names, alpha, m)
+        for k in range(4):
+            entries = list(m.entries())
+            entries[k] = entries[k] + 1
+            assert not presentations._back_substitutes(
+                alpha.names, alpha, Matrix2(*entries))
+    monkeypatch.setattr(presentations, "_back_substitutes",
+                        lambda *args: False)
+    with pytest.raises(RuntimeError, match="back-substitution"):
+        lemma2_solve(Fraction(1, 5))
 
 
 def test_lemma2_solve_pole():
