@@ -4,8 +4,9 @@ Everything in this file recomputes results through a different code path
 than the package: raw word-dict arithmetic for noncommutative expansion
 and for evaluation at commutative points, dense Gaussian elimination over
 Fraction for span questions, an eager-combination reducer for certificate
-entries, the MultiPoly route for printing, conjugating and building
-coefficients, a pseudo-remainder sequence for every univariate GCD, and
+entries, the MultiPoly route for printing and building coefficients,
+relabelled exponent tuples for conjugating them, a pseudo-remainder
+sequence for every univariate GCD, and
 sympy for reading relation text and for curve invariants.  Tests compare package output against these.
 """
 from __future__ import annotations
@@ -48,10 +49,22 @@ def coefficient_factor(c) -> tuple:
 
 
 def coefficient_conjugate(c, spec):
-    """c with its names relabelled by spec, through MultiPoly.permute_names."""
-    from ckverify.coeff import Coefficient
-    return Coefficient(c.num.permute_names(spec.mapping),
-                       c.den.permute_names(spec.mapping))
+    """c with its names relabelled by spec: the exponent of each name in
+    every term of c.num and c.den moves to the conjugate name's position.
+    A conjugate name outside the space is a KeyError."""
+    from ckverify.coeff import Coefficient, MultiPoly
+    pos = {n: i for i, n in enumerate(c.names)}
+    target = [pos[spec(n)] for n in c.names]
+
+    def relabel(p):
+        terms = {}
+        for e, v in p.terms.items():
+            moved = [0] * len(e)
+            for i, k in enumerate(e):
+                moved[target[i]] = k
+            terms[tuple(moved)] = v
+        return MultiPoly(c.names, terms)
+    return Coefficient(relabel(c.num), relabel(c.den))
 
 
 def coefficient_param(names, name):

@@ -401,6 +401,49 @@ def test_constants_match_multipoly_route():
             _assert_same(c.conjugate(spec), coefficient_conjugate(c, spec))
 
 
+def _multi_name_value(rng, used):
+    """A seeded value over SIX that uses two or three of its names, built
+    from MultiPolys with Fraction coefficients."""
+    def poly():
+        p = MultiPoly.const(SIX, 0)
+        for _ in range(rng.randint(1, 3)):
+            mono = MultiPoly.const(SIX, Fraction(rng.randint(-6, 6),
+                                                 rng.choice((1, 1, 2, 3))))
+            for n in used:
+                mono = mono * MultiPoly.var(SIX, n) ** rng.randint(0, 2)
+            p = p + mono
+        return p
+    while True:
+        num, den = poly(), poly()
+        if num.is_zero() or den.is_zero():
+            continue
+        c = Coefficient(num, den)
+        if c._idx is None:
+            return c
+
+
+def test_multi_name_conjugates_match_the_relabelling_oracle():
+    rng = random.Random(8010)
+    beta, betabar, gamma = (Coefficient.param(SIX, n)
+                            for n in ("beta", "betabar", "gamma"))
+    # stored as (-beta*gamma)/(betabar-beta); relabelled, the denominator
+    # beta-betabar leads with -betabar, so it is rescaled by -1
+    values = [gamma * beta / (beta - betabar)]
+    while len(values) < 400:
+        values.append(_multi_name_value(
+            rng, rng.sample(SIX, rng.choice((2, 3)))))
+    moved = 0
+    for c in values:
+        for v in (c, -c):
+            w = v.conjugate(SIX_SPEC)
+            _assert_same(w, coefficient_conjugate(v, SIX_SPEC))
+            _assert_same(w.conjugate(SIX_SPEC), v)
+            moved += w.num != v.num or w.den != v.den
+    assert (str(values[0]), str(values[0].conjugate(SIX_SPEC))) == \
+        ("(-beta*gamma)/(betabar-beta)", "betabar*gammabar/(betabar-beta)")
+    assert moved > 600
+
+
 def test_one_name_paths_keep_their_errors():
     alpha = Coefficient.param(SIX, "alpha") + 2
     outside = ConjugationSpec({"alpha": "delta", "delta": "alpha"})

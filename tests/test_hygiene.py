@@ -1,5 +1,6 @@
 """Dead code in src/ckverify: an import a module never uses, or a private
-module-level function or class that nothing refers to."""
+module-level function or class, or a private method of a module-level
+class, that nothing refers to."""
 from __future__ import annotations
 
 import ast
@@ -39,7 +40,9 @@ def test_every_private_definition_is_referenced():
         used.update(a.name for n in ast.walk(tree)
                     if isinstance(n, ast.ImportFrom) for a in n.names)
     for module, tree in TREES.items():
-        for node in tree.body:
+        methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body]
+        for node in tree.body + methods:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and node.name.startswith("_") \
                     and not node.name.startswith("__"):
