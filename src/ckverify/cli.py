@@ -184,8 +184,7 @@ def _print_report_text(doc: dict):
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
-    report = claims.verify(args.claim, b=args.b, symbolic=args.symbolic,
-                           wrapper_len=args.wrapper_len)
+    report = claims.verify(args.claim, b=args.b, wrapper_len=args.wrapper_len)
     elapsed_ms = int((time.monotonic() - started) * 1000) if args.timing \
         else None
     doc = _report_doc(report, args.certificates, elapsed_ms)

@@ -29,6 +29,11 @@ and the names a value uses decide how it is stored:
   canonical form (and no multivariate GCD) is ever required for
   correctness.
 
+Every quotient of MultiPolys is first scaled by `_scale_to_primitive`, the
+one function that normalises a value in several names.  `_evaluate` is the
+one routine that moves terms into other names: substitution, embedding in a
+larger space and the conjugation of a value in several names.
+
 Either way `num` and `den` read as MultiPolys, and the printed form is the
 same: integer coefficients, a positive leading denominator coefficient, and
 a constant denominator folded into the numerator.
@@ -178,39 +183,10 @@ class MultiPoly:
         return _evaluate(self, bindings, lambda c: MultiPoly.const(names, c),
                          lambda n: MultiPoly.var(names, n))
 
-    def permute_names(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        """Relabel parameters by a permutation of the space's names."""
-        if not mapping:
-            return self
-        pos = {n: i for i, n in enumerate(self.names)}
-        perm = []
-        for i, n in enumerate(self.names):
-            target = mapping.get(n, n)
-            if target not in pos:
-                raise KeyError(f"unknown parameter {target!r}")
-            perm.append(pos[target])
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            terms[tuple(ne)] = c
-        return MultiPoly(self.names, terms)
-
     def extend(self, names: Space) -> "MultiPoly":
-        """Embed into a larger space containing every current name."""
-        pos = {n: i for i, n in enumerate(names)}
-        for n in self.names:
-            if n not in pos:
-                raise KeyError(f"target space is missing {n!r}")
-        width = len(names)
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * width
-            for n, k in zip(self.names, e):
-                ne[pos[n]] = k
-            terms[tuple(ne)] = c
-        return MultiPoly(names, terms)
+        """Embed into a larger space containing every name that occurs."""
+        return _evaluate(self, {}, lambda c: MultiPoly.const(names, c),
+                         lambda n: MultiPoly.var(names, n))
 
     # -- ordering and rendering -------------------------------------------
 
@@ -392,18 +368,14 @@ def _canon(n: tuple, d: tuple):
     return _strip_content(*_cancel(n, d))
 
 
-def _int_pair(num: MultiPoly, den: MultiPoly):
-    """num and den, in which at most one name occurs, as integer tuples
-    scaled by one common factor.  The degree of a term is the sum of its
-    exponents, since only one of them can be nonzero."""
-    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
-    out = []
-    for p in (num, den):
-        coeffs = [0] * (p.degree() + 1 if p.terms else 0)
-        for e, c in p.terms.items():
-            coeffs[sum(e)] = c.numerator * (scale // c.denominator)
-        out.append(tuple(coeffs))
-    return out
+def _dense(p: MultiPoly) -> tuple:
+    """The int coefficients of p, in which at most one name occurs, lowest
+    degree first.  The degree of a term is the sum of its exponents, since
+    only one of them can be nonzero."""
+    coeffs = [0] * (p.degree() + 1 if p.terms else 0)
+    for e, c in p.terms.items():
+        coeffs[sum(e)] = c
+    return tuple(coeffs)
 
 
 def _nonzero(coeffs: tuple) -> int:
@@ -499,12 +471,13 @@ class Coefficient:
             raise PoleError("zero denominator in Coefficient")
         num._check(den)
         self.names = num.names
+        num, den = _scale_to_primitive(num, den)
         used = (num.used_names() | den.used_names()) if num.terms else set()
         if len(used) > 1:
-            self._num, self._den = _scale_to_primitive(num, den)
+            self._num, self._den = num, den
             self._idx = None
         else:
-            self._num, self._den = _canon(*_int_pair(num, den))
+            self._num, self._den = _canon(_dense(num), _dense(den))
             self._idx = num.names.index(used.pop()) if used else 0
 
     @property
@@ -538,10 +511,6 @@ class Coefficient:
             raise KeyError(f"unknown parameter {name!r} (space has {names})")
         return _qt(names, ((0, 1), _ONE), names.index(name))
 
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "Coefficient":
-        return Coefficient(p, MultiPoly.const(p.names, 1))
-
     def _coerce(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):
             if other.names != self.names:
@@ -554,20 +523,25 @@ class Coefficient:
 
     # -- field operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign*other, for sign 1 or -1."""
         if type(other) is not Coefficient or other.names is not self.names:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         idx = _shared(self, other)
         if idx is None:
-            return Coefficient(self.num * other.den + other.num * self.den,
+            n, m = self.num * other.den, other.num * self.den
+            return Coefficient(n + m if sign > 0 else n - m,
                                self.den * other.den)
         if not other._num:
             return self
         if not self._num:
-            return other
-        return _qt(self.names, _pair_sum(self, other, 1), idx)
+            return other if sign > 0 else -other
+        return _qt(self.names, _pair_sum(self, other, sign), idx)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -578,19 +552,7 @@ class Coefficient:
                    self._idx)
 
     def __sub__(self, other):
-        if type(other) is not Coefficient or other.names is not self.names:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        idx = _shared(self, other)
-        if idx is None:
-            return Coefficient(self.num * other.den - other.num * self.den,
-                               self.den * other.den)
-        if not other._num:
-            return self
-        if not self._num:
-            return -other
-        return _qt(self.names, _pair_sum(self, other, -1), idx)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         if type(other) is int and not other:
@@ -690,8 +652,8 @@ class Coefficient:
         fixed; a value in one name keeps its pair and moves to the
         conjugate name, which must be in the space."""
         if self._idx is None:
-            return Coefficient(self.num.permute_names(spec.mapping),
-                               self.den.permute_names(spec.mapping))
+            return self.substitute({n: Coefficient.param(self.names, spec(n))
+                                    for n in self.names})
         if self.is_rational():
             return self
         name = self.names[self._idx]
@@ -715,21 +677,16 @@ class Coefficient:
             if len(den) == 1:
                 return _ipoly_str(num, name, den[0])
             ns, ds = _ipoly_str(num, name), _ipoly_str(den, name)
-            if _nonzero(num) > 1 or num[-1] < 0:
-                ns = f"({ns})"
-            if _nonzero(den) > 1 or ds != name:
-                ds = f"({ds})"
-            return f"{ns}/{ds}"
-        num, den = self.num, self.den
-        if den.is_constant():
-            c = den.constant_value()
-            scaled = num.scaled(Fraction(1) / c)
-            return str(scaled)
-        ns = str(num)
-        ds = str(den)
-        if len(num.terms) > 1 or ns.startswith("-"):
+            nterms, dterms = _nonzero(num), _nonzero(den)
+        else:
+            num, den = self.num, self.den
+            if den.is_constant():
+                return str(num.scaled(Fraction(1) / den.constant_value()))
+            ns, ds = str(num), str(den)
+            nterms, dterms = len(num.terms), len(den.terms)
+        if nterms > 1 or ns.startswith("-"):
             ns = f"({ns})"
-        if len(den.terms) > 1 or "*" in ds or "^" in ds or "/" in ds:
+        if dterms > 1 or "*" in ds or "^" in ds or "/" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

@@ -265,12 +265,6 @@ class LegendreCurve:
     j_invariant: Optional[Coefficient]
     singular: bool
 
-    def affine_str(self) -> str:
-        return f"y^2 = x*(x - 1)*(x - ({self.lam}))"
-
-    def homogeneous_str(self) -> str:
-        return f"y^2*z = x*(x - z)*(x - ({self.lam})*z)"
-
 
 def _det(rows):
     """Determinant by cofactor expansion; fine for the 5x5 used here."""

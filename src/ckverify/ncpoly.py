@@ -61,13 +61,6 @@ class NcPoly:
             raise IndexError(f"generator index {index} out of range")
         return NcPoly(alphabet, space, {(index,): Coefficient.const(space, 1)})
 
-    @staticmethod
-    def monomial(alphabet, space: Space, word: Word, coeff=1) -> "NcPoly":
-        c = Coefficient.const(space, coeff)
-        if c.is_zero():
-            return NcPoly.zero(alphabet, space)
-        return NcPoly(alphabet, space, {tuple(word): c})
-
     # -- bookkeeping -------------------------------------------------------
 
     def _check(self, other: "NcPoly"):

@@ -593,15 +593,13 @@ _PIPELINES = {"lemma1": _lemma1, "lemma2": _lemma2, "lemma4": _lemma4,
               "corollary1": _corollary1}
 CLAIMS = tuple(_PIPELINES)
 
-def verify(claim: str, b: Optional[int] = None, symbolic: bool = False,
+def verify(claim: str, b: Optional[int] = None,
            wrapper_len: int = 2) -> ClaimReport:
-    """Run one claim pipeline.  With neither a concrete modulus nor an
-    explicit symbolic request, the symbolic mode is used."""
+    """Run one claim pipeline: at the concrete modulus b, or symbolically
+    in b when b is None."""
     claim = claim.lower()
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    if symbolic and b is not None:
-        raise ValueError("choose either a concrete modulus or symbolic mode")
     if b is not None:
         _check_modulus(b)
     if wrapper_len < 0:

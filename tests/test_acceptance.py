@@ -279,7 +279,8 @@ def test_criterion_7_engine_soundness():
             w = tuple(rng.randrange(4) for _ in range(rng.randint(0, 3)))
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
             if c:
-                out = out + NcPoly.monomial(X, RATIONALS, w, c)
+                out = out + NcPoly(X, RATIONALS,
+                                   {w: Coefficient.const(RATIONALS, c)})
         return out
 
     inv = adjoint_involution()

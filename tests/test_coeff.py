@@ -150,7 +150,7 @@ def test_random_field_laws():
                                           Fraction(rng.randint(-4, 4))})
         den = MultiPoly(names, {(rng.randint(0, 1),):
                                 Fraction(rng.randint(1, 3))})
-        return Coefficient.from_poly(num) / Coefficient.from_poly(den)
+        return Coefficient(num, den)
 
     for _ in range(60):
         f, g, h = rand_coeff(), rand_coeff(), rand_coeff()
@@ -627,7 +627,7 @@ def test_henrici_sums_match_sympy():
         g = _one_name_coeff(rng, names, MultiPoly.const(
             names, rng.randint(1, 12)) if kind == "constant" else None)
         if kind == "shared":
-            h = Coefficient.from_poly(rng.choice(shared))
+            h = Coefficient(rng.choice(shared), one)
             if rng.random() < 0.5:
                 f, g = f / h, g / h
             else:

@@ -162,12 +162,6 @@ def test_singular_only_at_b2_on_a_range():
         assert curve_for_b(b).singular == (b == 2)
 
 
-def test_curve_strings():
-    c = curve_for_b(3)
-    assert c.affine_str() == "y^2 = x*(x - 1)*(x - (1/5))"
-    assert "y^2*z" in c.homogeneous_str()
-
-
 def test_modulus_lambda_map():
     # lam(b) = (b-2)/(b+2) stays in [0, 1) and is injective for b >= 2
     seen = set()

@@ -97,8 +97,9 @@ def test_certificates_reexpand_100_percent():
             if rng.random() < 0.5:
                 l = tuple(rng.randrange(4) for _ in range(rng.randint(0, 1)))
                 r = tuple(rng.randrange(4) for _ in range(rng.randint(0, 1)))
-                combo = combo + (NcPoly.monomial(X, RATIONALS, l) * rel *
-                                 NcPoly.monomial(X, RATIONALS, r)).scale(
+                one = Coefficient.const(RATIONALS, 1)
+                combo = combo + (NcPoly(X, RATIONALS, {l: one}) * rel *
+                                 NcPoly(X, RATIONALS, {r: one})).scale(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         if combo.is_zero():
             continue
@@ -231,7 +232,7 @@ def test_lemma2_symbolic_certificates_match_eager_oracle():
     """The Q(alpha, b) certificates of symbolic lemma2 (the defining and the
     solved pair in each other's quadratic slice) equal the eager oracle's,
     in value and in printed form."""
-    report = verify("lemma2", symbolic=True)
+    report = verify("lemma2")
     [step] = [s for s in report.steps if s.name == "solved_pair_span"]
     sp = ("alpha", "b")
     alpha = Coefficient.param(sp, "alpha")

@@ -22,7 +22,7 @@ def rand_poly(rng, params=RATIONALS, max_terms=4, max_len=3):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(0, max_len)))
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
         if c:
-            p = p + NcPoly.monomial(X, params, word, c)
+            p = p + NcPoly(X, params, {word: Coefficient.const(params, c)})
     return p
 
 
@@ -33,7 +33,7 @@ def test_monomial_construction():
     assert (x1 * x2 - x1 * x2).is_zero()
     assert NcPoly.one(X, RATIONALS).degree() == 0
     assert (x1 * x2).degree() == 2
-    assert NcPoly.monomial(X, RATIONALS, (3, 0, 2)).word_str((3, 0, 2)) == "x4*x1*x3"
+    assert p.word_str((3, 0, 2)) == "x4*x1*x3"
 
 
 def test_noncommutativity():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ckverify.coeff import RATIONALS
+from ckverify.coeff import Coefficient, RATIONALS
 from ckverify.ncpoly import NcPoly
 from ckverify.parser import (ParseError, parse_expr, parse_presentation_text,
                              parse_relation, print_expr, print_presentation)
@@ -36,7 +36,6 @@ def test_simple_expressions():
 def test_parameter_expressions():
     names = ("a",)
     p = parse_expr("a*x1 - (1 - a)*x2", X, names)
-    from ckverify.coeff import Coefficient
     a = Coefficient.param(names, "a")
     one = Coefficient.const(names, 1)
     x1 = NcPoly.generator(X, names, 0)
@@ -52,7 +51,6 @@ def test_relation_normalizes_equations():
 
 
 def symbolic_params():
-    from ckverify.coeff import Coefficient
     alpha = Coefficient.param(("alpha",), "alpha")
     return SklyaninParams.of(alpha, 1, -1, ("alpha",))
 
@@ -82,10 +80,9 @@ def test_roundtrip_1000_random_expressions():
                          for _ in range(rng.randint(0, 3)))
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             if rng.random() < 0.3:
-                from ckverify.coeff import Coefficient
                 c = Coefficient.param(names, rng.choice(names)) * c
             if c:
-                p = p + NcPoly.monomial(X, names, word, c)
+                p = p + NcPoly(X, names, {word: Coefficient.const(names, c)})
         assert roundtrip(p) == p
 
 

@@ -224,8 +224,6 @@ def test_verify_argument_validation():
     with pytest.raises(ValueError):
         verify("nosuchclaim")
     with pytest.raises(ValueError):
-        verify("lemma1", b=3, symbolic=True)
-    with pytest.raises(ValueError):
         verify("lemma1", b=1)
     with pytest.raises(ValueError):
         verify("lemma1", b=True)
