@@ -9,9 +9,9 @@ import sympy
 
 from ckverify.coeff import Coefficient, MultiPoly, RATIONALS
 from ckverify.curves import (
-    LegendreCurve, QuadricSystem, curve_for_b, legendre_invariants,
-    quadrics_eq19, reduction_chain, relations_eq21, shift_and_homogenize,
-    verify_eq20_step, verify_eq22_step)
+    LegendreCurve, QuadricSystem, _substitute_squares, curve_for_b,
+    legendre_invariants, quadrics_eq19, reduction_chain, relations_eq21,
+    shift_and_homogenize, verify_eq20_step, verify_eq22_step)
 
 from oracles import legendre_oracle
 
@@ -50,7 +50,6 @@ def test_eq20_step_concrete_samples():
 
 
 def test_eq20_subring_violation():
-    from ckverify.curves import _substitute_squares
     sys_ = quadrics_eq19()
     x = MultiPoly.var(("u", "v", "w", "z"), "u")
     bad = x * MultiPoly.var(("u", "v", "w", "z"), "v")

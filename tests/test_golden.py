@@ -46,6 +46,12 @@ VERIFY_GOLDEN = [
      "4545446d9bac30ea6b50b776b16f2a37ab9704b7422ae759f9748f1ee3a98fcb"),
     (["verify", "corollary1", "--b", "3"], 0,
      "bb2ffbc3c9fc59f9f6faa1771550d5a7898552efc127a78fe8f6600e839a517e"),
+    # the concrete commutative chain: at b = 2 the parameter is 0, the first
+    # pullback factor is 0 and the curve is singular
+    (["verify", "lemma5", "--b", "2"], 0,
+     "e4453c9eeabe14397db2de986dd384361ceaae8c55efdb0a056ffbfdfa1cd9f5"),
+    (["verify", "lemma5", "--b", "7"], 0,
+     "a67e2d230c0ac379ed46a40ff02f5ae863da11e9c26b9811885c26783a5a08ba"),
 ]
 
 # The symbolic certificates have poles at b = 2 and 3, so the elimination at
