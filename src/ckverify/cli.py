@@ -26,10 +26,14 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
+# claim verdicts, then involution-stability verdicts
 _EXIT_BY_VERDICT = {
     claims.PASS: EXIT_PASS,
     claims.FAIL: EXIT_FAIL,
     claims.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    ideal.STABLE: EXIT_PASS,
+    ideal.UNSTABLE: EXIT_FAIL,
+    ideal.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
 
@@ -247,9 +251,7 @@ def _cmd_check_file(args) -> int:
         rel = presentation.relations[r.index]
         print(f"r{r.index + 1} [{rel}]: {r.verdict.kind}")
     print(f"verdict: {report.verdict}")
-    return {ideal.STABLE: EXIT_PASS,
-            ideal.UNSTABLE: EXIT_FAIL,
-            ideal.INCONCLUSIVE: EXIT_INCONCLUSIVE}[report.verdict]
+    return _EXIT_BY_VERDICT[report.verdict]
 
 
 def main(argv=None) -> int:

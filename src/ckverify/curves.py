@@ -2,10 +2,16 @@
 square-variable change of coordinates, the passage to a plane cubic, and
 the invariants of the resulting Legendre curve y^2 = x(x-1)(x-lam).
 
-Everything here is exact arithmetic over MultiPoly / Coefficient; the
-closed-form discriminant and j-invariant are never trusted as given but
-are checked once, symbolically, against a Sylvester-resultant computation
-and an independent invariant chain before any curve object is built.
+Everything here is exact arithmetic over MultiPoly / Coefficient.  Each
+stage builds its polynomial ring with `_ring`, from the parameter's names
+and the stage's variables (u, v, w, z; X, Y, Z, T; x, y, z), so a
+parameter name must differ from the variables of the chain: a clash is a
+ValueError.  Each stage checks the combination vectors or factors its
+report states.  The Legendre closed forms (the cubic's coefficients, the
+discriminant and the j-invariant) are written once, in `_legendre_forms`,
+which builds every curve record; they are never trusted as given but are
+checked once, symbolically, against a Sylvester-resultant computation and
+an independent invariant chain before the first record is built.
 """
 from __future__ import annotations
 
@@ -38,13 +44,29 @@ def _coerce_param(alpha) -> Coefficient:
     raise TypeError(f"unsupported parameter value {alpha!r}")
 
 
-def _param_poly(alpha: Coefficient, names: Space) -> MultiPoly:
-    """Embed a polynomial parameter value into a variable space."""
-    if not alpha.den.is_constant():
+def _embed(c: Coefficient, names: Space) -> MultiPoly:
+    """A polynomial Coefficient as a MultiPoly in a larger space."""
+    if not c.den.is_constant():
         raise ValueError(
             "the substitution chain needs a polynomial parameter value")
-    scaled = alpha.num.scaled(Fraction(1) / alpha.den.constant_value())
-    return scaled.extend(names)
+    return c.num.scaled(Fraction(1) / c.den.constant_value()).extend(names)
+
+
+def _ring(a: Coefficient, variables: tuple) -> tuple:
+    """(a, 1, each variable) in the ring of a's names and `variables`."""
+    clash = [n for n in variables if n in a.names]
+    if clash:
+        raise ValueError(f"parameter name {clash[0]!r} is also a variable "
+                         "of the reduction chain")
+    names = a.names + variables
+    return (_embed(a, names), MultiPoly.const(names, 1),
+            *(MultiPoly.var(names, n) for n in variables))
+
+
+def _degrees(p: MultiPoly, variables: tuple) -> set:
+    """The degrees of p's terms in `variables`."""
+    pos = [i for i, n in enumerate(p.names) if n in variables]
+    return {sum(e[i] for i in pos) for e in p.terms}
 
 
 @dataclass(frozen=True)
@@ -57,39 +79,28 @@ class QuadricSystem:
     members: tuple          # MultiPoly values, each quadratic in `variables`
 
     def __post_init__(self):
-        vs = set(self.variables)
-        pos = [i for i, n in enumerate(self.names) if n in vs]
-        for m in self.members:
-            for e in m.terms:
-                if sum(e[i] for i in pos) != 2:
-                    raise ValueError(
-                        "member is not homogeneous of degree 2 in the "
-                        "geometric variables")
+        if any(_degrees(m, self.variables) - {2} for m in self.members):
+            raise ValueError("member is not homogeneous of degree 2 in the "
+                             "geometric variables")
 
 
 def quadrics_eq19(alpha=None) -> QuadricSystem:
     """The intersected pair of quadrics in (u, v, w, z):
     (1-a)v^2 + (1+a)w^2 + 2z^2  and  u^2 + v^2 + w^2 + z^2."""
-    a = _coerce_param(alpha)
-    names = a.names + UVWZ
-    ap = _param_poly(a, names)
-    one = MultiPoly.const(names, 1)
-    u2, v2, w2, z2 = (MultiPoly.var(names, n) ** 2 for n in UVWZ)
+    ap, one, u, v, w, z = _ring(_coerce_param(alpha), UVWZ)
+    u2, v2, w2, z2 = u * u, v * v, w * w, z * z
     q1 = (one - ap) * v2 + (one + ap) * w2 + z2.scaled(2)
     q2 = u2 + v2 + w2 + z2
-    return QuadricSystem(names, UVWZ, (q1, q2))
+    return QuadricSystem(ap.names, UVWZ, (q1, q2))
 
 
 def relations_eq21(alpha=None) -> QuadricSystem:
     """The target pair of quadrics in (X, Y, Z, T):
     a*X^2 + Z^2 - T^2  and  X^2 + Y^2 - T^2."""
-    a = _coerce_param(alpha)
-    names = a.names + XYZT
-    ap = _param_poly(a, names)
-    x2, y2, z2, t2 = (MultiPoly.var(names, n) ** 2 for n in XYZT)
-    r1 = ap * x2 + z2 - t2
-    r2 = x2 + y2 - t2
-    return QuadricSystem(names, XYZT, (r1, r2))
+    ap, _, x, y, z, t = _ring(_coerce_param(alpha), XYZT)
+    r1 = ap * x * x + z * z - t * t
+    r2 = x * x + y * y - t * t
+    return QuadricSystem(ap.names, XYZT, (r1, r2))
 
 
 def _substitute_squares(member: MultiPoly, system: QuadricSystem,
@@ -108,10 +119,8 @@ def _substitute_squares(member: MultiPoly, system: QuadricSystem,
             raise ValueError(
                 "substitution is defined on the subring of squared "
                 "variables only")
-        factor = MultiPoly.const(out_names, c)
-        for n, k in zip(system.names, e):
-            if n not in vs and k:
-                factor = factor * MultiPoly.var(out_names, n) ** k
+        rest = tuple(0 if n in vs else k for n, k in zip(system.names, e))
+        factor = MultiPoly(system.names, {rest: c}).extend(out_names)
         out = out + factor * table[geo[0][0]]
     return out
 
@@ -128,6 +137,16 @@ class Eq20Report:
     ok: bool
 
 
+def _combines(lhs, vectors, basis) -> bool:
+    """Whether lhs[i] = sum_j vectors[i][j] * basis[j] for every i."""
+    for p, v in zip(lhs, vectors, strict=True):
+        for c, q in zip(v, basis, strict=True):
+            p = p - q.scaled(c)
+        if not p.is_zero():
+            return False
+    return True
+
+
 def verify_eq20_step(alpha=None) -> Eq20Report:
     """Certify that the squared-variable substitution carries the (u,v,w,z)
     quadric pair onto the span of the (X,Y,Z,T) pair, both directions.
@@ -138,34 +157,27 @@ def verify_eq20_step(alpha=None) -> Eq20Report:
     a = _coerce_param(alpha)
     src = quadrics_eq19(a)
     tgt = relations_eq21(a)
-    names = tgt.names
     half = Fraction(1, 2)
-    x2, y2, z2, t2 = (MultiPoly.var(names, n) ** 2 for n in XYZT)
+    _, _, x, y, z, t = _ring(a, XYZT)
+    x2, y2, z2, t2 = x * x, y * y, z * z, t * t
     table = {
         "u": t2,
         "v": y2.scaled(half) - z2.scaled(half) - t2,
         "w": x2 + y2.scaled(half) - z2.scaled(half) - t2,
         "z": z2,
     }
-    img1, img2 = (_substitute_squares(m, src, table, names)
-                  for m in src.members)
-    r1, r2 = tgt.members
+    images = tuple(_substitute_squares(m, src, table, tgt.names)
+                   for m in src.members)
     forward = ((1, 1), (0, 1))      # img1 = r1 + r2, img2 = r2
     backward = ((1, -1), (0, 1))    # r1 = img1 - img2, r2 = img2
-    ok = ((img1 - (r1 + r2)).is_zero()
-          and (img2 - r2).is_zero()
-          and (r1 - (img1 - img2)).is_zero()
-          and (r2 - img2).is_zero())
-    return Eq20Report((img1, img2), (r1, r2), forward, backward, ok)
+    ok = (_combines(images, forward, tgt.members)
+          and _combines(tgt.members, backward, images))
+    return Eq20Report(images, tgt.members, forward, backward, ok)
 
 
 def _plane_cubic(a: Coefficient) -> MultiPoly:
     """y^2 - x(x+1)(x+1-a), in the parameter names and (x, y)."""
-    names = a.names + AFFINE
-    ap = _param_poly(a, names)
-    one = MultiPoly.const(names, 1)
-    x = MultiPoly.var(names, "x")
-    y = MultiPoly.var(names, "y")
+    ap, one, x, y = _ring(a, AFFINE)
     return y * y - x * (x + one) * (x + one - ap)
 
 
@@ -189,23 +201,21 @@ def verify_eq22_step(alpha=None) -> Eq22Report:
     """
     a = _coerce_param(alpha)
     tgt = relations_eq21(a)
-    names = a.names + XYZT + AFFINE
-    ap = _param_poly(a, names)
-    one = MultiPoly.const(names, 1)
-    x = MultiPoly.var(names, "x")
-    y = MultiPoly.var(names, "y")
+    ap, one, *_, x, y = _ring(a, XYZT + AFFINE)
     bind = {
         "X": y.scaled(-2),
         "Y": x * x - one + ap,
         "Z": x * x + (one - ap) * x.scaled(2) + one - ap,
         "T": x * x + x.scaled(2) + one - ap,
     }
-    img1, img2 = (m.extend(names).substitute(bind) for m in tgt.members)
+    names = ap.names
     cubic = _plane_cubic(a)
-    four_cubic = cubic.extend(names).scaled(4)
-    ok = ((img1 - four_cubic * ap).is_zero()
-          and (img2 - four_cubic).is_zero())
-    return Eq22Report(cubic, a * 4, Coefficient.const(a.names, 4), ok)
+    wide = cubic.extend(names)
+    factors = (a * 4, Coefficient.const(a.names, 4))
+    ok = all((m.extend(names).substitute(bind)
+              - wide * _embed(f, names)).is_zero()
+             for m, f in zip(tgt.members, factors))
+    return Eq22Report(cubic, *factors, ok)
 
 
 @dataclass(frozen=True)
@@ -223,27 +233,18 @@ def shift_and_homogenize(alpha=None) -> ShiftReport:
     y^2 - x(x-1)(x-a), then homogenize; both steps are identity checks
     and the homogenization is verified by dehomogenizing back."""
     a = _coerce_param(alpha)
-    small = a.names + AFFINE
-    ap = _param_poly(a, small)
-    one = MultiPoly.const(small, 1)
-    x = MultiPoly.var(small, "x")
-    y = MultiPoly.var(small, "y")
+    ap, one, x, y = _ring(a, AFFINE)
     shifted = _plane_cubic(a).substitute({"x": x - one})
     eq23 = y * y - x * (x - one) * (x - ap)
     ok = (shifted - eq23).is_zero()
 
-    proj = a.names + PROJECTIVE
-    app = _param_poly(a, proj)
-    xp = MultiPoly.var(proj, "x")
-    yp = MultiPoly.var(proj, "y")
-    zp = MultiPoly.var(proj, "z")
-    eq23bis = yp * yp * zp - xp * (xp - zp) * (xp - app * zp)
+    ap, one, x, y, z = _ring(a, PROJECTIVE)
+    eq23bis = y * y * z - x * (x - z) * (x - ap * z)
     # dehomogenize at z = 1 and compare with the affine normal form
-    dehom = eq23bis.substitute({"z": MultiPoly.const(proj, 1)})
-    ok = ok and (dehom - eq23.extend(proj)).is_zero()
+    dehom = eq23bis.substitute({"z": one})
+    ok = ok and (dehom - eq23.extend(ap.names)).is_zero()
     # the homogeneous form must have geometric degree exactly 3 throughout
-    gpos = [i for i, n in enumerate(proj) if n in PROJECTIVE]
-    ok = ok and all(sum(e[i] for i in gpos) == 3 for e in eq23bis.terms)
+    ok = ok and _degrees(eq23bis, PROJECTIVE) == {3}
     return ShiftReport(eq23, eq23bis, ok)
 
 
@@ -268,21 +269,13 @@ class LegendreCurve:
 
 def _det(rows):
     """Determinant by cofactor expansion; fine for the 5x5 used here."""
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = a * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] - rows[0][0]  # exact zero in the right space
+    total = rows[0][0] - rows[0][0]     # exact zero in the right space
+    for j, a in enumerate(rows[0]):
+        if not a.is_zero():
+            term = a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total - term if j % 2 else total + term
     return total
 
 
@@ -300,55 +293,54 @@ def _sylvester_resultant_cubic(f, g):
     return _det(rows)
 
 
+def _legendre_forms(lam: Coefficient) -> tuple:
+    """The closed forms for y^2 = x(x-1)(x-lam): the coefficients of
+    x(x-1)(x-lam) from x^3 down, the discriminant 16 lam^2 (lam-1)^2 and
+    the j-invariant 256 (lam^2-lam+1)^3 / (lam^2 (lam-1)^2), None where
+    the discriminant vanishes."""
+    one = Coefficient.const(lam.names, 1)
+    cubic = (one, -(one + lam), lam, Coefficient.const(lam.names, 0))
+    delta = lam * lam * (lam - one) * (lam - one) * 16
+    if delta.is_zero():
+        return cubic, delta, None
+    n = lam * lam - lam + one
+    j = (n * n * n * 256) / (lam * lam * (lam - one) * (lam - one))
+    return cubic, delta, j
+
+
 @functools.cache
 def _ensure_formulas_validated():
-    """One-time symbolic check of the closed-form discriminant and
-    j-invariant against two independent computations: the Sylvester
+    """One-time symbolic check of `_legendre_forms` at a parameter t
+    against two independent computations from its cubic: the Sylvester
     resultant of the cubic with its derivative, and the classical
     b2/b4/b8 -> c4/Delta invariant chain."""
-    t = Coefficient.param(("t",), "t")
-    one = Coefficient.const(("t",), 1)
-    zero = Coefficient.const(("t",), 0)
-    # f = x(x-1)(x-t) = x^3 - (1+t)x^2 + tx
-    f = [one, -(one + t), t, zero]
-    fp = [one * 3, (one + t) * -2, t]
+    f, delta_closed, j_closed = _legendre_forms(Coefficient.param(("t",), "t"))
+    fp = [f[0] * 3, f[1] * 2, f[2]]
     disc = -_sylvester_resultant_cubic(f, fp)   # disc = -Res(f, f') for monic cubics
-    delta_closed = t * t * (t - one) * (t - one) * 16
     if delta_closed != disc * 16:
         raise RuntimeError("discriminant closed form fails the resultant check")
-    # invariant chain for y^2 = x^3 + a2 x^2 + a4 x:  b2 = 4a2, b4 = 2a4,
+    # invariant chain for y^2 = x^3 + a2 x^2 + a4 x (the constant term is
+    # 0; the resultant above covers it):  b2 = 4a2, b4 = 2a4,
     # b8 = -a4^2, c4 = b2^2 - 24 b4, Delta = -b2^2 b8 - 8 b4^3
-    a2, a4 = -(one + t), t
+    a2, a4 = f[1], f[2]
     b2, b4 = a2 * 4, a4 * 2
     b8 = -(a4 * a4)
     c4 = b2 * b2 - b4 * 24
     delta_chain = -(b2 * b2 * b8) - (b4 * b4 * b4) * 8
     if delta_closed != delta_chain:
         raise RuntimeError("discriminant closed form fails the invariant chain")
-    j_closed = ((t * t - t + one) * (t * t - t + one) * (t * t - t + one)
-                * 256) / (t * t * (t - one) * (t - one))
     if j_closed * delta_chain != c4 * c4 * c4:
         raise RuntimeError("j-invariant closed form fails the invariant chain")
 
 
 def legendre_invariants(lam) -> LegendreCurve:
-    """Build the LegendreCurve record for a parameter value: discriminant
-    16 lam^2 (lam-1)^2, j-invariant 256 (lam^2-lam+1)^3 / (lam^2 (lam-1)^2)
-    (undefined when singular), singular exactly when the discriminant
-    vanishes, i.e. lam in {0, 1}."""
+    """Build the LegendreCurve record for a parameter value from
+    `_legendre_forms`: j is undefined exactly when the curve is singular,
+    i.e. when the discriminant vanishes, at lam in {0, 1}."""
     lam = _coerce_param(lam)
     _ensure_formulas_validated()
-    one = Coefficient.const(lam.names, 1)
-    zero = Coefficient.const(lam.names, 0)
-    delta = lam * lam * (lam - one) * (lam - one) * 16
-    singular = delta.is_zero()
-    if singular:
-        j = None
-    else:
-        n = lam * lam - lam + one
-        j = (n * n * n * 256) / (lam * lam * (lam - one) * (lam - one))
-    cubic = (one, -(one + lam), lam, zero)
-    return LegendreCurve(lam, cubic, delta, j, singular)
+    cubic, delta, j = _legendre_forms(lam)
+    return LegendreCurve(lam, cubic, delta, j, delta.is_zero())
 
 
 def curve_for_b(b: int) -> LegendreCurve:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from ckverify import curves
 from ckverify.coeff import Coefficient, MultiPoly, RATIONALS
 from ckverify.curves import (
     LegendreCurve, QuadricSystem, _substitute_squares, curve_for_b,
@@ -85,8 +86,39 @@ def test_chain_rejects_non_polynomial_parameter():
         reduction_chain(half)
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z", "u", "X", "T"])
+def test_chain_refuses_a_parameter_named_like_a_variable(name):
+    with pytest.raises(ValueError, match=f"parameter name '{name}' is also "
+                                         "a variable"):
+        reduction_chain(Coefficient.param((name,), name))
+
+
 # ---------------------------------------------------------------------------
 # Legendre invariants vs the sympy oracle
+
+@pytest.fixture
+def revalidate():
+    """Run the closed-form self-check again on the next curve record, and
+    once more after the test."""
+    curves._ensure_formulas_validated.cache_clear()
+    yield
+    curves._ensure_formulas_validated.cache_clear()
+
+
+@pytest.mark.parametrize("wrong,message", [
+    (lambda cubic, delta, j: (cubic, delta * 2, j),
+     "discriminant closed form fails the resultant check"),
+    (lambda cubic, delta, j: (cubic, delta, j + 1),
+     "j-invariant closed form fails the invariant chain"),
+], ids=["twice_delta", "j_plus_one"])
+def test_self_check_refuses_wrong_closed_forms(wrong, message, monkeypatch,
+                                               revalidate):
+    forms = curves._legendre_forms
+    monkeypatch.setattr(curves, "_legendre_forms",
+                        lambda lam: wrong(*forms(lam)))
+    with pytest.raises(RuntimeError, match=message):
+        legendre_invariants(lam_const(Fraction(1, 5)))
+
 
 def test_invariants_symbolic_against_oracle():
     lam = Coefficient.param(("t",), "t")
