@@ -19,6 +19,7 @@ from typing import Optional
 from . import ideal
 from . import presentations as claims
 from .coeff import PoleError
+from .ncpoly import word_str
 from .parser import ParseError, parse_presentation
 
 EXIT_PASS = 0
@@ -90,21 +91,15 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _word_str(word) -> str:
-    if not word:
-        return "1"
-    return "*".join(claims.GENERATORS[i] for i in word)
-
-
 def _certificate_json(payload):
     """Serialize certificate payloads: engine certificates become entry
     lists; dict/list containers recurse; scalars pass through."""
     if payload is None:
         return None
     if isinstance(payload, ideal.MembershipCertificate):
-        return [{"left": _word_str(e.left),
+        return [{"left": word_str(claims.GENERATORS, e.left),
                  "relation": e.rel_index + 1,
-                 "right": _word_str(e.right),
+                 "right": word_str(claims.GENERATORS, e.right),
                  "coefficient": str(e.coeff)} for e in payload]
     if isinstance(payload, dict):
         return {k: _certificate_json(v) for k, v in payload.items()}

@@ -11,6 +11,11 @@ l * g * r.  Two regimes:
   NON_MEMBER.  A wrapper length whose span would pass MAX_SPAN_ROWS rows is
   refused with ValueError before any row is built.
 
+A call takes the graded regime exactly when every relation and every target
+is homogeneous; graded_membership and bounded_membership name their regime
+instead.  Targets against an empty relation list are refused with
+ValueError("empty relation list").
+
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coeff import Coefficient, Space
 from .ncpoly import NcPoly, InvolutionSpec, Word, word_key
@@ -51,7 +56,7 @@ class Presentation:
     """A generator alphabet with relations (each meaning '= 0') and an
     involution."""
 
-    __slots__ = ("alphabet", "space", "relations", "involution", "homogeneous")
+    __slots__ = ("alphabet", "space", "relations", "involution")
 
     def __init__(self, alphabet, space: Space, relations: Sequence[NcPoly],
                  involution: InvolutionSpec):
@@ -66,7 +71,6 @@ class Presentation:
                 raise ValueError(f"relation {i} is identically zero")
             if rel.alphabet != self.alphabet or rel.space != space:
                 raise ValueError(f"relation {i} built over a different context")
-        self.homogeneous = all(r.is_homogeneous() for r in self.relations)
 
     def with_relations(self, extra: Sequence[NcPoly]) -> "Presentation":
         return Presentation(self.alphabet, self.space,
@@ -77,8 +81,7 @@ class Presentation:
                 f"{'*'.join(self.alphabet)}>")
 
 
-@dataclass
-class CertEntry:
+class CertEntry(NamedTuple):
     left: Word
     rel_index: int
     right: Word
@@ -94,8 +97,8 @@ class MembershipCertificate:
         self.entries = list(entries)
 
     def verify(self, target: NcPoly, relations: Sequence[NcPoly]) -> bool:
-        rows = ((e.left, e.rel_index, e.right, e.coeff) for e in self.entries)
-        return not _residual(rows, [r.terms for r in relations], target.terms)
+        return not _residual(self.entries, [r.terms for r in relations],
+                             target.terms)
 
     def __len__(self):
         return len(self.entries)
@@ -131,14 +134,13 @@ class _Span:
     from those steps only when the target reduces to zero."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
-        self.relations = list(relations)
         self.space = space
         self.rational = not space
         self.tags: list = []       # (left, rel_index, right) in insertion order
         # pivot word -> (monic vec, tag, inverse of the pivot, steps); a
         # row's tag is also its creation index, since rows enter in tag order
         self.basis: dict = {}
-        self._vec_cache = [self._to_vec(r) for r in self.relations]
+        self._vec_cache = [self._to_vec(r) for r in relations]
 
     def _to_vec(self, p: NcPoly) -> dict:
         if self.rational:
@@ -215,10 +217,9 @@ class _Span:
         rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
         if _residual(rows, self._vec_cache, self._to_vec(target)):
             raise RuntimeError("internal error: certificate failed re-expansion")
-        if self.rational:
-            rows = [(l, i, r, Coefficient.const(self.space, c))
-                    for l, i, r, c in rows]
-        return MembershipCertificate([CertEntry(*row) for row in rows])
+        return MembershipCertificate(
+            [CertEntry(l, i, r, Coefficient.const(self.space, c))
+             for l, i, r, c in rows])
 
 
 def _residual(rows, relation_terms, target_terms) -> dict:
@@ -276,22 +277,28 @@ def _check_bounded_rows(relations: int, n: int, wrapper_len: int):
 
 
 def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
-              space: Space, graded: bool,
-              wrapper_len: Optional[int]) -> list:
-    """One verdict per target.  Graded: against the complete slice of the
+              space: Space, wrapper_len: Optional[int],
+              graded: Optional[bool] = None) -> list:
+    """One verdict per target.  Graded (by default when every relation and
+    every target is homogeneous): against the complete slice of the
     target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
     against the wrappers up to wrapper_len, so a failed search is
-    INCONCLUSIVE."""
+    INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries."""
+    if targets and not relations:
+        raise ValueError("empty relation list")
     if wrapper_len is not None and wrapper_len < 0:
         raise ValueError("wrapper length must be nonnegative")
-    verdicts = [MembershipVerdict(MEMBER, MembershipCertificate([]))
-                if t.is_zero() else MembershipVerdict(NON_MEMBER) if graded
-                else MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)
-                for t in targets]
+    if graded is None:
+        graded = all(p.is_homogeneous() for p in chain(relations, targets))
+    verdicts = []
     batches: dict = {}         # degree (None if bounded) -> target indices
     for k, target in enumerate(targets):
-        if not target.is_zero():
-            batches.setdefault(target.degree() if graded else None, []).append(k)
+        if target.is_zero():
+            verdicts.append(MembershipVerdict(MEMBER, MembershipCertificate([])))
+            continue
+        verdicts.append(MembershipVerdict(NON_MEMBER) if graded else
+                        MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
+        batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
         span = _Span(relations, space)
         open_ = {k: (span._to_vec(targets[k]), []) for k in batch}
@@ -326,23 +333,20 @@ def _overall(verdicts, yes: str, no: str) -> str:
 def graded_membership(target: NcPoly, relations: Sequence[NcPoly]) -> MembershipVerdict:
     """Definitive membership of a homogeneous target in the two-sided ideal
     generated by homogeneous relations, decided degree slice by degree slice."""
-    if not relations:
-        raise ValueError("empty relation list")
     for rel in relations:
         if not rel.is_homogeneous():
             raise ValueError("graded membership needs homogeneous relations")
     if not target.is_homogeneous():
         raise ValueError("graded membership needs a homogeneous target")
-    return _verdicts([target], relations, target.space, True, None)[0]
+    return _verdicts([target], relations, target.space, None, graded=True)[0]
 
 
 def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
                        wrapper_len: int = 2) -> MembershipVerdict:
     """Membership search over wrappers with |l|+|r| <= wrapper_len; returns
     MEMBER with certificate or INCONCLUSIVE (never NON_MEMBER)."""
-    if not relations:
-        raise ValueError("empty relation list")
-    return _verdicts([target], relations, target.space, False, wrapper_len)[0]
+    return _verdicts([target], relations, target.space, wrapper_len,
+                     graded=False)[0]
 
 
 @dataclass
@@ -366,8 +370,7 @@ def involution_stability(p: Presentation, wrapper_len: int = 2) -> StabilityRepo
     test; otherwise a bounded search is used and a failed search leaves the
     overall verdict INCONCLUSIVE."""
     images = [rel.involute(p.involution) for rel in p.relations]
-    verdicts = _verdicts(images, p.relations, p.space, p.homogeneous,
-                         wrapper_len)
+    verdicts = _verdicts(images, p.relations, p.space, wrapper_len)
     return StabilityReport(_overall(verdicts, STABLE, UNSTABLE),
                            [RelationStability(i, v)
                             for i, v in enumerate(verdicts)])
@@ -381,14 +384,6 @@ class EquivalenceReport:
     wrapper_len: int
 
 
-def _one_direction(sources: Sequence[NcPoly], targets: Presentation,
-                   wrapper_len: int):
-    """Verdicts for each source relation against the target ideal."""
-    graded = targets.homogeneous and all(s.is_homogeneous() for s in sources)
-    return _verdicts(sources, targets.relations, targets.space, graded,
-                     wrapper_len)
-
-
 def presentations_equivalent(P: Presentation, Q: Presentation,
                              wrapper_len: int = 2) -> EquivalenceReport:
     """Do P and Q generate the same two-sided ideal under the identity map
@@ -400,7 +395,7 @@ def presentations_equivalent(P: Presentation, Q: Presentation,
         raise ValueError("presentations use different parameter spaces")
     if P.involution != Q.involution:
         raise ValueError("presentations use different involutions")
-    forward = _one_direction(P.relations, Q, wrapper_len)
-    backward = _one_direction(Q.relations, P, wrapper_len)
+    forward = _verdicts(P.relations, Q.relations, Q.space, wrapper_len)
+    backward = _verdicts(Q.relations, P.relations, P.space, wrapper_len)
     verdict = _overall(forward + backward, EQUIVALENT, NOT_EQUIVALENT)
     return EquivalenceReport(verdict, forward, backward, wrapper_len)

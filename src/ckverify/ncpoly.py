@@ -151,16 +151,18 @@ class NcPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def word_str(self, w: Word) -> str:
-        if not w:
-            return "1"
-        return "*".join(self.alphabet[i] for i in w)
-
     def __str__(self) -> str:
         return print_expr(self)
 
     def __repr__(self) -> str:
         return f"<NcPoly {self}>"
+
+
+def word_str(alphabet, word: Word) -> str:
+    """The generator names of a word joined by '*'; the empty word is 1."""
+    if not word:
+        return "1"
+    return "*".join(alphabet[i] for i in word)
 
 
 def print_expr(p: NcPoly) -> str:
@@ -170,7 +172,7 @@ def print_expr(p: NcPoly) -> str:
     parts = []
     for w, c in p.sorted_terms():
         neg, mag = c.sign_split()
-        word = p.word_str(w)
+        word = word_str(p.alphabet, w)
         if not w:
             body = mag if mag is not None else "1"
         elif mag is None:

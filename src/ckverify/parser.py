@@ -57,7 +57,7 @@ def _tokenize(text: str, line0: int) -> list:
     """The token strings of text, ending with an empty one."""
     tokens = _TOKEN.findall(text)
     bad = [tokens.index(t) for t in set(tokens) if t and t not in _OPS
-           and not (t[0].isalpha() or t[0] == "_" or t[0].isdecimal())]
+           and not (_is_name(t) or t.isdecimal())]
     if bad:  # a stray character, or one like '²' that is \w but no letter
         i = min(bad)
         raise _error(text, line0, f"unexpected character {tokens[i][0]!r}",

@@ -1,6 +1,7 @@
 """Dead code in src/ckverify: an import a module never uses, or a private
 module-level function or class, or a private method of a module-level
-class, that nothing refers to."""
+class, that nothing refers to; and a package __all__ that has drifted from
+the names the package imports."""
 from __future__ import annotations
 
 import ast
@@ -30,6 +31,16 @@ def test_every_import_is_used():
                     for a in node.names}
         unused = imported - _names(tree)
         assert not unused, f"{module} imports {sorted(unused)} unused"
+
+
+def test_all_lists_exactly_the_imported_names():
+    """ckverify.__all__ names each name the package imports, once."""
+    import ckverify
+    imported = {a.asname or a.name for node in TREES["__init__"].body
+                if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__" for a in node.names}
+    assert len(ckverify.__all__) == len(set(ckverify.__all__))
+    assert set(ckverify.__all__) == imported
 
 
 def test_every_private_definition_is_referenced():

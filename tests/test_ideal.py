@@ -9,15 +9,15 @@ import pytest
 from ckverify import ideal
 from ckverify.coeff import Coefficient, RATIONALS
 from ckverify.ideal import (
-    EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, Presentation, STABLE,
-    UNSTABLE, bounded_membership, graded_membership, involution_stability,
-    presentations_equivalent)
+    EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, NOT_EQUIVALENT,
+    Presentation, STABLE, UNSTABLE, bounded_membership, graded_membership,
+    involution_stability, presentations_equivalent)
 from ckverify.ncpoly import NcPoly, adjoint_involution
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
                                     _defining_pair, _exchange_relations,
-                                    cuntz_krieger, ideal_I0, ideal_Omega0,
-                                    lemma2_solve, modulus_family, sklyanin,
-                                    verify)
+                                    cuntz_krieger, ideal_I0, ideal_J0,
+                                    ideal_Omega0, lemma2_solve,
+                                    modulus_family, sklyanin, verify)
 
 from oracles import (EagerSpan, expand_certificate, graded_member_oracle,
                      poly_to_dict, wrapper_order)
@@ -173,6 +173,39 @@ def test_equivalence_identical_presentations():
         assert v.kind == MEMBER
 
 
+@pytest.mark.parametrize("p", [
+    sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1)),
+    cuntz_krieger(CKMatrix.for_modulus(7))], ids=["graded", "bounded"])
+def test_empty_relation_list_is_refused_where_a_target_needs_it(p):
+    """A relation of one side has nothing to be reduced against on an
+    empty side, in either direction; with no target at all, the empty
+    presentation is stable and equivalent to itself."""
+    empty = Presentation(p.alphabet, p.space, [], p.involution)
+    for P, Q in ((p, empty), (empty, p)):
+        with pytest.raises(ValueError, match="^empty relation list$"):
+            presentations_equivalent(P, Q)
+    assert involution_stability(empty).verdict == STABLE
+    assert presentations_equivalent(empty, empty).verdict == EQUIVALENT
+
+
+def test_equivalence_is_graded_exactly_when_every_relation_is_homogeneous():
+    """Omega0 against J0: all six relations are quadratic, so each failed
+    reduction is a definitive NON_MEMBER.  The inhomogeneous unit relation
+    on one side makes both directions bounded searches, which stay
+    INCONCLUSIVE at wrapper length 2."""
+    inv = adjoint_involution()
+    j0 = Presentation(X, RATIONALS, ideal_J0(), inv)
+    omega = Presentation(X, RATIONALS, ideal_Omega0(), inv)
+    rep = presentations_equivalent(omega, j0)
+    assert rep.verdict == NOT_EQUIVALENT
+    assert [v.kind for v in rep.forward + rep.backward] == [NON_MEMBER] * 6
+    omega_unit = omega.with_relations(ideal_I0())
+    rep = presentations_equivalent(omega_unit, j0)
+    assert rep.verdict == INCONCLUSIVE
+    assert [(v.kind, v.bound) for v in rep.forward + rep.backward] == \
+        [(INCONCLUSIVE, 2)] * 7
+
+
 def test_wrapper_len_zero():
     unit = gen(0) * gen(1) + gen(2) * gen(3) - NcPoly.one(X, RATIONALS)
     v = bounded_membership(unit.scale(3), [unit], wrapper_len=0)
@@ -212,7 +245,7 @@ def test_family_certificates_match_eager_oracle(b, with_omega):
     for sources, targets, verdicts in ((p, q, rep.forward),
                                        (q, p, rep.backward)):
         # the unit relation makes both sides inhomogeneous: bounded spans
-        assert not targets.homogeneous
+        assert not all(r.is_homogeneous() for r in targets.relations)
         rows = wrapper_order(4, [r.degree() for r in targets.relations],
                              wrapper_len=rep.wrapper_len)
         oracle = EagerSpan([poly_to_dict(r) for r in targets.relations], rows)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS
-from ckverify.ncpoly import InvolutionSpec, NcPoly, adjoint_involution
+from ckverify.ncpoly import (InvolutionSpec, NcPoly, adjoint_involution,
+                             word_str)
 
 X = ("x1", "x2", "x3", "x4")
 
@@ -33,7 +34,7 @@ def test_monomial_construction():
     assert (x1 * x2 - x1 * x2).is_zero()
     assert NcPoly.one(X, RATIONALS).degree() == 0
     assert (x1 * x2).degree() == 2
-    assert p.word_str((3, 0, 2)) == "x4*x1*x3"
+    assert word_str(X, (3, 0, 2)) == "x4*x1*x3"
 
 
 def test_noncommutativity():

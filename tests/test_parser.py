@@ -255,6 +255,25 @@ def test_non_decimal_digit_is_a_positioned_error():
     assert parse_expr("x1*٣", X) == parse_expr("3*x1", X)  # Arabic-Indic 3
 
 
+@pytest.mark.parametrize("name, accepted", [
+    ("x_1", True), ("_x", True), ("a²", True), ("x٣", True), ("xⅧ", True),
+    ("Ⅷ", False), ("²a", False)])
+def test_generator_names_are_the_names_expressions_read(name, accepted):
+    """A name is accepted in GENERATORS: exactly when parse_expr reads it
+    as one generator: its first character is a letter or '_'."""
+    text = (f"GENERATORS: {name}\nINVOLUTION: {name} -> {name}\n"
+            f"RELATIONS:\n  {name}\n")
+    if accepted:
+        assert parse_presentation_text(text).alphabet == (name,)
+        assert parse_expr(name, (name,)) == \
+            NcPoly.generator((name,), RATIONALS, 0)
+    else:
+        with pytest.raises(ParseError, match="^bad generator name"):
+            parse_presentation_text(text)
+        with pytest.raises(ParseError, match="^unexpected character"):
+            parse_expr(name, (name,))
+
+
 def test_early_end_is_reported_as_such():
     for text, col in (("x1 +", 5), ("x1 *", 5), ("-", 2), ("", 1),
                       ("(x1 - ", 7)):

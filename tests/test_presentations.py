@@ -49,7 +49,6 @@ def test_sklyanin_relation_count_and_degree():
     p = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
     assert len(p.relations) == 6
     assert all(r.is_homogeneous() and r.degree() == 2 for r in p.relations)
-    assert p.homogeneous
 
 
 def test_ck_matrix_validation():
@@ -71,7 +70,7 @@ def test_ck_relations():
     assert p.relations[0] == x[1] * x[0] - (x[0] * x[1]).scale(2) - x[2] * x[3]
     assert p.relations[1] == x[3] * x[2] - x[0] * x[1] - x[2] * x[3]
     assert p.relations[2] == x[0] * x[1] + x[2] * x[3] - NcPoly.one(X, RATIONALS)
-    assert not p.homogeneous
+    assert not p.relations[2].is_homogeneous()
 
 
 def test_constant_ideals():
