@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import Optional
 
 from . import ideal
@@ -249,16 +250,25 @@ def _cmd_check_file(args) -> int:
     return _EXIT_BY_VERDICT[report.verdict]
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """A warning as one line on stderr, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            status = _cmd_verify(args)
-        elif args.command == "sweep":
-            status = _cmd_sweep(args)
-        else:
-            status = _cmd_check_file(args)
+        # catch_warnings puts the caller's warnings.showwarning back on exit
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if args.command == "verify":
+                status = _cmd_verify(args)
+            elif args.command == "sweep":
+                status = _cmd_sweep(args)
+            else:
+                status = _cmd_check_file(args)
         # a reader that closed stdout early shows here, not at exit
         sys.stdout.flush()
         return status

@@ -17,6 +17,10 @@ and the names a value uses decide how it is stored:
   (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled against
   g = gcd(b, d) only, so coprime denominators -- one of them constant, say
   -- need no further GCD; a product by a rational constant needs none.
+  A product by 1 or -1, a sum of two integers and the negation or inverse
+  of an integer are canonical as built, so they skip the content GCD too.
+  `_gcd` keeps its last 1,024 results, since the certificates of one claim
+  ask for the same few hundred GCDs again and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
   conjugate of such a value (the same pair at the conjugate name's index)
   and its printed form are also read straight off the pair.
@@ -41,6 +45,7 @@ a constant denominator folded into the numerator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
@@ -267,6 +272,11 @@ def _ipoly_lin(x: int, a: tuple, y: int, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _ipoly_neg(a: tuple) -> tuple:
+    """-a; a constant is negated without building a list."""
+    return (-a[0],) if len(a) == 1 else tuple([-x for x in a])
+
+
 def _ipoly_mul(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero polynomials; its leading coefficient is the
     product of theirs, so it has no trailing zeros."""
@@ -303,6 +313,8 @@ def _prem(a: tuple, b: tuple) -> tuple:
     return tuple(a)
 
 
+# bounded, so that a long run's memory stays flat
+@lru_cache(maxsize=1024)
 def _gcd(a: tuple, b: tuple) -> tuple:
     """Primitive GCD with positive leading coefficient of two nonconstant
     integer polynomials.  A linear operand q*t - p divides the other, a,
@@ -531,13 +543,17 @@ class Coefficient:
                 return NotImplemented
         idx = _shared(self, other)
         if idx is None:
-            n, m = self.num * other.den, other.num * self.den
-            return Coefficient(n + m if sign > 0 else n - m,
-                               self.den * other.den)
-        if not other._num:
+            a, b, c, d = self.num, self.den, other.num, other.den
+            n, m = a * d, c * b
+            return Coefficient(n + m if sign > 0 else n - m, b * d)
+        a, c = self._num, other._num
+        if not c:
             return self
-        if not self._num:
+        if not a:
             return other if sign > 0 else -other
+        if len(a) == len(c) == 1 and self._den == _ONE == other._den:
+            s = a[0] + c[0] if sign > 0 else a[0] - c[0]  # two integers
+            return _qt(self.names, ((s,), _ONE) if s else _ZERO, idx)
         return _qt(self.names, _pair_sum(self, other, sign), idx)
 
     def __add__(self, other):
@@ -548,8 +564,7 @@ class Coefficient:
     def __neg__(self):
         if self._idx is None:
             return Coefficient(-self._num, self._den)
-        return _qt(self.names, (tuple([-x for x in self._num]), self._den),
-                   self._idx)
+        return _qt(self.names, (_ipoly_neg(self._num), self._den), self._idx)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -574,6 +589,9 @@ class Coefficient:
             a, b, c, d = c, d, a, b
         if len(c) == len(d) == 1:  # scaling a coprime pair keeps it coprime
             c, d = c[0], d[0]
+            if d == 1 and (c == 1 or c == -1):  # already canonical
+                return _qt(self.names, (a if c == 1 else _ipoly_neg(a), b),
+                           idx)
             return _qt(self.names, _strip_content(
                 tuple([c * v for v in a]), tuple([d * v for v in b])), idx)
         # a/b and c/d are in lowest terms, so a*c/(b*d) is in lowest terms
@@ -590,8 +608,12 @@ class Coefficient:
             raise PoleError("inverse of the zero coefficient")
         if self._idx is None:
             return Coefficient(self._den, self._num)
-        return _qt(self.names, _strip_content(self._den, self._num),
-                   self._idx)
+        n, d = self._num, self._den
+        if d == _ONE and len(n) == 1:  # an integer k goes to 1/k
+            k = n[0]
+            return _qt(self.names, (_ONE, n) if k > 0 else ((-1,), (-k,)),
+                       self._idx)
+        return _qt(self.names, _strip_content(d, n), self._idx)
 
     def __truediv__(self, other):
         other = self._coerce(other)

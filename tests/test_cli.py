@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -124,6 +125,31 @@ def test_byte_identical_json_two_runs():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.strip()
+
+
+# ---------------------------------------------------------------------------
+# the degenerate-alpha warning at b = 2
+
+DEGENERATE = ("warning: alpha in {0, 1, -1} lies outside the smooth range of "
+              "the quadric family\n")
+
+
+@pytest.mark.parametrize("args", [("verify", "theorem1", "--b", "2"),
+                                  ("sweep", "--from", "2", "--to", "3")])
+def test_degenerate_alpha_warning_is_one_line(args):
+    r = run_cli(*args)
+    assert (r.returncode, r.stderr) == (2, DEGENERATE)
+    assert "INCONCLUSIVE" in r.stdout
+
+
+def test_main_puts_the_warning_printer_back(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        before = warnings.showwarning
+        code, _, err = main_quiet(["verify", "theorem1", "--b", "2"], capsys)
+        assert warnings.showwarning is before
+    assert code == 2
+    assert err and set(err.splitlines(keepends=True)) == {DEGENERATE}
 
 
 # ---------------------------------------------------------------------------

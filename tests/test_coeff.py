@@ -1,6 +1,7 @@
 """Exact scalar layer: multivariate polynomials and rational functions."""
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ import pytest
 
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
-from ckverify.coeff import _gcd, _ipoly_mul
+from ckverify.coeff import _gcd, _ipoly_mul, _qt
 from oracles import (coefficient_conjugate, coefficient_factor,
                      coefficient_param, coefficient_str, prs_gcd)
 
@@ -680,6 +681,7 @@ def test_products_by_a_rational_constant_match_sympy():
 def test_linear_gcd_matches_the_prs_route(linear):
     rng = random.Random(3333 + linear[0])
     planted = 0
+    _gcd.cache_clear()
     for _ in range(300):
         a = tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 6)))
         if not a[-1]:
@@ -687,12 +689,128 @@ def test_linear_gcd_matches_the_prs_route(linear):
         if rng.random() < 0.5:  # a multiple of the linear divisor
             a = _ipoly_mul(a, linear)
             planted += 1
-        for x, y in ((a, linear), (linear, a),
-                     (tuple(-v for v in a), linear)):
+        # a times the constants 1, -1 and 3, against linear times 1 and
+        # -2: keys that differ only by a constant factor share the GCD
+        for x, y in ((a, linear), (linear, a), (tuple(-v for v in a), linear),
+                     (tuple(3 * v for v in a), tuple(-2 * v for v in linear))):
             expected = prs_gcd(x, y)
-            assert tuple(_gcd(x, y)) == expected
             assert expected in ((1,), linear)
+            # computed, then read back from the cache
+            for _ in range(2):
+                assert _gcd(x, y) == expected
+    info = _gcd.cache_info()
     assert planted >= 100
+    assert info.hits >= info.misses and info.currsize <= info.maxsize
+
+
+def _kernel_idx(op, x, y, r):
+    """The index that r = x op y carries (op "neg" or "inv" and y None for
+    -x and x.inv()): 0 after a zero factor; the index of the one name that
+    r or an operand uses; and for a constant of constants x's index, but
+    y's for 0 + y and 0 - y."""
+    if op in "*/" and (x.is_zero() or y.is_zero()):
+        return 0
+    for v in (r, x, y):
+        if v is not None and not v.is_rational():
+            return v._idx
+    if op in "+-" and x.is_zero() and not y.is_zero():
+        return y._idx
+    return x._idx
+
+
+def _fraction_pair(q: Fraction) -> tuple:
+    return ((), (1,)) if not q else ((q.numerator,), (q.denominator,))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def _expected(op, x, y, pair):
+    """x op y as a numerator and a denominator, from pair(z), z's: the
+    same formulas serve MultiPolys and sympy Polys."""
+    a, b = pair(x)
+    if op == "neg":
+        return -a, b
+    if op == "inv":
+        return b, a
+    c, d = pair(y)
+    return {"+": (a * d + c * b, b * d), "-": (a * d - c * b, b * d),
+            "*": (a * c, b * d), "/": (a * d, b * c)}[op]
+
+
+@pytest.mark.parametrize("names", [("b",), SIX], ids=["b", "six"])
+def test_constant_operands_match_sympy(names):
+    """0, 1, -1 and other integers as either operand of every kernel
+    operation, as a Coefficient at each index of names and as an int:
+    each result's canonical pair against the MultiPoly route, and the
+    first two values' results against sympy."""
+    sympy = pytest.importorskip("sympy")
+    gens = tuple(sympy.Symbol(n) for n in names)
+    rng = random.Random(5151 + len(names))
+    name, last = names[-1], len(names) - 1
+    values = []
+    while len(values) < 6:
+        num = _rand_poly(rng, names, name, 3, rng.choice((1, 4)))
+        den = _rand_poly(rng, names, name, 2, 2) if len(values) % 2 else \
+            MultiPoly.const(names, rng.randint(1, 6))
+        if num.is_zero() or den.is_zero():
+            continue
+        v = Coefficient(num, den)
+        if not v.is_rational():
+            values.append(v)
+    ints = (0, 1, -1, 2, -3, 12)
+    # over SIX the constants sit at alpha's index and at gammabar's, the
+    # values' name: a constant's index may differ from its partner's
+    consts = [_qt(names, _fraction_pair(Fraction(k)), i)
+              for k in ints + (Fraction(-3, 7),) for i in {0, last}]
+
+    # two constants, against Fraction arithmetic
+    for x in consts:
+        qx = x.as_fraction()
+        for r, q in [(-x, -qx)] + ([(x.inv(), 1 / qx)] if qx else []):
+            assert (r._num, r._den, r._idx) == (*_fraction_pair(q), x._idx)
+        for y in consts:
+            qy = y.as_fraction()
+            for op, f in _BINARY.items():
+                if op == "/" and not qy:
+                    with pytest.raises(PoleError):
+                        f(x, y)
+                    continue
+                r = f(x, y)
+                assert (r._num, r._den) == _fraction_pair(f(qx, qy))
+                assert r._idx == _kernel_idx(op, x, y, r), (op, x, y)
+
+    # a value in the last name and a constant, in both positions
+    def lift(z):
+        return Coefficient.const(names, z) if type(z) is int else z
+
+    def multipoly_pair(z):
+        z = lift(z)
+        return z.num, z.den
+
+    def sympy_pair(z):
+        return _sympy_pair(lift(z), gens)
+
+    for i, v in enumerate(values):
+        cases = [("neg", v, None, -v), ("inv", v, None, v.inv())]
+        for k in consts + list(ints):
+            for op, f in _BINARY.items():
+                for x, y in ((v, k), (k, v)):
+                    if op == "/" and y is k and not k:
+                        with pytest.raises(PoleError):
+                            f(x, y)
+                    else:
+                        cases.append((op, x, y, f(x, y)))
+        for op, x, y, r in cases:
+            route = Coefficient(*_expected(op, x, y, multipoly_pair))
+            assert (r.names, r._num, r._den) == \
+                (names, route._num, route._den), (op, x, y)
+            assert type(r._num) is type(r._den) is tuple
+            assert r._idx == _kernel_idx(op, lift(x), lift(y), r), (op, x, y)
+            if i < 2:
+                _assert_value(r, _expected(op, x, y, sympy_pair), gens)
+                _assert_canonical(r, gens)
 
 
 def test_prs_gcd_is_a_tuple():

@@ -1,7 +1,8 @@
 """Dead code in src/ckverify: an import a module never uses, or a private
 module-level function or class, or a private method of a module-level
-class, that nothing refers to; and a package __all__ that has drifted from
-the names the package imports."""
+class, that nothing refers to; a package __all__ that has drifted from
+the names the package imports; and a cache without a bound on a function
+that takes arguments."""
 from __future__ import annotations
 
 import ast
@@ -58,3 +59,54 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") \
                     and not node.name.startswith("__"):
                 assert node.name in used, f"{module}.{node.name} is unused"
+
+
+def _unbounded_caches(tree) -> dict:
+    """Function name -> whether it takes arguments, for each function
+    decorated with functools.cache or lru_cache with maxsize None: such a
+    cache keeps every distinct call's arguments and result for the life of
+    the process."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            func = deco.func if call else deco
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name == "lru_cache" and call:
+                sizes = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"]
+                unbounded = any(isinstance(s, ast.Constant) and s.value is None
+                                for s in sizes)
+            else:
+                unbounded = name == "cache"
+            if unbounded:
+                a = node.args
+                found[node.name] = bool(a.posonlyargs or a.args
+                                        or a.kwonlyargs or a.vararg
+                                        or a.kwarg)
+    return found
+
+
+def test_no_unbounded_cache_on_a_function_with_arguments():
+    seen = set()
+    for module, tree in TREES.items():
+        for name, takes_arguments in _unbounded_caches(tree).items():
+            assert not takes_arguments, \
+                f"{module}.{name} has an unbounded cache"
+            seen.add(f"{module}.{name}")
+    # the zero-argument caches this check leaves alone, found by it
+    assert seen == {"cli._build_parser", "curves._ensure_formulas_validated"}
+    # what it refuses, and the bounded form it accepts
+    sample = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(*xs): pass\n"
+        "@functools.lru_cache(None)\ndef c(self): pass\n"
+        "@lru_cache(maxsize=1024)\ndef d(x): pass\n"
+        "@lru_cache\ndef e(x): pass\n"
+        "@cache\ndef f(): pass\n")
+    assert _unbounded_caches(sample) == {"a": True, "b": True, "c": True,
+                                         "f": False}
