@@ -252,8 +252,15 @@ def _cmd_check_file(args) -> int:
 
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None):
-    """A warning as one line on stderr, without its source location."""
-    print(f"warning: {message}", file=sys.stderr)
+    """A UserWarning, the category ckverify raises, as one line without its
+    source location; any other category in the default form, which names
+    the category and the source."""
+    out = sys.stderr if file is None else file
+    if category is UserWarning:
+        out.write(f"warning: {message}\n")
+    else:
+        out.write(warnings.formatwarning(message, category, filename, lineno,
+                                         line))
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,8 @@ and the names a value uses decide how it is stored:
   (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled against
   g = gcd(b, d) only, so coprime denominators -- one of them constant, say
   -- need no further GCD; a product by a rational constant needs none.
-  A product by 1 or -1, a sum of two integers and the negation or inverse
-  of an integer are canonical as built, so they skip the content GCD too.
+  A product by 1 or -1 and a sum of two integers are canonical as built,
+  so they skip the content GCD too.
   `_gcd` keeps its last 1,024 results, since the certificates of one claim
   ask for the same few hundred GCDs again and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
@@ -273,8 +273,8 @@ def _ipoly_lin(x: int, a: tuple, y: int, b: tuple) -> tuple:
 
 
 def _ipoly_neg(a: tuple) -> tuple:
-    """-a; a constant is negated without building a list."""
-    return (-a[0],) if len(a) == 1 else tuple([-x for x in a])
+    """-a."""
+    return tuple([-x for x in a])
 
 
 def _ipoly_mul(a: tuple, b: tuple) -> tuple:
@@ -608,12 +608,8 @@ class Coefficient:
             raise PoleError("inverse of the zero coefficient")
         if self._idx is None:
             return Coefficient(self._den, self._num)
-        n, d = self._num, self._den
-        if d == _ONE and len(n) == 1:  # an integer k goes to 1/k
-            k = n[0]
-            return _qt(self.names, (_ONE, n) if k > 0 else ((-1,), (-k,)),
-                       self._idx)
-        return _qt(self.names, _strip_content(d, n), self._idx)
+        return _qt(self.names, _strip_content(self._den, self._num),
+                   self._idx)
 
     def __truediv__(self, other):
         other = self._coerce(other)

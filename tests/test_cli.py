@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from ckverify import cli
 from ckverify.cli import main
 from ckverify.parser import print_presentation
 from ckverify.presentations import CKMatrix, cuntz_krieger
@@ -150,6 +151,20 @@ def test_main_puts_the_warning_printer_back(capsys):
         assert warnings.showwarning is before
     assert code == 2
     assert err and set(err.splitlines(keepends=True)) == {DEGENERATE}
+
+
+def test_main_keeps_the_category_of_other_warnings(capsys, monkeypatch):
+    def deprecated(args):
+        warnings.warn("old option", DeprecationWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_verify", deprecated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, _, err = main_quiet(["verify", "lemma2", "--b", "3"], capsys)
+    assert code == 0
+    assert "DeprecationWarning: old option" in err
+    assert __file__ in err
 
 
 # ---------------------------------------------------------------------------
