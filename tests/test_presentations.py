@@ -35,14 +35,25 @@ def test_params_constraint_enforced():
     # (alpha, 1, -1) satisfies the constraint for every alpha
     SklyaninParams.of(alpha_sym(), 1, -1, ("alpha",))
     SklyaninParams.of(Fraction(3, 7), 1, -1)
+    with pytest.raises(ValueError, match="different spaces"):
+        SklyaninParams(alpha_sym(), Coefficient.const(RATIONALS, 1),
+                       Coefficient.const(RATIONALS, -1))
 
 
 def test_degenerate_alpha_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SklyaninParams.of(0, 1, -1)
-    assert len(caught) == 1
-    assert "smooth range" in str(caught[0].message)
+    # the warning names the frame that built the parameters: `of` in
+    # presentations.py, or the caller of the constructor
+    one, minus_one = (Coefficient.const(RATIONALS, v) for v in (1, -1))
+    for build, filename in (
+            (lambda: SklyaninParams.of(0, 1, -1), presentations.__file__),
+            (lambda: SklyaninParams(Coefficient.const(RATIONALS, 0), one,
+                                    minus_one), __file__)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        assert len(caught) == 1
+        assert "smooth range" in str(caught[0].message)
+        assert caught[0].filename == filename
 
 
 def test_sklyanin_relation_count_and_degree():
