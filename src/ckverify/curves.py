@@ -16,9 +16,8 @@ an independent invariant chain before the first record is built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coeff import Coefficient, MultiPoly, RATIONALS, Space
 
@@ -69,17 +68,17 @@ def _degrees(p: MultiPoly, variables: tuple) -> set:
     return {sum(e[i] for i in pos) for e in p.terms}
 
 
-@dataclass(frozen=True)
 class QuadricSystem:
     """A list of quadratic forms in a fixed set of geometric variables,
     with coefficients that may involve the family parameter."""
 
-    names: Space            # full polynomial space (parameter names + variables)
-    variables: tuple        # the geometric variables within `names`
-    members: tuple          # MultiPoly values, each quadratic in `variables`
+    __slots__ = ("names", "variables", "members")
 
-    def __post_init__(self):
-        if any(_degrees(m, self.variables) - {2} for m in self.members):
+    def __init__(self, names: Space, variables: tuple, members: tuple):
+        self.names = names          # parameter names + variables
+        self.variables = variables  # the geometric variables within `names`
+        self.members = members      # MultiPolys, quadratic in `variables`
+        if any(_degrees(m, variables) - {2} for m in members):
             raise ValueError("member is not homogeneous of degree 2 in the "
                              "geometric variables")
 
@@ -125,8 +124,7 @@ def _substitute_squares(member: MultiPoly, system: QuadricSystem,
     return out
 
 
-@dataclass(frozen=True)
-class Eq20Report:
+class Eq20Report(NamedTuple):
     """Outcome of substituting u^2=T^2, v^2=Y^2/2-Z^2/2-T^2,
     w^2=X^2+Y^2/2-Z^2/2-T^2, z^2=Z^2 into the (u,v,w,z) quadrics."""
 
@@ -181,8 +179,7 @@ def _plane_cubic(a: Coefficient) -> MultiPoly:
     return y * y - x * (x + one) * (x + one - ap)
 
 
-@dataclass(frozen=True)
-class Eq22Report:
+class Eq22Report(NamedTuple):
     """Outcome of the polynomial parametrization X=-2y, Y=x^2-1+a,
     Z=x^2+2(1-a)x+1-a, T=x^2+2x+1-a applied to the (X,Y,Z,T) pair."""
 
@@ -218,8 +215,7 @@ def verify_eq22_step(alpha=None) -> Eq22Report:
     return Eq22Report(cubic, *factors, ok)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     """Outcome of normalizing the cubic: shift x -> x - 1, then pass to
     the homogeneous form in (x, y, z)."""
 
@@ -251,8 +247,7 @@ def shift_and_homogenize(alpha=None) -> ShiftReport:
 # ---------------------------------------------------------------------------
 # Legendre curve invariants
 
-@dataclass(frozen=True)
-class LegendreCurve:
+class LegendreCurve(NamedTuple):
     """Exact invariants of y^2 = x(x-1)(x-lam).
 
     `cubic_coeffs` lists the coefficients of x(x-1)(x-lam) from x^3 down
@@ -353,8 +348,7 @@ def curve_for_b(b: int) -> LegendreCurve:
     return legendre_invariants(Fraction(b - 2, b + 2))
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """The three verification stages plus the resulting curve data."""
 
     eq20: Eq20Report

@@ -28,7 +28,6 @@ for a target reduced to zero; basis rows are independent, so it is unique.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, product
 from typing import NamedTuple, Optional, Sequence
@@ -110,8 +109,7 @@ class MembershipCertificate:
         return f"<MembershipCertificate {len(self.entries)} entries>"
 
 
-@dataclass
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     kind: str  # MEMBER | NON_MEMBER | INCONCLUSIVE
     certificate: Optional[MembershipCertificate] = None
     bound: Optional[int] = None
@@ -349,14 +347,12 @@ def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
                      graded=False)[0]
 
 
-@dataclass
-class RelationStability:
+class RelationStability(NamedTuple):
     index: int
     verdict: MembershipVerdict
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     verdict: str  # STABLE | UNSTABLE | INCONCLUSIVE
     relations: list
 
@@ -376,8 +372,7 @@ def involution_stability(p: Presentation, wrapper_len: int = 2) -> StabilityRepo
                             for i, v in enumerate(verdicts)])
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     verdict: str  # EQUIVALENT | NOT_EQUIVALENT | INCONCLUSIVE
     forward: list   # MembershipVerdict per P-relation against Q's ideal
     backward: list  # MembershipVerdict per Q-relation against P's ideal

@@ -9,9 +9,8 @@ is an identity in the parameter, not a spot check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import curves, ideal
 from .coeff import Coefficient, ConjugationSpec, PoleError, RATIONALS, Space
@@ -32,26 +31,24 @@ def _check_modulus(b):
 # ---------------------------------------------------------------------------
 # parameter containers
 
-@dataclass(frozen=True)
 class SklyaninParams:
     """The deformation triple (alpha, beta, gamma), constrained by
     alpha + beta + gamma + alpha*beta*gamma = 0."""
 
-    alpha: Coefficient
-    beta: Coefficient
-    gamma: Coefficient
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        a, b, g = self.alpha, self.beta, self.gamma
-        if not (a.names == b.names == g.names):
+    def __init__(self, alpha: Coefficient, beta: Coefficient,
+                 gamma: Coefficient):
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        if not (alpha.names == beta.names == gamma.names):
             raise ValueError("parameters live in different spaces")
-        if not (a + b + g + a * b * g).is_zero():
+        if not (alpha + beta + gamma + alpha * beta * gamma).is_zero():
             raise ValueError(
                 "parameters violate alpha + beta + gamma + alpha*beta*gamma = 0")
-        if a.is_rational() and a.as_fraction() in (0, 1, -1):
+        if alpha.is_rational() and alpha.as_fraction() in (0, 1, -1):
             warnings.warn(
                 "alpha in {0, 1, -1} lies outside the smooth range of the "
-                "quadric family", stacklevel=3)
+                "quadric family", stacklevel=2)
 
     @staticmethod
     def of(alpha, beta, gamma, space: Space = RATIONALS) -> "SklyaninParams":
@@ -60,25 +57,27 @@ class SklyaninParams:
                               Coefficient.const(space, gamma))
 
 
-@dataclass(frozen=True)
 class CKMatrix:
     """Nonnegative integer 2x2 exchange matrix; every row and every column
     must be nonzero."""
 
-    a11: int
-    a12: int
-    a21: int
-    a22: int
+    __slots__ = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self):
-        entries = (self.a11, self.a12, self.a21, self.a22)
-        for e in entries:
+    def __init__(self, a11: int, a12: int, a21: int, a22: int):
+        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
+        for e in (a11, a12, a21, a22):
             if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                 raise ValueError("entries must be nonnegative integers")
-        if (self.a11 == self.a12 == 0) or (self.a21 == self.a22 == 0):
+        if (a11 == a12 == 0) or (a21 == a22 == 0):
             raise ValueError("matrix has a zero row")
-        if (self.a11 == self.a21 == 0) or (self.a12 == self.a22 == 0):
+        if (a11 == a21 == 0) or (a12 == a22 == 0):
             raise ValueError("matrix has a zero column")
+
+    def __eq__(self, other):
+        if not isinstance(other, CKMatrix):
+            return NotImplemented
+        return (self.a11, self.a12, self.a21, self.a22) == \
+            (other.a11, other.a12, other.a21, other.a22)
 
     @staticmethod
     def for_modulus(b: int) -> "CKMatrix":
@@ -86,14 +85,14 @@ class CKMatrix:
         return CKMatrix(b - 1, 1, b - 2, 1)
 
 
-@dataclass(frozen=True)
 class Matrix2:
     """A 2x2 matrix with Coefficient entries."""
 
-    a: Coefficient
-    b: Coefficient
-    c: Coefficient
-    d: Coefficient
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Coefficient, b: Coefficient, c: Coefficient,
+                 d: Coefficient):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @staticmethod
     def of(space: Space, entries) -> "Matrix2":
@@ -105,6 +104,16 @@ class Matrix2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix2):
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    # the lemma2 step details print this form
+    def __repr__(self):
+        return (f"Matrix2(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     def __mul__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(self.a * other.a + self.b * other.c,
@@ -266,8 +275,7 @@ def _back_substitutes(space: Space, alpha, m: Matrix2) -> bool:
                for rel in _defining_pair(space, alpha, 1, 2, 3))
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(NamedTuple):
     """Entrywise outcome of S*M*T = B together with S*T = identity and the
     trace/determinant comparison of M and B."""
 
@@ -306,8 +314,7 @@ def similarity_check(s: Matrix2, m: Matrix2, t: Matrix2,
 # ---------------------------------------------------------------------------
 # claim reports
 
-@dataclass
-class StepReport:
+class StepReport(NamedTuple):
     """One named verification step inside a claim."""
 
     name: str
@@ -316,8 +323,7 @@ class StepReport:
     certificate: object = None   # engine certificates / combination data
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim: str
     mode: str                    # "concrete" | "symbolic"
     b: Optional[int]

@@ -1,11 +1,14 @@
 """Dead code in src/ckverify: an import a module never uses, or a private
 module-level function or class, or a private method of a module-level
 class, that nothing refers to; a package __all__ that has drifted from
-the names the package imports; and a cache without a bound on a function
-that takes arguments."""
+the names the package imports; a cache without a bound on a function
+that takes arguments; and a heavy stdlib module on the import path of the
+command line."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ckverify"
@@ -106,3 +109,17 @@ def test_no_unbounded_cache_on_a_function_with_arguments():
         "@cache\ndef f(): pass\n")
     assert _unbounded_caches(sample) == {"a": True, "b": True, "c": True,
                                          "f": False}
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Each `ckverify` command is one process, so its start-up counts:
+    importing the command line, as a fresh isolated interpreter with src on
+    sys.path, pulls in neither dataclasses nor inspect (with its ast, dis
+    and tokenize)."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import ckverify.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"
