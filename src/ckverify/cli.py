@@ -279,7 +279,8 @@ def main(argv=None) -> int:
         # a reader that closed stdout early shows here, not at exit
         sys.stdout.flush()
         return status
-    except (ValueError, PoleError) as exc:
+    # a Warning arrives here as an exception under -W error
+    except (ValueError, PoleError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

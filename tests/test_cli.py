@@ -143,6 +143,17 @@ def test_degenerate_alpha_warning_is_one_line(args):
     assert "INCONCLUSIVE" in r.stdout
 
 
+@pytest.mark.parametrize("args", [("verify", "theorem1", "--b", "2"),
+                                  ("sweep", "--from", "2", "--to", "3")])
+def test_degenerate_alpha_under_w_error_exit_three(args):
+    """Under -W error the warning is raised; it is bad input, reported as
+    one error line with no traceback."""
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "ckverify",
+                        *args], capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == DEGENERATE.replace("warning:", "error:")
+
+
 def test_main_puts_the_warning_printer_back(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("always")
