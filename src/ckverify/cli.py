@@ -21,18 +21,18 @@ from . import ideal
 from . import presentations as claims
 from .coeff import PoleError
 from .ncpoly import word_str
-from .parser import ParseError, parse_presentation
+from .parser import parse_presentation
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
-# claim verdicts, then involution-stability verdicts
+# claim verdicts, then involution-stability verdicts; both kinds share
+# the one INCONCLUSIVE
 _EXIT_BY_VERDICT = {
     claims.PASS: EXIT_PASS,
     claims.FAIL: EXIT_FAIL,
-    claims.INCONCLUSIVE: EXIT_INCONCLUSIVE,
     ideal.STABLE: EXIT_PASS,
     ideal.UNSTABLE: EXIT_FAIL,
     ideal.INCONCLUSIVE: EXIT_INCONCLUSIVE,
@@ -197,8 +197,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if not (2 <= args.start <= args.stop):
-        print("error: need 2 <= from <= to", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("need 2 <= from <= to")
     rows = []
     for b in range(args.start, args.stop + 1):
         t1 = claims.verify("theorem1", b=b)
@@ -236,9 +235,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_check_file(args) -> int:
     try:
         presentation = parse_presentation(args.path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -238,18 +238,20 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
-    """num and den scaled by a common rational to int coefficients that are
-    jointly primitive, with the denominator's leading coefficient positive.
-    den is nonzero."""
+    """num and den without their zero terms, scaled by a common rational to
+    int coefficients that are jointly primitive, with the denominator's
+    leading coefficient positive."""
     scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
-    terms = [{e: c.numerator * (scale // c.denominator)
-              for e, c in p.terms.items()} for p in (num, den)]
-    g = gcd(*terms[0].values(), *terms[1].values())
+    num, den = (MultiPoly(p.names, {e: c.numerator * (scale // c.denominator)
+                                    for e, c in p.terms.items() if c})
+                for p in (num, den))
+    g = gcd(*num.terms.values(), *den.terms.values())
     if den.leading_coeff() < 0:
         g = -g
     if g != 1:
-        terms = [{e: c // g for e, c in t.items()} for t in terms]
-    return tuple(MultiPoly(num.names, t) for t in terms)
+        num, den = (MultiPoly(p.names, {e: c // g for e, c in p.terms.items()})
+                    for p in (num, den))
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +481,11 @@ class Coefficient:
     __slots__ = ("names", "_num", "_den", "_idx")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        if den.is_zero():
-            raise PoleError("zero denominator in Coefficient")
         num._check(den)
         self.names = num.names
         num, den = _scale_to_primitive(num, den)
+        if den.is_zero():
+            raise PoleError("zero denominator in Coefficient")
         used = (num.used_names() | den.used_names()) if num.terms else set()
         if len(used) > 1:
             self._num, self._den = num, den

@@ -338,14 +338,21 @@ def legendre_invariants(lam) -> LegendreCurve:
     return LegendreCurve(lam, cubic, delta, j, delta.is_zero())
 
 
+def modulus_lambda(b) -> Coefficient:
+    """lam_b = (b - 2)/(b + 2), the family parameter at an integer modulus
+    or at the formal b."""
+    b = Coefficient.const(RATIONALS, b)
+    return (b - 2) / (b + 2)
+
+
 def curve_for_b(b: int) -> LegendreCurve:
-    """The family member for an integer modulus b >= 2: lam = (b-2)/(b+2).
-    Singular exactly at b = 2."""
+    """The family member for an integer modulus b >= 2, at
+    lam = modulus_lambda(b).  Singular exactly at b = 2."""
     if isinstance(b, bool) or not isinstance(b, int):
         raise TypeError("modulus must be an integer")
     if b < 2:
         raise ValueError("modulus must be at least 2")
-    return legendre_invariants(Fraction(b - 2, b + 2))
+    return legendre_invariants(modulus_lambda(b))
 
 
 class ChainReport(NamedTuple):

@@ -2,6 +2,12 @@
 2x2 linear-algebra facts connecting them, and the claim pipelines that
 the command-line tool exposes.
 
+The exchange side is built only by `cuntz_krieger`, from any `Matrix2`
+over the space of its entries; `CKMatrix` is a `Matrix2` that checks its
+integer entries.  The entries of B_b = [[b - 1, 1], [b - 2, 1]] are
+written once, in `_modulus_entries`, and lambda_b = (b - 2)/(b + 2) once,
+in `curves.modulus_lambda`; every pipeline reads them from there.
+
 Concrete moduli run over plain rationals; symbolic runs keep the modulus
 (or the deformation parameters) as formal names so that every certificate
 is an identity in the parameter, not a spot check.
@@ -13,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import curves, ideal
+from .ideal import INCONCLUSIVE
 from .coeff import Coefficient, ConjugationSpec, PoleError, RATIONALS, Space
 from .ncpoly import NcPoly, adjoint_involution
 
@@ -20,7 +27,6 @@ GENERATORS = ("x1", "x2", "x3", "x4")
 
 PASS = "PASS"
 FAIL = "FAIL"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def _check_modulus(b):
@@ -57,34 +63,6 @@ class SklyaninParams:
                               Coefficient.const(space, gamma))
 
 
-class CKMatrix:
-    """Nonnegative integer 2x2 exchange matrix; every row and every column
-    must be nonzero."""
-
-    __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11: int, a12: int, a21: int, a22: int):
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
-        for e in (a11, a12, a21, a22):
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                raise ValueError("entries must be nonnegative integers")
-        if (a11 == a12 == 0) or (a21 == a22 == 0):
-            raise ValueError("matrix has a zero row")
-        if (a11 == a21 == 0) or (a12 == a22 == 0):
-            raise ValueError("matrix has a zero column")
-
-    def __eq__(self, other):
-        if not isinstance(other, CKMatrix):
-            return NotImplemented
-        return (self.a11, self.a12, self.a21, self.a22) == \
-            (other.a11, other.a12, other.a21, other.a22)
-
-    @staticmethod
-    def for_modulus(b: int) -> "CKMatrix":
-        _check_modulus(b)
-        return CKMatrix(b - 1, 1, b - 2, 1)
-
-
 class Matrix2:
     """A 2x2 matrix with Coefficient entries."""
 
@@ -109,11 +87,6 @@ class Matrix2:
         if not isinstance(other, Matrix2):
             return NotImplemented
         return self.entries() == other.entries()
-
-    # the lemma2 step details print this form
-    def __repr__(self):
-        return (f"Matrix2(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
 
     def __mul__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(self.a * other.a + self.b * other.c,
@@ -141,6 +114,35 @@ class Matrix2:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
+def _modulus_entries(b):
+    """The entries of B_b = [[b - 1, 1], [b - 2, 1]], row by row, for an
+    integer modulus or the formal b."""
+    return (b - 1, 1, b - 2, 1)
+
+
+class CKMatrix(Matrix2):
+    """Nonnegative integer 2x2 exchange matrix, held as a Matrix2 over the
+    rationals; every row and every column must be nonzero."""
+
+    __slots__ = ()
+
+    def __init__(self, a11: int, a12: int, a21: int, a22: int):
+        for e in (a11, a12, a21, a22):
+            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                raise ValueError("entries must be nonnegative integers")
+        if (a11 == a12 == 0) or (a21 == a22 == 0):
+            raise ValueError("matrix has a zero row")
+        if (a11 == a21 == 0) or (a12 == a22 == 0):
+            raise ValueError("matrix has a zero column")
+        super().__init__(*(Coefficient.const(RATIONALS, e)
+                           for e in (a11, a12, a21, a22)))
+
+    @staticmethod
+    def for_modulus(b: int) -> "CKMatrix":
+        _check_modulus(b)
+        return CKMatrix(*_modulus_entries(b))
+
+
 # ---------------------------------------------------------------------------
 # relation builders
 
@@ -164,14 +166,12 @@ def _sklyanin_relations(space: Space, alpha, beta, gamma):
             + _defining_pair(space, gamma, 3, 1, 2))
 
 
-def sklyanin(params: SklyaninParams,
-             conjugation: ConjugationSpec = None) -> ideal.Presentation:
+def sklyanin(params: SklyaninParams) -> ideal.Presentation:
     """The six-relation presentation for a constrained parameter triple,
     carrying the adjoint involution x1 <-> x2, x3 <-> x4."""
     space = params.alpha.names
     rels = _sklyanin_relations(space, params.alpha, params.beta, params.gamma)
-    return ideal.Presentation(GENERATORS, space, rels,
-                              adjoint_involution(conjugation))
+    return ideal.Presentation(GENERATORS, space, rels, adjoint_involution())
 
 
 def _unit_relation(space: Space) -> NcPoly:
@@ -187,13 +187,12 @@ def _exchange_relations(space: Space, a11, a12, a21, a22):
     ]
 
 
-def cuntz_krieger(matrix: CKMatrix,
-                  space: Space = RATIONALS) -> ideal.Presentation:
-    """The three-relation presentation attached to an exchange matrix,
-    with the adjoint involution.  Its relation set is involution-stable
-    as printed, unlike the six-relation family."""
-    rels = _exchange_relations(space, matrix.a11, matrix.a12,
-                               matrix.a21, matrix.a22)
+def cuntz_krieger(matrix: Matrix2) -> ideal.Presentation:
+    """The three-relation presentation attached to an exchange matrix, over
+    its entries' space, with the adjoint involution.  Its relation set is
+    involution-stable as printed, unlike the six-relation family."""
+    space = matrix.a.names
+    rels = _exchange_relations(space, *matrix.entries())
     rels.append(_unit_relation(space))
     return ideal.Presentation(GENERATORS, space, rels, adjoint_involution())
 
@@ -346,12 +345,6 @@ def _membership_verdict(kind: str) -> str:
     return {ideal.MEMBER: PASS, ideal.NON_MEMBER: FAIL}.get(kind, INCONCLUSIVE)
 
 
-def _modulus_alpha(b) -> Coefficient:
-    """alpha_b = (b - 2)/(b + 2), for an integer modulus or the formal b."""
-    b = Coefficient.const(RATIONALS, b)
-    return (b - 2) / (b + 2)
-
-
 # -- the iff stability scan -------------------------------------------------
 
 _SCAN_SPACE = ("alpha", "alphabar", "beta", "betabar", "gamma", "gammabar")
@@ -404,7 +397,7 @@ def _lemma1(b: Optional[int], wrapper_len: int):
     one identification at a time; the per-stage failure patterns are
     exactly the iff conditions."""
     if b is not None:
-        p = sklyanin(SklyaninParams.of(_modulus_alpha(b), 1, -1))
+        p = sklyanin(SklyaninParams.of(curves.modulus_lambda(b), 1, -1))
         return [_stability_step(
             "stability_at_modulus", p, wrapper_len,
             f"{{verdict}} at modulus {b}; {{certified}}/6 adjoint images "
@@ -443,7 +436,7 @@ def _lemma2(b: Optional[int], wrapper_len: int):
         bc = Coefficient.param(sp, "b")
     else:
         sp = RATIONALS
-        alpha = _modulus_alpha(b)
+        alpha = curves.modulus_lambda(b)
         bc = Coefficient.const(sp, b)
     one = Coefficient.const(sp, 1)
     steps = []
@@ -462,7 +455,8 @@ def _lemma2(b: Optional[int], wrapper_len: int):
         "both defining relations vanish under the solved pair" if ok
         else "a defining relation survives back-substitution"))
 
-    m_b = m.substitute({"alpha": _modulus_alpha(bc)}) if b is None else m
+    m_b = (m.substitute({"alpha": curves.modulus_lambda(bc)}) if b is None
+           else m)
     half_b = bc / 2
     expected_modulus = Matrix2(half_b, one - half_b, -one - half_b, half_b)
     steps.append(_step("modulus_substitution", m_b == expected_modulus,
@@ -470,7 +464,7 @@ def _lemma2(b: Optional[int], wrapper_len: int):
 
     s = Matrix2.of(sp, (Fraction(1, 2), Fraction(-1, 2), 1, 0))
     t = Matrix2.of(sp, (0, 1, -2, 1))
-    target = Matrix2(bc - 1, one, bc - 2, one)
+    target = Matrix2.of(sp, _modulus_entries(bc))
     sim = similarity_check(s, m_b, t, target)
     ok = (sim.ok and sim.trace_b == bc and sim.det_b == one)
     detail = (f"S*M*T = B: {sim.conjugate_matches}; S*T = 1: {sim.inverse_pair}; "
@@ -493,7 +487,7 @@ def _lemma4(b: Optional[int], wrapper_len: int):
         alpha = Coefficient.param(sp, "alpha")
     else:
         sp = RATIONALS
-        alpha = _modulus_alpha(b)
+        alpha = curves.modulus_lambda(b)
     omega0 = ideal_Omega0(sp)
     p = ideal.Presentation(GENERATORS, sp, omega0, adjoint_involution())
     params = SklyaninParams.of(alpha, 1, -1, sp)
@@ -517,14 +511,11 @@ def _family(b: Optional[int], with_omega: bool):
         b = Coefficient.param(sp, "b")
     else:
         sp = RATIONALS
-    alpha = _modulus_alpha(b)
-    a11, a21 = b - 1, b - 2
+    alpha = curves.modulus_lambda(b)
     p = sklyanin(SklyaninParams.of(alpha, 1, -1, sp)) \
         .with_relations(ideal_I0(sp))
-    q_rels = _exchange_relations(sp, a11, 1, a21, 1)
-    q_rels.append(_unit_relation(sp))
-    q_rels.extend(ideal_J0(sp))
-    q = ideal.Presentation(GENERATORS, sp, q_rels, adjoint_involution())
+    q = cuntz_krieger(Matrix2.of(sp, _modulus_entries(b))) \
+        .with_relations(ideal_J0(sp))
     if with_omega:
         omega = ideal_Omega0(sp)
         p = p.with_relations(omega)
@@ -551,7 +542,7 @@ def _equivalence_steps(p, q, wrapper_len: int):
         other = "ck" if label == "sk" else "sk"
         for i, (rel, v) in enumerate(zip(sources, verdicts)):
             detail = f"{rel} in the {other} ideal"
-            if v.kind == ideal.INCONCLUSIVE:
+            if v.kind == INCONCLUSIVE:
                 detail += f" (no certificate at wrapper length {wrapper_len})"
             steps.append(StepReport(f"{label}_r{i + 1}_in_{other}",
                                     _membership_verdict(v.kind), detail,
@@ -573,7 +564,8 @@ def _corollary1(b: Optional[int], wrapper_len: int):
 # -- the commutative chain ---------------------------------------------------
 
 def _lemma5(b: Optional[int], wrapper_len: int):
-    chain = curves.reduction_chain(None if b is None else _modulus_alpha(b))
+    chain = curves.reduction_chain(
+        None if b is None else curves.modulus_lambda(b))
     steps = [
         _step("square_substitution", chain.eq20.ok,
               "substituted quadrics match the target pair combinations "

@@ -98,6 +98,24 @@ def test_coefficient_pole_detection():
         zero.inv()
 
 
+def test_explicit_zero_terms_are_dropped():
+    """A MultiPoly given with an explicit zero coefficient is the zero
+    polynomial there: as a denominator it is a pole, as a numerator a zero
+    with the canonical zero pair."""
+    zero = MultiPoly(("a",), {(2,): 0})
+    one = MultiPoly.const(("a",), 1)
+    with pytest.raises(PoleError):
+        Coefficient(one, zero)
+    c = Coefficient(zero, one)
+    assert c.is_zero() and c == Coefficient.const(("a",), 0)
+    assert str(c) == "0"
+    # in two names, and next to nonzero terms, the zero terms go too
+    ab = ("a", "b")
+    c = Coefficient(MultiPoly(ab, {(2, 0): 0, (1, 1): 3}),
+                    MultiPoly(ab, {(1, 0): 0, (0, 1): -2}))
+    assert c == Coefficient.param(ab, "a") * Fraction(-3, 2)
+
+
 def test_coefficient_substitute():
     a = Coefficient.param(("a",), "a")
     one = Coefficient.const(("a",), 1)

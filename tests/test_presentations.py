@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ckverify.coeff import Coefficient, PoleError, RATIONALS
+from ckverify.curves import curve_for_b
 from ckverify.ideal import MEMBER, graded_membership
 from ckverify.ncpoly import NcPoly
 from ckverify import presentations
@@ -82,6 +83,42 @@ def test_ck_relations():
     assert p.relations[1] == x[3] * x[2] - x[0] * x[1] - x[2] * x[3]
     assert p.relations[2] == x[0] * x[1] + x[2] * x[3] - NcPoly.one(X, RATIONALS)
     assert not p.relations[2].is_homogeneous()
+
+
+def test_ck_matrix_is_a_matrix2():
+    m = CKMatrix(2, 1, 1, 1)
+    assert isinstance(m, Matrix2)
+    assert m == Matrix2.of(RATIONALS, (2, 1, 1, 1))
+    assert m.trace() == Coefficient.const(RATIONALS, 3)
+    assert m.det() == Coefficient.const(RATIONALS, 1)
+    # cuntz_krieger builds over the space of its matrix's entries
+    sb = ("b",)
+    bc = Coefficient.param(sb, "b")
+    p = cuntz_krieger(Matrix2.of(sb, (bc, 1, bc - 1, 1)))
+    assert p.space == sb and len(p.relations) == 3
+    assert p.relations[1].terms[(0, 1)] == 1 - bc
+
+
+@pytest.mark.filterwarnings("ignore:alpha in")
+@pytest.mark.parametrize("b", [2, 3, 7, 100, None])
+def test_family_reads_b_matrix_and_lambda(b):
+    """The exchange side of modulus_family(b) carries B_b = [[b - 1, 1],
+    [b - 2, 1]] as its x1*x2 and x3*x4 coefficients, which at an integer
+    b are CKMatrix.for_modulus(b); corollary1's curve has lambda_b =
+    (b - 2)/(b + 2), which at an integer b is curve_for_b(b)'s."""
+    sp = ("b",) if b is None else RATIONALS
+    bc = Coefficient.param(sp, "b") if b is None \
+        else Coefficient.const(sp, b)
+    _, q = presentations.modulus_family(b)
+    x1x2, x3x4 = (0, 1), (2, 3)
+    got = Matrix2.of(sp, [-rel.terms.get(w, 0) for rel in q.relations[:2]
+                          for w in (x1x2, x3x4)])
+    assert got == Matrix2.of(sp, (bc - 1, 1, bc - 2, 1))
+    lam = verify("corollary1", b=b).curve.lam
+    assert lam == (bc - 2) / (bc + 2)
+    if b is not None:
+        assert got == CKMatrix.for_modulus(b)
+        assert lam == curve_for_b(b).lam
 
 
 def test_constant_ideals():
