@@ -18,7 +18,9 @@ and the names a value uses decide how it is stored:
   g = gcd(b, d) only, so coprime denominators -- one of them constant, say
   -- need no further GCD; a product by a rational constant needs none.
   A product by 1 or -1 and a sum of two integers are canonical as built,
-  so they skip the content GCD too.
+  so they skip the content GCD too.  An int operand is taken as a
+  constant without coercion, and a product by the int 1 is the other
+  operand itself.
   `_gcd` keeps its last 1,024 results, since the certificates of one claim
   ask for the same few hundred GCDs again and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
@@ -68,13 +70,15 @@ def _as_fraction(v) -> Fraction:
 
 class MultiPoly:
     """Sparse multivariate polynomial: exponent tuple -> nonzero int or
-    Fraction."""
+    Fraction.  Zero coefficients given to the constructor are dropped."""
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names: Space, terms: dict):
         self.names = names
-        self.terms = terms
+        # the dict is copied only when it holds a zero
+        self.terms = terms if all(terms.values()) else \
+            {e: c for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -238,12 +242,11 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
-    """num and den without their zero terms, scaled by a common rational to
-    int coefficients that are jointly primitive, with the denominator's
-    leading coefficient positive."""
+    """num and den scaled by a common rational to int coefficients that are
+    jointly primitive, with the denominator's leading coefficient positive."""
     scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
     num, den = (MultiPoly(p.names, {e: c.numerator * (scale // c.denominator)
-                                    for e, c in p.terms.items() if c})
+                                    for e, c in p.terms.items()})
                 for p in (num, den))
     g = gcd(*num.terms.values(), *den.terms.values())
     if den.leading_coeff() < 0:
@@ -539,7 +542,11 @@ class Coefficient:
 
     def _sum(self, other, sign: int):
         """self + sign*other, for sign 1 or -1."""
-        if type(other) is not Coefficient or other.names is not self.names:
+        if type(other) is int:
+            if not other:
+                return self
+            other = _qt(self.names, ((other,), _ONE))
+        elif type(other) is not Coefficient or other.names is not self.names:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -577,7 +584,13 @@ class Coefficient:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not Coefficient or other.names is not self.names:
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            other = _qt(self.names, ((other,), _ONE) if other else _ZERO)
+        elif type(other) is not Coefficient or other.names is not self.names:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -645,6 +658,14 @@ class Coefficient:
     def is_rational(self) -> bool:
         return (self._idx is not None and len(self._num) < 2
                 and len(self._den) == 1)
+
+    def lowered(self):
+        """The value as an int or a Fraction when it is a rational
+        constant, else the Coefficient itself."""
+        if not self.is_rational():
+            return self
+        n, d = self._num[0] if self._num else 0, self._den[0]
+        return n if d == 1 else Fraction(n, d)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

@@ -19,15 +19,21 @@ ValueError("empty relation list").
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
-scalar field, with plain Fractions when no symbolic parameter is present;
-rows are kept monic and inserted smallest-wrapper-first, which makes
-certificates deterministic.  Rows are fed until every target is settled, so
-a member costs only the rows up to its last pivot.  Reductions record their
-steps (pivot, multiplier), expanded into a combination of wrapped rows only
-for a target reduced to zero; basis rows are independent, so it is unique.
+scalar field.  Over Q every row entry is a Fraction (`_Span` says why).
+Over a parameter space an entry is stored in the cheapest exact type that
+holds it (an int, else a Fraction, and a Coefficient only when its value
+carries a name), so the many entries that are constants, mostly +-1, never
+go through Coefficient arithmetic; certificates lift them back to
+Coefficients.  Rows are kept monic and inserted smallest-wrapper-first,
+which makes certificates deterministic.  Rows are fed until every target is
+settled, so a member costs only the rows up to its last pivot.  Reductions
+record their steps (pivot, multiplier), expanded into a combination of
+wrapped rows only for a target reduced to zero; basis rows are independent,
+so it is unique.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, product
 from typing import NamedTuple, Optional, Sequence
@@ -129,21 +135,36 @@ class _Span:
     """Echelon basis of wrapped-relation rows, fed one at a time until every
     target is settled.  Each basis row keeps the elimination steps that
     produced it; the combination of wrapped rows behind a target is expanded
-    from those steps only when the target reduces to zero."""
+    from those steps only when the target reduces to zero.
+
+    Storage follows the space.  Over a parameter space every entry,
+    multiplier, inverse and weight is kept in the cheapest exact type that
+    holds it (`_lower`): an int, else a Fraction, and a Coefficient only
+    when its value carries a name.  Most entries there are +-1, so most
+    updates are int arithmetic; a basis row leaves out its pivot entry 1,
+    a multiplier of +-1 is a plain subtraction or addition, and a new row
+    whose pivot is 1 is kept as it is.  Over Q (`rational`) every entry,
+    multiplier and inverse is a Fraction and a row keeps its pivot entry:
+    the same short-cuts would speed up the integer sweeps, and a faster
+    sweep pass fits a second pass into a 15-second ckbench run, whose
+    retained 4.7 MB of output then reads as a `peak_rss_mb` regression
+    until ckbench keeps only one pass's output."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.space = space
         self.rational = not space
+        self.lower = _keep if self.rational else _lower
         self.tags: list = []       # (left, rel_index, right) in insertion order
         # pivot word -> (monic vec, tag, inverse of the pivot, steps); a
-        # row's tag is also its creation index, since rows enter in tag order
+        # row's tag is also its creation index, since rows enter in tag order;
+        # over a parameter space the vec leaves out the pivot entry 1
         self.basis: dict = {}
         self._vec_cache = [self._to_vec(r) for r in relations]
 
     def _to_vec(self, p: NcPoly) -> dict:
         if self.rational:
             return {w: c.as_fraction() for w, c in p.terms.items()}
-        return dict(p.terms)
+        return {w: _lower(c) for w, c in p.terms.items()}
 
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis and return the steps
@@ -157,12 +178,16 @@ class _Span:
                 return steps
             c = vec[piv]
             steps.append((piv, c))
-            for w, bc in basis[piv][0].items():
-                nv = vec.get(w, 0) - c * bc
-                if nv:
-                    vec[w] = nv
-                else:
-                    vec.pop(w, None)
+            if self.rational:
+                for w, bc in basis[piv][0].items():
+                    nv = vec.get(w, 0) - c * bc
+                    if nv:
+                        vec[w] = nv
+                    else:
+                        vec.pop(w, None)
+            else:
+                del vec[piv]
+                _subtract(vec, c, basis[piv][0])
 
     def _combination(self, steps: list) -> dict:
         """tag -> coefficient of the wrapped rows whose sum is the sum of
@@ -170,7 +195,7 @@ class _Span:
         (e_tag_k - sum of c_j * row_j over its own steps), and every row_j
         there is older than row k, so the rows are expanded newest first:
         each after every newer row has added to its weight."""
-        basis = self.basis
+        basis, lower = self.basis, self.lower
         weight: dict = {}          # tag of a basis row -> its weight so far
         newest: list = []          # heap of (-tag, pivot)
         combo: dict = {}
@@ -180,13 +205,13 @@ class _Span:
                 tag = basis[piv][1]
                 if tag not in weight:
                     heappush(newest, (-tag, piv))
-                weight[tag] = weight.get(tag, 0) + scale * c
+                weight[tag] = lower(weight.get(tag, 0) + lower(scale * c))
 
         add(steps, 1)
         while newest:
             _, piv = heappop(newest)
             _, tag, inv, row_steps = basis[piv]
-            a = weight[tag] * inv
+            a = lower(weight[tag] * inv)
             if a:
                 combo[tag] = a
                 add(row_steps, -a)
@@ -202,8 +227,11 @@ class _Span:
         if not vec:
             return None
         piv = max(vec, key=word_key)
-        inv = 1 / vec[piv] if self.rational else vec[piv].inv()
-        vec = {w: c * inv for w, c in vec.items()}
+        if self.rational:
+            inv = 1 / vec[piv]
+            vec = {w: c * inv for w, c in vec.items()}
+        else:
+            inv, vec = _monic_tail(vec, piv)
         self.basis[piv] = (vec, tag, inv, steps)
         return piv
 
@@ -213,23 +241,72 @@ class _Span:
         target first: no certificate leaves the engine unchecked."""
         combo = self._combination(steps)
         rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
-        if _residual(rows, self._vec_cache, self._to_vec(target)):
+        if _residual(rows, self._vec_cache, self._to_vec(target), self.lower):
             raise RuntimeError("internal error: certificate failed re-expansion")
         return MembershipCertificate(
             [CertEntry(l, i, r, Coefficient.const(self.space, c))
              for l, i, r, c in rows])
 
 
-def _residual(rows, relation_terms, target_terms) -> dict:
+def _keep(c):
+    """The Q path's lowering: a Fraction stays as it is."""
+    return c
+
+
+def _lower(c):
+    """c in the cheapest exact type that holds it: an int, else a Fraction,
+    and a Coefficient only when its value carries a name."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Coefficient:
+        return c.lowered()
+    return c.numerator if c.denominator == 1 else c
+
+
+def _subtract(vec: dict, c, row: dict):
+    """vec -= c * row, over lowered entries, keeping them lowered; a
+    multiplier of +-1 makes no product."""
+    unit = type(c) is int and (c == 1 or c == -1)
+    for w, bc in row.items():
+        if unit:
+            nv = vec.get(w, 0) - bc if c == 1 else vec.get(w, 0) + bc
+        else:
+            nv = vec.get(w, 0) - _lower(c * bc)
+        if type(nv) is not int:
+            nv = _lower(nv)
+        if nv:
+            vec[w] = nv
+        else:
+            vec.pop(w, None)
+
+
+def _monic_tail(vec: dict, piv):
+    """(the inverse of vec's pivot entry, the rest of vec times it), over
+    lowered entries; vec loses its pivot entry."""
+    p = vec.pop(piv)
+    if type(p) is Coefficient:
+        inv = p.inv()
+    elif type(p) is int and (p == 1 or p == -1):
+        inv = p
+    else:
+        inv = _lower(Fraction(1) / p)
+    if type(inv) is int and inv == 1:
+        return inv, vec
+    return inv, {w: _lower(c * inv) for w, c in vec.items()}
+
+
+def _residual(rows, relation_terms, target_terms, lower=_keep) -> dict:
     """sum of c * (l * g_i * r) over the rows (l, i, r, c), minus the target,
     as a word -> scalar dict without zero entries; relation_terms[i] and
-    target_terms are word -> scalar dicts over one scalar type."""
+    target_terms are word -> scalar dicts, and lower maps each product and
+    sum to the type it is kept in."""
     acc: dict = {}
-    products = ((left + w + right, c * gc) for left, i, right, c in rows
+    products = ((left + w + right, lower(c * gc)) for left, i, right, c in rows
                 for w, gc in relation_terms[i].items())
     negated = ((w, -c) for w, c in target_terms.items())
     for w, c in chain(products, negated):
-        nv = acc.get(w, 0) + c
+        nv = lower(acc.get(w, 0) + c)
         if nv:
             acc[w] = nv
         else:

@@ -116,6 +116,19 @@ def test_explicit_zero_terms_are_dropped():
     assert c == Coefficient.param(ab, "a") * Fraction(-3, 2)
 
 
+def test_multipoly_drops_explicit_zero_terms():
+    """A MultiPoly built with an explicit zero coefficient is the same
+    polynomial without that term."""
+    zero = MultiPoly(("a",), {(2,): 0})
+    assert zero.is_zero()
+    assert zero.degree() == 0
+    assert str(zero) == "0"
+    assert zero == MultiPoly.const(("a",), 0)
+    mixed = MultiPoly(AB, {(2, 0): 0, (1, 1): Fraction(3, 2), (0, 0): 0})
+    assert mixed.terms == {(1, 1): Fraction(3, 2)}
+    assert mixed.degree() == 2 and str(mixed) == "3/2*a*b"
+
+
 def test_coefficient_substitute():
     a = Coefficient.param(("a",), "a")
     one = Coefficient.const(("a",), 1)
@@ -860,3 +873,55 @@ def test_as_fraction_refuses_a_non_rational_value():
               (a * b + 1) / (a * b)):
         with pytest.raises(ValueError, match="not a rational constant"):
             c.as_fraction()
+
+
+def _int_operand_values():
+    """A value in one name, one in two names (stored as MultiPolys) and a
+    rational constant."""
+    b = Coefficient.param(("b",), "b")
+    x, y = (Coefficient.param(AB, n) for n in AB)
+    two = (x * y + 1) / (x - 2)
+    assert two._idx is None
+    return [(b + 1) / (b - 2), two, Coefficient.const(("b",), Fraction(-3, 7))]
+
+
+def _stored(c):
+    return c.names, c._num, c._den, c._idx
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 3])
+def test_int_operands_match_constant_operands(k):
+    """An int operand, which skips coercion, gives what the same constant
+    as a Coefficient gives, stored the same way."""
+    for c in _int_operand_values():
+        kc = Coefficient.const(c.names, k)
+        for op in (operator.mul, operator.add, operator.sub):
+            assert _stored(op(c, k)) == _stored(op(c, kc)), (op, c, k)
+            assert _stored(op(k, c)) == _stored(op(kc, c)), (op, c, k)
+
+
+def test_product_by_int_one_is_the_value_itself():
+    for c in _int_operand_values():
+        assert c * 1 is c and 1 * c is c
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_bool_operands_stay_constants(flag):
+    """A bool operand is coerced as before: the constant int(flag)."""
+    for c in _int_operand_values():
+        k = Coefficient.const(c.names, int(flag))
+        for op in (operator.mul, operator.add, operator.sub):
+            assert op(c, flag) == op(c, k) and op(flag, c) == op(k, c)
+            assert str(op(c, flag)) == str(op(c, k))
+            assert str(op(flag, c)) == str(op(k, c))
+
+
+def test_lowered_gives_a_rational_constant_as_int_or_fraction():
+    one, two, third = _int_operand_values()
+    assert one.lowered() is one and two.lowered() is two
+    assert third.lowered() == Fraction(-3, 7)
+    assert type(third.lowered()) is Fraction
+    for k in (0, 1, -1, 12):
+        low = Coefficient.const(("b",), Fraction(k)).lowered()
+        assert low == k and type(low) is int
+    assert type((two - two + 2).lowered()) is int

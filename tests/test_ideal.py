@@ -341,3 +341,97 @@ def test_graded_certificate_does_not_depend_on_its_batch():
         alone = graded_membership(img, p.relations)
         assert alone.kind == MEMBER
         assert _entries(alone.certificate) == _entries(r.verdict.certificate)
+
+
+def _fed_span(b):
+    """A span over the relations of the exchange side of modulus_family(b),
+    fed its bounded rows until the other side's relations are settled; the
+    span and the combinations behind the settled ones."""
+    p, q = modulus_family(b)
+    span = ideal._Span(q.relations, q.space)
+    open_ = {k: (span._to_vec(t), []) for k, t in enumerate(p.relations)}
+    combos = []
+    for row in ideal._span(q.relations, None, 2):
+        piv = span.add_wrapped(*row)
+        for k in [k for k, (vec, _) in open_.items() if piv in vec]:
+            vec, steps = open_[k]
+            steps += span._reduce(vec)
+            if not vec:
+                del open_[k]
+                combos.append(span._combination(steps))
+    assert not open_ and combos
+    return span, combos
+
+
+def _stored_scalars(span, combos):
+    for vec in span._vec_cache:
+        yield from vec.values()
+    for row, _, inv, steps in span.basis.values():
+        yield from row.values()
+        yield inv
+        yield from (c for _, c in steps)
+    for combo in combos:
+        yield from combo.values()
+
+
+def test_symbolic_span_stores_no_rational_coefficient():
+    """Over ("b",) a constant entry is an int or a Fraction; a Coefficient
+    is kept only when its value carries b."""
+    kinds = set()
+    for c in _stored_scalars(*_fed_span(None)):
+        kinds.add(type(c))
+        if type(c) is Coefficient:
+            assert not c.is_rational(), c
+        else:
+            assert type(c) is int or (type(c) is Fraction and
+                                      c.denominator != 1), c
+    assert {int, Coefficient} <= kinds
+
+
+def test_rational_span_stores_only_fractions():
+    """Over Q every entry, inverse, multiplier and weight is a Fraction."""
+    assert {type(c) for c in _stored_scalars(*_fed_span(7))} == {Fraction}
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def _is_rational_constant(x):
+    return type(x) in (int, Fraction) or (type(x) is Coefficient and
+                                         x.is_rational())
+
+
+@pytest.mark.parametrize("claim", ["theorem1", "corollary1"])
+def test_symbolic_engine_makes_no_constant_coefficient_operation(
+        monkeypatch, claim):
+    """Inside the engine, no Coefficient operation has two rational
+    constants as operands: those are int or Fraction arithmetic."""
+    inside, seen, constant = [False], [0], []
+
+    def counting(name):
+        op = getattr(Coefficient, name)
+
+        def wrapper(self, other):
+            if inside[0]:
+                seen[0] += 1
+                if _is_rational_constant(self) and \
+                        _is_rational_constant(other):
+                    constant.append((name, self, other))
+            return op(self, other)
+        return wrapper
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Coefficient, name, counting(name))
+    verdicts = ideal._verdicts
+
+    def engine(*args, **kwargs):
+        inside[0] = True
+        try:
+            return verdicts(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ideal, "_verdicts", engine)
+    assert verify(claim, b=None).verdict == "PASS"
+    assert seen[0] > 1000 and constant == []
