@@ -18,9 +18,8 @@ and the names a value uses decide how it is stored:
   g = gcd(b, d) only, so coprime denominators -- one of them constant, say
   -- need no further GCD; a product by a rational constant needs none.
   A product by 1 or -1 and a sum of two integers are canonical as built,
-  so they skip the content GCD too.  An int operand is taken as a
-  constant without coercion, and a product by the int 1 is the other
-  operand itself.
+  so they skip the content GCD too; a product by the int 1 or -1 is the
+  other operand or its negation, with no coercion.
   `_gcd` keeps its last 1,024 results, since the certificates of one claim
   ask for the same few hundred GCDs again and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
@@ -542,11 +541,7 @@ class Coefficient:
 
     def _sum(self, other, sign: int):
         """self + sign*other, for sign 1 or -1."""
-        if type(other) is int:
-            if not other:
-                return self
-            other = _qt(self.names, ((other,), _ONE))
-        elif type(other) is not Coefficient or other.names is not self.names:
+        if type(other) is not Coefficient or other.names is not self.names:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -584,13 +579,9 @@ class Coefficient:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is int:
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-            other = _qt(self.names, ((other,), _ONE) if other else _ZERO)
-        elif type(other) is not Coefficient or other.names is not self.names:
+        if type(other) is int and (other == 1 or other == -1):
+            return self if other == 1 else -self
+        if type(other) is not Coefficient or other.names is not self.names:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented

@@ -19,17 +19,17 @@ ValueError("empty relation list").
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
-scalar field.  Over Q every row entry is a Fraction (`_Span` says why).
-Over a parameter space an entry is stored in the cheapest exact type that
-holds it (an int, else a Fraction, and a Coefficient only when its value
-carries a name), so the many entries that are constants, mostly +-1, never
-go through Coefficient arithmetic; certificates lift them back to
-Coefficients.  Rows are kept monic and inserted smallest-wrapper-first,
-which makes certificates deterministic.  Rows are fed until every target is
-settled, so a member costs only the rows up to its last pivot.  Reductions
-record their steps (pivot, multiplier), expanded into a combination of
-wrapped rows only for a target reduced to zero; basis rows are independent,
-so it is unique.
+scalar field.  Over one name an entry is stored in the cheapest exact type
+that holds it (an int, else a Fraction, and a Coefficient only when its
+value carries the name), so the many entries that are constants, mostly
++-1, never go through Coefficient arithmetic; over two or more names every
+entry is a Coefficient, and over Q a Fraction (`_FractionSpan` says why).
+Certificates lift every coefficient back to a Coefficient.  Rows are kept
+monic and inserted smallest-wrapper-first, which makes certificates
+deterministic.  Rows are fed until every target is settled, so a member
+costs only the rows up to its last pivot.  Reductions record their steps
+(pivot, multiplier), expanded into a combination of wrapped rows only for a
+target reduced to zero; basis rows are independent, so it is unique.
 """
 from __future__ import annotations
 
@@ -137,33 +137,24 @@ class _Span:
     produced it; the combination of wrapped rows behind a target is expanded
     from those steps only when the target reduces to zero.
 
-    Storage follows the space.  Over a parameter space every entry,
-    multiplier, inverse and weight is kept in the cheapest exact type that
-    holds it (`_lower`): an int, else a Fraction, and a Coefficient only
-    when its value carries a name.  Most entries there are +-1, so most
-    updates are int arithmetic; a basis row leaves out its pivot entry 1,
-    a multiplier of +-1 is a plain subtraction or addition, and a new row
-    whose pivot is 1 is kept as it is.  Over Q (`rational`) every entry,
-    multiplier and inverse is a Fraction and a row keeps its pivot entry:
-    the same short-cuts would speed up the integer sweeps, and a faster
-    sweep pass fits a second pass into a 15-second ckbench run, whose
-    retained 4.7 MB of output then reads as a `peak_rss_mb` regression
-    until ckbench keeps only one pass's output."""
+    Over a parameter space every entry, multiplier, inverse and weight is
+    kept lowered (`_lower`): over one name a rational constant is an int,
+    else a Fraction, so the many entries that are +-1 make int arithmetic;
+    a value that carries a name, and every value over two or more names,
+    is a Coefficient.  A basis row leaves out its pivot entry 1, and a new
+    row whose pivot is 1 is kept as it is.  Over Q, `_FractionSpan` keeps
+    Fraction rows with their pivot entries.  `_span_over` picks the class."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.space = space
-        self.rational = not space
-        self.lower = _keep if self.rational else _lower
         self.tags: list = []       # (left, rel_index, right) in insertion order
         # pivot word -> (monic vec, tag, inverse of the pivot, steps); a
-        # row's tag is also its creation index, since rows enter in tag order;
-        # over a parameter space the vec leaves out the pivot entry 1
+        # row's tag is also its creation index, since rows enter in tag order
         self.basis: dict = {}
         self._vec_cache = [self._to_vec(r) for r in relations]
 
-    def _to_vec(self, p: NcPoly) -> dict:
-        if self.rational:
-            return {w: c.as_fraction() for w, c in p.terms.items()}
+    @staticmethod
+    def _to_vec(p: NcPoly) -> dict:
         return {w: _lower(c) for w, c in p.terms.items()}
 
     def _reduce(self, vec: dict) -> list:
@@ -176,18 +167,25 @@ class _Span:
                       default=None)
             if piv is None:
                 return steps
-            c = vec[piv]
+            c = vec.pop(piv)
             steps.append((piv, c))
-            if self.rational:
-                for w, bc in basis[piv][0].items():
-                    nv = vec.get(w, 0) - c * bc
-                    if nv:
-                        vec[w] = nv
-                    else:
-                        vec.pop(w, None)
-            else:
-                del vec[piv]
-                _subtract(vec, c, basis[piv][0])
+            for w, bc in basis[piv][0].items():
+                nv = _lower(vec.get(w, 0) - _lower(c * bc))
+                if nv:
+                    vec[w] = nv
+                else:
+                    vec.pop(w, None)
+
+    @staticmethod
+    def _monic(vec: dict, piv: Word):
+        """(vec divided by its pivot entry, without that entry; the inverse
+        of the pivot entry).  vec loses its pivot entry."""
+        inv = vec.pop(piv)
+        if type(inv) is int and inv == 1:
+            return vec, inv
+        inv = inv.inv() if type(inv) is Coefficient else \
+            _lower(Fraction(1, inv))
+        return {w: _lower(c * inv) for w, c in vec.items()}, inv
 
     def _combination(self, steps: list) -> dict:
         """tag -> coefficient of the wrapped rows whose sum is the sum of
@@ -195,7 +193,7 @@ class _Span:
         (e_tag_k - sum of c_j * row_j over its own steps), and every row_j
         there is older than row k, so the rows are expanded newest first:
         each after every newer row has added to its weight."""
-        basis, lower = self.basis, self.lower
+        basis = self.basis
         weight: dict = {}          # tag of a basis row -> its weight so far
         newest: list = []          # heap of (-tag, pivot)
         combo: dict = {}
@@ -205,13 +203,13 @@ class _Span:
                 tag = basis[piv][1]
                 if tag not in weight:
                     heappush(newest, (-tag, piv))
-                weight[tag] = lower(weight.get(tag, 0) + lower(scale * c))
+                weight[tag] = _lower(weight.get(tag, 0) + _lower(scale * c))
 
         add(steps, 1)
         while newest:
             _, piv = heappop(newest)
             _, tag, inv, row_steps = basis[piv]
-            a = lower(weight[tag] * inv)
+            a = _lower(weight[tag] * inv)
             if a:
                 combo[tag] = a
                 add(row_steps, -a)
@@ -227,11 +225,7 @@ class _Span:
         if not vec:
             return None
         piv = max(vec, key=word_key)
-        if self.rational:
-            inv = 1 / vec[piv]
-            vec = {w: c * inv for w, c in vec.items()}
-        else:
-            inv, vec = _monic_tail(vec, piv)
+        vec, inv = self._monic(vec, piv)
         self.basis[piv] = (vec, tag, inv, steps)
         return piv
 
@@ -241,72 +235,77 @@ class _Span:
         target first: no certificate leaves the engine unchecked."""
         combo = self._combination(steps)
         rows = [(*self.tags[t], combo[t]) for t in sorted(combo)]
-        if _residual(rows, self._vec_cache, self._to_vec(target), self.lower):
+        if _residual(rows, self._vec_cache, self._to_vec(target)):
             raise RuntimeError("internal error: certificate failed re-expansion")
         return MembershipCertificate(
             [CertEntry(l, i, r, Coefficient.const(self.space, c))
              for l, i, r, c in rows])
 
 
-def _keep(c):
-    """The Q path's lowering: a Fraction stays as it is."""
-    return c
+class _FractionSpan(_Span):
+    """A span over Q: every entry, multiplier and inverse is a Fraction, and
+    a basis row keeps its pivot entry.  `_Span` over Q would make a ckbench
+    sweep pass 0.63x as long (0.79x with its rows left as Coefficients);
+    ckbench keeps every pass's stdout, so a second pass then fits into a
+    15 s run and its 4.7 MB of output reads as a peak_rss_mb regression.
+    This class goes once ckbench keeps one pass's output."""
+
+    @staticmethod
+    def _to_vec(p: NcPoly) -> dict:
+        return {w: c.as_fraction() for w, c in p.terms.items()}
+
+    def _reduce(self, vec: dict) -> list:
+        basis = self.basis
+        steps = []
+        while True:
+            piv = max((w for w in vec if w in basis), key=word_key,
+                      default=None)
+            if piv is None:
+                return steps
+            c = vec[piv]
+            steps.append((piv, c))
+            for w, bc in basis[piv][0].items():
+                nv = vec.get(w, 0) - c * bc
+                if nv:
+                    vec[w] = nv
+                else:
+                    vec.pop(w, None)
+
+    @staticmethod
+    def _monic(vec: dict, piv: Word):
+        inv = 1 / vec[piv]
+        return {w: c * inv for w, c in vec.items()}, inv
+
+
+def _span_over(relations: Sequence[NcPoly], space: Space) -> _Span:
+    return (_Span if space else _FractionSpan)(relations, space)
 
 
 def _lower(c):
-    """c in the cheapest exact type that holds it: an int, else a Fraction,
-    and a Coefficient only when its value carries a name."""
+    """c as a lowered span entry: over one name a rational constant becomes
+    an int, else a Fraction, and so does an int-valued Fraction; any other
+    value is kept.  Over two or more names the constants are mostly proper
+    fractions, and a Fraction operand on a Coefficient costs more than the
+    Coefficient itself, so they stay Coefficients."""
     t = type(c)
+    if t is Coefficient:
+        return c.lowered() if len(c.names) == 1 else c
     if t is int:
         return c
-    if t is Coefficient:
-        return c.lowered()
     return c.numerator if c.denominator == 1 else c
 
 
-def _subtract(vec: dict, c, row: dict):
-    """vec -= c * row, over lowered entries, keeping them lowered; a
-    multiplier of +-1 makes no product."""
-    unit = type(c) is int and (c == 1 or c == -1)
-    for w, bc in row.items():
-        if unit:
-            nv = vec.get(w, 0) - bc if c == 1 else vec.get(w, 0) + bc
-        else:
-            nv = vec.get(w, 0) - _lower(c * bc)
-        if type(nv) is not int:
-            nv = _lower(nv)
-        if nv:
-            vec[w] = nv
-        else:
-            vec.pop(w, None)
-
-
-def _monic_tail(vec: dict, piv):
-    """(the inverse of vec's pivot entry, the rest of vec times it), over
-    lowered entries; vec loses its pivot entry."""
-    p = vec.pop(piv)
-    if type(p) is Coefficient:
-        inv = p.inv()
-    elif type(p) is int and (p == 1 or p == -1):
-        inv = p
-    else:
-        inv = _lower(Fraction(1) / p)
-    if type(inv) is int and inv == 1:
-        return inv, vec
-    return inv, {w: _lower(c * inv) for w, c in vec.items()}
-
-
-def _residual(rows, relation_terms, target_terms, lower=_keep) -> dict:
+def _residual(rows, relation_terms, target_terms) -> dict:
     """sum of c * (l * g_i * r) over the rows (l, i, r, c), minus the target,
-    as a word -> scalar dict without zero entries; relation_terms[i] and
-    target_terms are word -> scalar dicts, and lower maps each product and
-    sum to the type it is kept in."""
+    as a word -> scalar dict without zero entries, every scalar lowered;
+    relation_terms[i] and target_terms are word -> scalar dicts."""
     acc: dict = {}
-    products = ((left + w + right, lower(c * gc)) for left, i, right, c in rows
+    products = ((left + w + right, _lower(c * gc))
+                for left, i, right, c in rows
                 for w, gc in relation_terms[i].items())
     negated = ((w, -c) for w, c in target_terms.items())
     for w, c in chain(products, negated):
-        nv = lower(acc.get(w, 0) + c)
+        nv = _lower(acc.get(w, 0) + c)
         if nv:
             acc[w] = nv
         else:
@@ -375,7 +374,7 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
                         MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
-        span = _Span(relations, space)
+        span = _span_over(relations, space)
         open_ = {k: (span._to_vec(targets[k]), []) for k in batch}
         for row in _span(relations, degree, wrapper_len):
             piv = span.add_wrapped(*row)

@@ -14,7 +14,7 @@ import pytest
 from ckverify import cli
 from ckverify.cli import main
 from ckverify.parser import print_presentation
-from ckverify.presentations import CKMatrix, cuntz_krieger
+from ckverify.presentations import CLAIMS, CKMatrix, cuntz_krieger
 
 CKVERIFY = [sys.executable, "-m", "ckverify"]
 
@@ -149,12 +149,15 @@ def test_degenerate_alpha_warning_is_one_line(args):
     (("sweep", "--from", "2", "--to", "3"), 3,
      DEGENERATE.replace("warning:", "error:")),
     (("verify", "lemma5", "--b", "7"), 0, ""),
-], ids=["args0", "args1", "args2"])
+    *((("verify", claim, "--symbolic", "--certificates", "--format", "json"),
+       0, "") for claim in CLAIMS),
+], ids=["args0", "args1", "args2", *(f"symbolic-{c}" for c in CLAIMS)])
 def test_degenerate_alpha_under_w_error_exit_three(args, code, stderr):
     """Under -W error the warning is raised; it is bad input, reported as
     one error line with no traceback.  A run that warns nothing passes
     with an empty stderr, so a newer Python that deprecates something
-    ckverify uses shows here."""
+    ckverify uses shows here; the symbolic claims also mix int, Fraction
+    and Coefficient scalars in the engine, and no mix may warn."""
     r = subprocess.run([sys.executable, "-W", "error", "-m", "ckverify",
                         *args], capture_output=True, text=True, timeout=300)
     assert (r.returncode, r.stderr) == (code, stderr)

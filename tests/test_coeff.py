@@ -891,8 +891,8 @@ def _stored(c):
 
 @pytest.mark.parametrize("k", [0, 1, -1, 3])
 def test_int_operands_match_constant_operands(k):
-    """An int operand, which skips coercion, gives what the same constant
-    as a Coefficient gives, stored the same way."""
+    """An int operand gives what the same constant as a Coefficient gives,
+    stored the same way; a product by 1 or -1 skips coercion."""
     for c in _int_operand_values():
         kc = Coefficient.const(c.names, k)
         for op in (operator.mul, operator.add, operator.sub):

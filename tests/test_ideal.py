@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -343,12 +344,10 @@ def test_graded_certificate_does_not_depend_on_its_batch():
         assert _entries(alone.certificate) == _entries(r.verdict.certificate)
 
 
-def _fed_span(b):
-    """A span over the relations of the exchange side of modulus_family(b),
-    fed its bounded rows until the other side's relations are settled; the
-    span and the combinations behind the settled ones."""
-    p, q = modulus_family(b)
-    span = ideal._Span(q.relations, q.space)
+def _fed_span(p, q):
+    """A span over q's relations, fed its bounded rows until p's relations
+    are settled; the span and the combinations behind the settled ones."""
+    span = ideal._span_over(q.relations, q.space)
     open_ = {k: (span._to_vec(t), []) for k, t in enumerate(p.relations)}
     combos = []
     for row in ideal._span(q.relations, None, 2):
@@ -374,23 +373,50 @@ def _stored_scalars(span, combos):
         yield from combo.values()
 
 
-def test_symbolic_span_stores_no_rational_coefficient():
-    """Over ("b",) a constant entry is an int or a Fraction; a Coefficient
-    is kept only when its value carries b."""
+def _assert_lowered(scalars):
+    """Every constant is an int or a non-integer Fraction, and a Coefficient
+    only when its value carries a name; the types seen."""
     kinds = set()
-    for c in _stored_scalars(*_fed_span(None)):
+    for c in scalars:
         kinds.add(type(c))
         if type(c) is Coefficient:
             assert not c.is_rational(), c
         else:
             assert type(c) is int or (type(c) is Fraction and
                                       c.denominator != 1), c
+    return kinds
+
+
+def test_symbolic_span_stores_no_rational_coefficient():
+    """Over ("b",) a constant entry is an int or a Fraction; a Coefficient
+    is kept only when its value carries b."""
+    kinds = _assert_lowered(_stored_scalars(*_fed_span(*modulus_family(None))))
     assert {int, Coefficient} <= kinds
 
 
 def test_rational_span_stores_only_fractions():
-    """Over Q every entry, inverse, multiplier and weight is a Fraction."""
-    assert {type(c) for c in _stored_scalars(*_fed_span(7))} == {Fraction}
+    """Over Q every entry, inverse and multiplier the span keeps is a
+    Fraction, as the sweeps have always run."""
+    span, _ = _fed_span(*modulus_family(7))
+    assert type(span) is ideal._FractionSpan
+    assert {type(c) for c in _stored_scalars(span, [])} == {Fraction}
+
+
+def _extended(pres, space):
+    return [NcPoly(r.alphabet, space,
+                   {w: c.extend(space) for w, c in r.terms.items()})
+            for r in pres.relations]
+
+
+def test_span_over_two_names_keeps_coefficients():
+    """Over two or more names every scalar stays a Coefficient, constants
+    too, and the verdicts are those over ("b",)."""
+    space = ("a", "b")
+    p, q = (SimpleNamespace(relations=_extended(x, space), space=space)
+            for x in modulus_family(None))
+    span, combos = _fed_span(p, q)
+    assert {type(c) for c in _stored_scalars(span, combos)} == {Coefficient}
+    assert len(combos) == len(_fed_span(*modulus_family(None))[1])
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
