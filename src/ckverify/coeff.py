@@ -12,16 +12,15 @@ and the names a value uses decide how it is stored:
   integer content and a positive leading denominator coefficient.
   Arithmetic between two such values in the same name, or with a constant,
   takes only the integer univariate GCDs that can cancel (primitive
-  pseudo-remainder sequence, Brown 1971, or a root test when one operand
-  is linear) and divides exactly.  A sum a/b + c/d follows Henrici's rule
-  (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled against
-  g = gcd(b, d) only, so coprime denominators -- one of them constant, say
-  -- need no further GCD; a product by a rational constant needs none.
-  A product by 1 or -1 and a sum of two integers are canonical as built,
-  so they skip the content GCD too; a product by the int 1 or -1 is the
-  other operand or its negation, with no coercion.
-  `_gcd` keeps its last 1,024 results, since the certificates of one claim
-  ask for the same few hundred GCDs again and again.
+  pseudo-remainder sequence, Brown 1971) and divides exactly; no GCD is
+  taken unless both operands are nonconstant.  A sum a/b + c/d follows
+  Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled
+  against g = gcd(b, d) only, so coprime denominators -- one of them
+  constant, say -- need no further GCD.  A sum over one denominator needs
+  no products, and a product by the int 1 or -1 is the other operand or
+  its negation, with no coercion.  `_gcd` keeps its last 1,024 results,
+  since the certificates of one claim ask for the same few hundred GCDs
+  again and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
   conjugate of such a value (the same pair at the conjugate name's index)
   and its printed form are also read straight off the pair.
@@ -321,20 +320,10 @@ def _prem(a: tuple, b: tuple) -> tuple:
 @lru_cache(maxsize=1024)
 def _gcd(a: tuple, b: tuple) -> tuple:
     """Primitive GCD with positive leading coefficient of two nonconstant
-    integer polynomials.  A linear operand q*t - p divides the other, a,
-    exactly when p/q is a root of a, which the integer Horner value
-    q^n * a(p/q) decides; otherwise the primitive pseudo-remainder sequence
-    finds it."""
+    integer polynomials, by the primitive pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 2:
-        p, q = -b[0], b[1]
-        v, qk = a[-1], 1
-        for x in reversed(a[:-1]):
-            qk *= q
-            v = v * p + x * qk
-        return _ONE if v else b
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
@@ -447,9 +436,6 @@ def _pair_sum(x: "Coefficient", y: "Coefficient", sign: int):
     # (a*d1 + sign*c*b1) / (b1*d1*g), and its numerator is coprime to b1*d1,
     # so only g can cancel.  Canonical pairs with b != d are never each
     # other's negatives, so the numerator is nonzero.
-    if len(b) == len(d) == 1:
-        return _strip_content(_ipoly_lin(d[0], a, sign * b[0], c),
-                              (b[0] * d[0],))
     g = _ONE if len(b) == 1 or len(d) == 1 else _gcd(b, d)
     if len(g) == 1:
         return _strip_content(
@@ -555,9 +541,6 @@ class Coefficient:
             return self
         if not a:
             return other if sign > 0 else -other
-        if len(a) == len(c) == 1 and self._den == _ONE == other._den:
-            s = a[0] + c[0] if sign > 0 else a[0] - c[0]  # two integers
-            return _qt(self.names, ((s,), _ONE) if s else _ZERO, idx)
         return _qt(self.names, _pair_sum(self, other, sign), idx)
 
     def __add__(self, other):
@@ -591,17 +574,9 @@ class Coefficient:
         a, b, c, d = self._num, self._den, other._num, other._den
         if not a or not c:
             return _qt(self.names, _ZERO)
-        if len(a) == len(b) == 1:  # a rational constant goes to c/d
-            a, b, c, d = c, d, a, b
-        if len(c) == len(d) == 1:  # scaling a coprime pair keeps it coprime
-            c, d = c[0], d[0]
-            if d == 1 and (c == 1 or c == -1):  # already canonical
-                return _qt(self.names, (a if c == 1 else _ipoly_neg(a), b),
-                           idx)
-            return _qt(self.names, _strip_content(
-                tuple([c * v for v in a]), tuple([d * v for v in b])), idx)
         # a/b and c/d are in lowest terms, so a*c/(b*d) is in lowest terms
-        # once the cross factors gcd(a, d) and gcd(c, b) are divided out
+        # once the cross factors gcd(a, d) and gcd(c, b) are divided out;
+        # `_cancel` takes none when either factor is constant
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return _qt(self.names,

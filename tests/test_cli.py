@@ -372,6 +372,22 @@ def test_wrapper_len_budget_exit_three(command, wrapper_len, message,
     assert message in err and "the limit is 100,000" in err
 
 
+def test_graded_slice_budget_exit_three(tmp_path):
+    # the image x2^12 of x1^12 lies in a degree-12 slice of 12*3^11 + 1
+    # rows, which is refused before any row is built
+    f = tmp_path / "power.pres"
+    f.write_text("GENERATORS: x1 x2 x3\n"
+                 "INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x3\n"
+                 "RELATIONS:\n  x3\n  x1^12\n")
+    r = subprocess.run(CKVERIFY + ["check-file", str(f),
+                                   "--involution-stability"],
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == ("error: the degree-12 slice needs 2,125,765 wrapped "
+                        "rows (2 relations over 3 generators); the limit is "
+                        "100,000\n")
+
+
 def test_check_file_negative_wrapper_len_exit_three(tmp_path, capsys):
     argv = ["check-file", str(_exchange_file(tmp_path)),
             "--involution-stability", "--wrapper-len", "-1"]

@@ -587,7 +587,7 @@ def test_int_multi_name_printing_and_reading():
 
 
 # ---------------------------------------------------------------------------
-# the one-name kernel's sum paths: one denominator, two constant ones
+# the one-name kernel's sums over one denominator and over two constant ones
 
 def test_one_name_sums_over_constant_and_equal_denominators():
     sympy = pytest.importorskip("sympy")
@@ -627,8 +627,8 @@ def test_one_name_sums_over_constant_and_equal_denominators():
 
 
 # ---------------------------------------------------------------------------
-# the one-name kernel's shortcuts: Henrici's rule for sums, a root test for a
-# linear divisor, and no GCD for a product by a rational constant
+# the one-name kernel's GCDs: Henrici's rule for sums, the PRS for a linear
+# divisor, and none for a sum or product with a rational constant
 
 def _one_name_coeff(rng, names, den=None):
     """A seeded value in the one name of names over den (a MultiPoly), or
@@ -706,6 +706,28 @@ def test_products_by_a_rational_constant_match_sympy():
                             (q.numerator * f, (fn * q.numerator, fd))):
             _assert_value(c, expected, gens)
             _assert_canonical(c, gens)
+
+
+def test_constant_operands_take_no_gcd():
+    """A sum, difference, product or quotient of a value over a nonconstant
+    denominator and a rational constant, as a Coefficient or as an int or
+    Fraction, calls `_gcd` not once; two such values do."""
+    names = ("b",)
+    b = Coefficient.param(names, "b")
+    v = (b * b + 3) / (2 * b - 5)
+    constants = [Coefficient.const(names, k)
+                 for k in (1, -1, 6, Fraction(-3, 7))] + [1, -1, 6,
+                                                          Fraction(-3, 7)]
+    _gcd.cache_clear()
+    for k in constants:
+        for op in _BINARY.values():
+            for x, y in ((v, k), (k, v)):
+                op(x, y)
+    info = _gcd.cache_info()
+    assert info.hits + info.misses == 0
+    v * ((b + 1) / (b - 1))
+    info = _gcd.cache_info()
+    assert info.hits + info.misses > 0
 
 
 @pytest.mark.parametrize("linear", [(2, 3), (0, 1)], ids=["3b+2", "b"])

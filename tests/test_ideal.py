@@ -317,6 +317,30 @@ def test_member_search_stops_at_the_last_pivot(monkeypatch):
     assert built <= k2_rows
 
 
+@pytest.mark.parametrize("degrees,degree,wrapper_len",
+                         [([2] * 6, 2, None), ([1, 12], 4, None),
+                          ([1, 2, 3], 5, None), ([2, 2, 1], None, 3)],
+                         ids=["sklyanin", "uneven", "three_degrees",
+                              "bounded"])
+def test_row_estimate_counts_the_rows_of_a_span(degrees, degree,
+                                                wrapper_len, monkeypatch):
+    """The row budget's estimate is the number of rows the span yields,
+    graded or bounded: a budget of exactly that many admits the span and
+    one row less refuses it before any row is built."""
+    relations = [SimpleNamespace(alphabet=X[:3], degree=lambda d=d: d)
+                 for d in degrees]
+    rows = len(wrapper_order(3, degrees, degree, wrapper_len))
+    monkeypatch.setattr(ideal, "MAX_SPAN_ROWS", rows)
+    assert len(list(ideal._span(relations, degree, wrapper_len))) == rows
+    monkeypatch.setattr(ideal, "MAX_SPAN_ROWS", rows - 1)
+    what = (f"wrapper length {wrapper_len}" if degree is None
+            else f"the degree-{degree} slice")
+    with pytest.raises(ValueError, match=f"^{what} needs {rows:,} wrapped "
+                                         f"rows \\({len(degrees)} relations "
+                                         "over 3 generators\\)"):
+        next(ideal._span(relations, degree, wrapper_len))
+
+
 @pytest.mark.parametrize("b", [7, None], ids=["b7", "symbolic"])
 def test_bounded_certificate_does_not_depend_on_its_batch(b):
     """The relations of one direction share a span and stop it together;

@@ -208,7 +208,7 @@ def test_lemma2_solve_symbolic_matrix():
 def test_back_substitution_refuses_a_wrong_matrix(monkeypatch):
     """The solved pair back-substitutes; changing any one entry of it
     leaves a defining relation standing, and lemma2_solve refuses a
-    matrix that fails the check."""
+    matrix that fails the check, so lemma2 never reports one."""
     for alpha in (alpha_sym(), Coefficient.const(RATIONALS, Fraction(5, 9))):
         m = lemma2_solve(alpha)
         assert presentations._back_substitutes(alpha.names, alpha, m)
@@ -221,6 +221,8 @@ def test_back_substitution_refuses_a_wrong_matrix(monkeypatch):
                         lambda *args: False)
     with pytest.raises(RuntimeError, match="back-substitution"):
         lemma2_solve(Fraction(1, 5))
+    with pytest.raises(RuntimeError, match="back-substitution"):
+        verify("lemma2", b=7)
 
 
 def test_lemma2_solve_pole():
@@ -285,6 +287,24 @@ def test_lemma1_symbolic_iff_pattern():
     assert names == ["free_conjugates", "alpha_real", "beta_identified",
                      "fully_identified"]
     assert all(s.verdict == "PASS" for s in rep.steps)
+
+
+def test_lemma1_fixed_stages_match_parameter_substitution():
+    """The beta_identified and fully_identified stages, built at beta = 1
+    and gamma = -1, equal the free relations with those values substituted,
+    term for term and in the same order."""
+    sp = presentations._SCAN_SPACE
+    al, be, ga = (Coefficient.param(sp, n) for n in ("alpha", "beta", "gamma"))
+    free = presentations._sklyanin_relations(sp, al, be, ga)
+    one, minus_one = Coefficient.const(sp, 1), Coefficient.const(sp, -1)
+    for beta, gamma, bindings in ((1, ga, {"beta": one}),
+                                  (1, -1, {"beta": one, "gamma": minus_one})):
+        built = presentations._sklyanin_relations(sp, al, beta, gamma)
+        substituted = [r.substitute_params(bindings) for r in free]
+        assert built == substituted
+        assert [list(r.terms) for r in built] == \
+            [list(r.terms) for r in substituted]
+        assert [str(r) for r in built] == [str(r) for r in substituted]
 
 
 def test_lemma1_concrete():
