@@ -17,10 +17,11 @@ and the names a value uses decide how it is stored:
   Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1): its numerator is cancelled
   against g = gcd(b, d) only, so coprime denominators -- one of them
   constant, say -- need no further GCD.  A sum over one denominator needs
-  no products, and a product by the int 1 or -1 is the other operand or
-  its negation, with no coercion.  `_gcd` keeps its last 1,024 results,
-  since the certificates of one claim ask for the same few hundred GCDs
-  again and again.
+  no products, a product by a rational constant only scales the other
+  pair, and a product by the int 1 or -1 is the other operand or its
+  negation, with no coercion.  `_gcd` keeps its last 1,024 results, since
+  the certificates of one claim ask for the same few hundred GCDs again
+  and again.
   Equality is equality of the canonical tuples.  A parameter, the formal
   conjugate of such a value (the same pair at the conjugate name's index)
   and its printed form are also read straight off the pair.
@@ -273,11 +274,6 @@ def _ipoly_lin(x: int, a: tuple, y: int, b: tuple) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
-
-
-def _ipoly_neg(a: tuple) -> tuple:
-    """-a."""
-    return tuple([-x for x in a])
 
 
 def _ipoly_mul(a: tuple, b: tuple) -> tuple:
@@ -551,7 +547,8 @@ class Coefficient:
     def __neg__(self):
         if self._idx is None:
             return Coefficient(-self._num, self._den)
-        return _qt(self.names, (_ipoly_neg(self._num), self._den), self._idx)
+        return _qt(self.names, (tuple([-x for x in self._num]), self._den),
+                   self._idx)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -574,9 +571,14 @@ class Coefficient:
         a, b, c, d = self._num, self._den, other._num, other._den
         if not a or not c:
             return _qt(self.names, _ZERO)
+        if len(a) == len(b) == 1:  # a rational constant goes to c/d
+            a, b, c, d = c, d, a, b
+        if len(c) == len(d) == 1:  # scaling a coprime pair keeps it coprime
+            c, d = c[0], d[0]
+            return _qt(self.names, _strip_content(
+                tuple([c * v for v in a]), tuple([d * v for v in b])), idx)
         # a/b and c/d are in lowest terms, so a*c/(b*d) is in lowest terms
-        # once the cross factors gcd(a, d) and gcd(c, b) are divided out;
-        # `_cancel` takes none when either factor is constant
+        # once the cross factors gcd(a, d) and gcd(c, b) are divided out
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return _qt(self.names,
