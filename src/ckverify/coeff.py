@@ -43,7 +43,9 @@ larger space and the conjugation of a value in several names.
 
 Either way `num` and `den` read as MultiPolys, and the printed form is the
 same: integer coefficients, a positive leading denominator coefficient, and
-a constant denominator folded into the numerator.
+a constant denominator folded into the numerator.  `_sum_str` is the one
+renderer of a printed sum; MultiPoly's str, the pair printer `_ipoly_str`
+and `ncpoly.print_expr` only produce its terms.
 """
 from __future__ import annotations
 
@@ -214,36 +216,32 @@ class MultiPoly:
                    key=lambda ec: (-sum(ec[0]), ec[0]))[1]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for n, k in zip(self.names, e):
-                if k == 0:
-                    continue
-                factors.append(n if k == 1 else f"{n}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                body = _frac_str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{_frac_str(abs(c))}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f"{sign}{body}"
-        return out
+        return _sum_str([
+            (c < 0, None if (a := abs(c)) == 1 else str(a),
+             "*".join([n if k == 1 else f"{n}^{k}"
+                       for n, k in zip(self.names, e) if k]))
+            for e, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _sum_str(terms, plus: str = "+", minus: str = "-") -> str:
+    """The one printed form of a sum, from its terms (negative?, magnitude or
+    None, monomial or "") in order: None stands for a magnitude of 1, which
+    is left out before a monomial; a magnitude and a monomial are joined by
+    '*'; plus or minus goes between terms, only a minus before the first;
+    an empty sum is 0.  A scalar joins its terms with '+'/'-', an NcPoly
+    with ' + '/' - '."""
+    out = []
+    for neg, mag, mono in terms:
+        if not mono:
+            body = "1" if mag is None else mag
+        else:
+            body = mono if mag is None else f"{mag}*{mono}"
+        sign = (minus if neg else plus) if out else "-" if neg else ""
+        out.append(sign + body)
+    return "".join(out) or "0"
 
 
 def _scale_to_primitive(num: MultiPoly, den: MultiPoly):
@@ -298,14 +296,6 @@ def _ipoly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _primitive(a: tuple) -> tuple:
-    """a divided by its content, with a positive leading coefficient."""
-    g = gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else tuple([x // g for x in a])
-
-
 def _prem(a: tuple, b: tuple) -> tuple:
     """A remainder of a by b (len(a) >= len(b) >= 2) up to a nonzero integer
     factor: each step replaces a by lead(b)*a - c*x^i*b, which kills a's
@@ -328,14 +318,14 @@ def _prem(a: tuple, b: tuple) -> tuple:
 def _gcd(a: tuple, b: tuple) -> tuple:
     """Primitive GCD with positive leading coefficient of two nonconstant
     integer polynomials, by the primitive pseudo-remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
+    a, b = _strip_content((), a)[1], _strip_content((), b)[1]
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
             return b
-        a, b = b, _primitive(r)
+        a, b = b, _strip_content((), r)[1]
     return _ONE
 
 
@@ -396,23 +386,16 @@ def _nonzero(coeffs: tuple) -> int:
 
 def _ipoly_str(coeffs: tuple, name: str, den: int = 1) -> str:
     """str() of the MultiPoly sum of coeffs[k]/den * name^k, for den > 0."""
-    out = ""
+    terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if not c:
-            continue
-        g = gcd(c, den)
-        p, q = abs(c) // g, den // g
-        mag = str(p) if q == 1 else f"{p}/{q}"
-        mono = "" if k == 0 else name if k == 1 else f"{name}^{k}"
-        if not mono:
-            body = mag
-        elif p == q == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        out += ("-" if c < 0 else "+" if out else "") + body
-    return out or "0"
+        if c:
+            g = gcd(c, den)
+            p, q = abs(c) // g, den // g
+            terms.append((c < 0, f"{p}/{q}" if q != 1 else
+                          None if p == 1 else str(p),
+                          "" if k == 0 else name if k == 1 else f"{name}^{k}"))
+    return _sum_str(terms)
 
 
 def _poly_of(coeffs: tuple, names: Space, idx: int) -> MultiPoly:
@@ -764,14 +747,15 @@ def _evaluate(p: MultiPoly, bindings: Mapping, const, var):
 class ConjugationSpec:
     """Self-inverse permutation of parameter names (formal conjugation).
 
-    Parameters absent from the mapping are fixed; rational constants are
-    always fixed.
+    Parameters absent from the mapping are fixed, and so are rational
+    constants.  A fixed point given in the mapping (`PARAMS: a~a`) is
+    dropped, so that it compares equal to leaving the name out.
     """
 
     __slots__ = ("mapping",)
 
     def __init__(self, mapping: Mapping[str, str] = ()):
-        m = dict(mapping) if mapping else {}
+        m = {k: v for k, v in dict(mapping).items() if k != v}
         for k, v in m.items():
             if m.get(v, v) != k:
                 raise ValueError(

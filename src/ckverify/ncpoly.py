@@ -9,14 +9,17 @@ Ring operations take NcPoly operands only; `scale` multiplies by a scalar
 and `substitute_params` replaces parameter names by values.  There is no
 word rewriting: a word is replaced by subtracting a multiple of a relation
 that equates it to its replacement, as `presentations._back_substitutes`
-does.  print_expr (NcPoly's str) is the rendering that parser reads back.
+does.  print_expr (NcPoly's str) is the rendering that parser reads back:
+each coefficient's sign and magnitude come from `Coefficient.sign_split`,
+and the terms are joined, ` + `/` - ` between words, by the renderer that
+prints every sum in `coeff`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .coeff import Coefficient, ConjugationSpec, Space
+from .coeff import Coefficient, ConjugationSpec, Space, _sum_str
 
 Word = tuple  # tuple of generator indices
 
@@ -166,25 +169,11 @@ def word_str(alphabet, word: Word) -> str:
 
 
 def print_expr(p: NcPoly) -> str:
-    """Deterministic rendering: degree-descending, then word-lex ascending."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for w, c in p.sorted_terms():
-        neg, mag = c.sign_split()
-        word = word_str(p.alphabet, w)
-        if not w:
-            body = mag if mag is not None else "1"
-        elif mag is None:
-            body = word
-        else:
-            body = f"{mag}*{word}"
-        parts.append((neg, body))
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    """Deterministic rendering: degree-descending, then word-lex ascending,
+    each coefficient split into sign and magnitude by its sign_split."""
+    alphabet = p.alphabet
+    return _sum_str([(*c.sign_split(), "*".join([alphabet[i] for i in w]))
+                     for w, c in p.sorted_terms()], " + ", " - ")
 
 
 # term dicts (word -> nonzero Coefficient), shared with the parser

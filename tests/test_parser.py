@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ckverify.coeff import Coefficient, RATIONALS
+from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS
+from ckverify.ideal import presentations_equivalent
 from ckverify.ncpoly import NcPoly
 from ckverify.parser import (ParseError, parse_expr, parse_presentation_text,
                              parse_relation, print_expr, print_presentation)
@@ -70,7 +72,50 @@ def test_roundtrip_all_builder_relations():
             assert parse_expr(print_expr(rel), X) == rel
 
 
+SIX = ("alpha", "alphabar", "beta", "betabar", "gamma", "gammabar")
+_BIG = 2 ** 70 + 1
+
+# a magnitude of 1 printed before a monomial ("1*x1", "-1*b"); the printer
+# leaves it out, and the parser would read it back all the same
+_UNIT_FACTOR = re.compile(r"(?<![\w^/])1\*")
+
+
+def _random_int(rng):
+    return rng.choice((1, -1, rng.randint(-9, 9), rng.randint(-9, 9),
+                       rng.choice((1, -1)) * rng.randint(_BIG, 4 * _BIG)))
+
+
+def _random_poly(rng, names, used):
+    """A sum of one to three integer multiples of monomials in used."""
+    p = Coefficient.const(names, 0)
+    for _ in range(rng.randint(1, 3)):
+        t = Coefficient.const(names, _random_int(rng))
+        for n in used:
+            for _ in range(rng.randint(0, 2)):
+                t = t * Coefficient.param(names, n)
+        p = p + t
+    return p
+
+
+def _random_coefficient(rng, names):
+    """A rational constant (often +-1, sometimes with a numerator past
+    2**70) or a quotient of polynomials in one or two of the names; zero
+    when the draw cancels."""
+    kind = rng.randrange(3) if names else 0
+    if kind == 0:
+        return Coefficient.const(names, Fraction(
+            _random_int(rng), rng.choice((1, 1, rng.randint(2, 12)))))
+    used = rng.sample(names, min(kind, len(names)))
+    den = _random_poly(rng, names, used)
+    while den.is_zero():
+        den = _random_poly(rng, names, used)
+    return _random_poly(rng, names, used) / den
+
+
 def test_roundtrip_1000_random_expressions():
+    """Parsing is the check of the printed form: a random expression reads
+    back as itself, prints again to the same bytes, and prints no unit
+    magnitude before a monomial."""
     rng = random.Random(31337)
     names = ("a", "b")
     for _ in range(1000):
@@ -84,6 +129,28 @@ def test_roundtrip_1000_random_expressions():
             if c:
                 p = p + NcPoly(X, names, {word: Coefficient.const(names, c)})
         assert roundtrip(p) == p
+    b = Coefficient.param(("b",), "b")
+    cases = [NcPoly(X, ("b",), {(0,): (b - 2) / (b + 2), (): -b / (b + 2)})]
+    for names in (RATIONALS, ("b",), ("a", "b"), SIX):
+        for sign in (1, -1):  # +-1 on the empty word, alone and after a word
+            cases.append(NcPoly.scalar(X, names, sign))
+            cases.append(NcPoly(X, names, {(1, 0): Coefficient.const(
+                names, -sign), (): Coefficient.const(names, sign)}))
+        for _ in range(250):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                word = tuple(rng.randrange(4)
+                             for _ in range(rng.randint(0, 2)))
+                c = _random_coefficient(rng, names)
+                if c:
+                    terms[word] = c
+            cases.append(NcPoly(X, names, terms))
+    for p in cases:
+        text = print_expr(p)
+        q = roundtrip(p)
+        assert q == p, text
+        assert print_expr(q) == text
+        assert not _UNIT_FACTOR.search(text), text
 
 
 def test_error_positions():
@@ -137,6 +204,25 @@ def test_presentation_file_paired_params_roundtrip():
     assert q.relations == p.relations
     assert q.involution == p.involution
     assert print_presentation(q) == printed
+
+
+def test_presentation_file_fixed_point_param_roundtrip():
+    """A name paired with itself is fixed: the file prints it back as a
+    plain parameter, and the file read back has the same involution."""
+    text = ("GENERATORS: x1 x2 x3 x4\n"
+            "PARAMS: a~a\n"
+            "INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3\n"
+            "RELATIONS:\n"
+            "  a*x1*x2 - x2*x1\n"
+            "  x3*x4 - (a + 1)*x4*x3\n")
+    p = parse_presentation_text(text)
+    assert p.involution.conj == ConjugationSpec()
+    printed = print_presentation(p)
+    assert "PARAMS: a\n" in printed
+    q = parse_presentation_text(printed)
+    assert q.involution == p.involution
+    assert q.relations == p.relations
+    assert presentations_equivalent(p, q).verdict == "EQUIVALENT"
 
 
 def test_uncancelled_unit_coefficient_prints_as_one():
