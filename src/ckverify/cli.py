@@ -94,9 +94,7 @@ def _build_parser() -> _Parser:
 
 def _certificate_json(payload):
     """Serialize certificate payloads: engine certificates become entry
-    lists; dict/list containers recurse; scalars pass through."""
-    if payload is None:
-        return None
+    lists; dict/list containers recurse; scalars and None pass through."""
     if isinstance(payload, ideal.MembershipCertificate):
         return [{"left": word_str(claims.GENERATORS, e.left),
                  "relation": e.rel_index + 1,

@@ -64,6 +64,12 @@ class PoleError(ZeroDivisionError):
     """A substitution or inversion hit a vanishing denominator."""
 
 
+def _check_space(a: Space, b: Space):
+    """The one refusal of operands over two different parameter spaces."""
+    if a != b:
+        raise ValueError(f"parameter space mismatch: {a} vs {b}")
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -88,10 +94,7 @@ class MultiPoly:
 
     @staticmethod
     def const(names: Space, value) -> "MultiPoly":
-        q = _as_fraction(value)
-        if q == 0:
-            return MultiPoly(names, {})
-        return MultiPoly(names, {(0,) * len(names): q})
+        return MultiPoly(names, {(0,) * len(names): _as_fraction(value)})
 
     @staticmethod
     def var(names: Space, name: str) -> "MultiPoly":
@@ -130,13 +133,8 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "MultiPoly"):
-        if self.names != other.names:
-            raise ValueError(
-                f"parameter space mismatch: {self.names} vs {other.names}")
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
+        _check_space(self.names, other.names)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
@@ -153,7 +151,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
+        _check_space(self.names, other.names)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -167,8 +165,6 @@ class MultiPoly:
 
     def scaled(self, q) -> "MultiPoly":
         q = _as_fraction(q)
-        if q == 0:
-            return MultiPoly(self.names, {})
         return MultiPoly(self.names, {e: c * q for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
@@ -459,7 +455,7 @@ class Coefficient:
     __slots__ = ("names", "_num", "_den", "_idx")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        num._check(den)
+        _check_space(num.names, den.names)
         self.names = num.names
         num, den = _scale_to_primitive(num, den)
         if den.is_zero():
@@ -505,9 +501,7 @@ class Coefficient:
 
     def _coerce(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):
-            if other.names != self.names:
-                raise ValueError(f"parameter space mismatch: {self.names} "
-                                 f"vs {other.names}")
+            _check_space(self.names, other.names)
             return other
         if isinstance(other, (int, Fraction)):
             return Coefficient.const(self.names, other)

@@ -247,9 +247,9 @@ class _Span:
 class _FractionSpan(_Span):
     """A span over Q: every entry, multiplier and inverse is a Fraction, and
     a basis row keeps its pivot entry.  `_Span` over Q would make a ckbench
-    sweep pass 0.63x as long (0.79x with its rows left as Coefficients);
-    ckbench keeps every pass's stdout, so a second pass then fits into a
-    15 s run and its 4.7 MB of output reads as a peak_rss_mb regression.
+    sweep pass 0.63x as long (0.93x with its rows left as Coefficients);
+    ckbench keeps every pass's stdout, so a second pass then fits into more
+    15 s runs and its 4.7 MB of output reads as a peak_rss_mb regression.
     This class goes once ckbench keeps one pass's output."""
 
     @staticmethod

@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .coeff import Coefficient, ConjugationSpec, Space, _sum_str
+from .coeff import (Coefficient, ConjugationSpec, Space, _check_space,
+                    _sum_str)
 
 Word = tuple  # tuple of generator indices
 
@@ -70,9 +71,7 @@ class NcPoly:
         if self.alphabet != other.alphabet:
             raise ValueError(
                 f"alphabet mismatch: {self.alphabet} vs {other.alphabet}")
-        if self.space != other.space:
-            raise ValueError(
-                f"parameter space mismatch: {self.space} vs {other.space}")
+        _check_space(self.space, other.space)
 
     # -- ring operations ---------------------------------------------------
 

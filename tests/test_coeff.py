@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -89,6 +90,21 @@ def test_coefficient_int_fraction_coercion():
     assert a - Fraction(1, 2) == -(Fraction(1, 2) - a)
     assert (a / 2) * 2 == a
     assert 1 / (a + 1) == (a + 1).inv()
+
+
+def test_operands_over_other_spaces_are_refused():
+    message = re.escape("parameter space mismatch: ('a',) vs ('b',)")
+    pa, pb = MultiPoly.var(("a",), "a"), MultiPoly.var(("b",), "b")
+    ca, cb = Coefficient.param(("a",), "a"), Coefficient.param(("b",), "b")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match=message):
+            op(pa, pb)
+    with pytest.raises(ValueError, match=message):
+        Coefficient(pa, pb)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq):
+        with pytest.raises(ValueError, match=message):
+            op(ca, cb)
 
 
 def test_coefficient_pole_detection():

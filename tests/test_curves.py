@@ -105,12 +105,23 @@ def revalidate():
     curves._ensure_formulas_validated.cache_clear()
 
 
+def _with_constant_term(cubic, delta, j):
+    """The cubic plus 1, with the discriminant its resultant gives: the
+    resultant check passes, and the invariant chain, which reads only the
+    x^2 and x coefficients, does not."""
+    f = (*cubic[:3], cubic[3] + 1)
+    fp = [f[0] * 3, f[1] * 2, f[2]]
+    return f, -curves._sylvester_resultant_cubic(f, fp) * 16, j
+
+
 @pytest.mark.parametrize("wrong,message", [
     (lambda cubic, delta, j: (cubic, delta * 2, j),
      "discriminant closed form fails the resultant check"),
+    (_with_constant_term,
+     "discriminant closed form fails the invariant chain"),
     (lambda cubic, delta, j: (cubic, delta, j + 1),
      "j-invariant closed form fails the invariant chain"),
-], ids=["twice_delta", "j_plus_one"])
+], ids=["twice_delta", "constant_term", "j_plus_one"])
 def test_self_check_refuses_wrong_closed_forms(wrong, message, monkeypatch,
                                                revalidate):
     forms = curves._legendre_forms
@@ -118,6 +129,16 @@ def test_self_check_refuses_wrong_closed_forms(wrong, message, monkeypatch,
                         lambda lam: wrong(*forms(lam)))
     with pytest.raises(RuntimeError, match=message):
         legendre_invariants(lam_const(Fraction(1, 5)))
+
+
+@pytest.mark.parametrize("value,error,message", [
+    (True, TypeError, "parameter must be a number, not a bool"),
+    ("1/2", TypeError, "unsupported parameter value '1/2'"),
+], ids=["bool", "str"])
+def test_parameter_refuses_what_is_not_a_number(value, error, message):
+    for build in (legendre_invariants, quadrics_eq19, relations_eq21):
+        with pytest.raises(error, match=f"^{message}$"):
+            build(value)
 
 
 def test_invariants_symbolic_against_oracle():

@@ -13,7 +13,7 @@ from ckverify.ideal import (
     EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, NOT_EQUIVALENT,
     Presentation, STABLE, UNSTABLE, bounded_membership, graded_membership,
     involution_stability, presentations_equivalent)
-from ckverify.ncpoly import NcPoly, adjoint_involution
+from ckverify.ncpoly import InvolutionSpec, NcPoly, adjoint_involution
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
                                     _defining_pair, _exchange_relations,
                                     cuntz_krieger, ideal_I0, ideal_J0,
@@ -156,7 +156,6 @@ def test_ck_stability_random_matrices():
 
 
 def test_equivalence_requires_matching_frames():
-    from ckverify.ncpoly import InvolutionSpec
     p = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
     y = ("y1", "y2")
     q = Presentation(y, RATIONALS,
@@ -164,6 +163,54 @@ def test_equivalence_requires_matching_frames():
                      InvolutionSpec((1, 0)))
     with pytest.raises(ValueError):
         presentations_equivalent(p, q)
+    over_b = Presentation(X, ("b",), [NcPoly.generator(X, ("b",), 0)],
+                          p.involution)
+    with pytest.raises(ValueError, match="^presentations use different "
+                                         "parameter spaces$"):
+        presentations_equivalent(p, over_b)
+    fixed = Presentation(X, RATIONALS, p.relations,
+                         InvolutionSpec((0, 1, 2, 3)))
+    with pytest.raises(ValueError, match="^presentations use different "
+                                         "involutions$"):
+        presentations_equivalent(p, fixed)
+
+
+@pytest.mark.parametrize("alphabet,space,relations,perm,message", [
+    (X, RATIONALS, [gen(0)], (1, 0),
+     "involution permutation size != alphabet size"),
+    (X, RATIONALS, [gen(0), NcPoly.zero(X, RATIONALS)], (1, 0, 3, 2),
+     "relation 1 is identically zero"),
+    (X, RATIONALS, [NcPoly.generator(X, ("b",), 0)], (1, 0, 3, 2),
+     "relation 0 built over a different context"),
+    (X[:2], RATIONALS, [gen(0)], (1, 0),
+     "relation 0 built over a different context"),
+], ids=["involution_size", "zero_relation", "other_space",
+        "other_alphabet"])
+def test_presentation_refuses_what_does_not_fit(alphabet, space, relations,
+                                                perm, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Presentation(alphabet, space, relations, InvolutionSpec(perm))
+
+
+def test_graded_membership_refuses_inhomogeneous_input():
+    unit = gen(0) * gen(1) - NcPoly.one(X, RATIONALS)
+    quadric = gen(0) * gen(1) - gen(1) * gen(0)
+    with pytest.raises(ValueError, match="^graded membership needs "
+                                         "homogeneous relations$"):
+        graded_membership(quadric, [quadric, unit])
+    with pytest.raises(ValueError, match="^graded membership needs a "
+                                         "homogeneous target$"):
+        graded_membership(unit, [quadric])
+
+
+def test_certificate_that_fails_re_expansion_is_refused(monkeypatch):
+    """The engine never returns a certificate whose re-expansion leaves a
+    residual."""
+    quadric = gen(0) * gen(1) - gen(1) * gen(0)
+    monkeypatch.setattr(ideal, "_residual", lambda *args: {(): 1})
+    with pytest.raises(RuntimeError, match="^internal error: certificate "
+                                           "failed re-expansion$"):
+        graded_membership(quadric.scale(2), [quadric])
 
 
 def test_equivalence_identical_presentations():

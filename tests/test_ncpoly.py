@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,30 @@ def test_involution_spec_equality():
 def test_involution_requires_order_two_permutation():
     with pytest.raises(ValueError):
         InvolutionSpec((1, 2, 0, 3))
+    with pytest.raises(ValueError,
+                       match=r"^not a permutation: \(0, 0, 1, 2\)$"):
+        InvolutionSpec((0, 0, 1, 2))
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_generator_index_out_of_range_is_refused(index):
+    with pytest.raises(IndexError,
+                       match=f"^generator index {index} out of range$"):
+        NcPoly.generator(X, RATIONALS, index)
+
+
+def test_operands_over_other_alphabets_or_spaces_are_refused():
+    # words that x1 does not use, so that no two coefficients meet
+    x1 = gen(0)
+    short = NcPoly.generator(X[:2], RATIONALS, 1)
+    over_b = NcPoly.generator(X, ("b",), 1)
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alphabet mismatch: {X} vs {X[:2]}")):
+            op(x1, short)
+        with pytest.raises(ValueError, match=re.escape(
+                "parameter space mismatch: () vs ('b',)")):
+            op(x1, over_b)
 
 
 def test_substitute_params():
