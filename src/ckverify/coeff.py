@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 from typing import Mapping
 
@@ -627,6 +627,21 @@ class Coefficient:
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
         return Fraction(self._num[0] if self._num else 0, self._den[0])
+
+    def residue(self, point: tuple, prime: int):
+        """The value with names[i] set to point[i], modulo the prime, as an
+        int in [0, prime); None when the denominator vanishes there."""
+        if self._idx is None:
+            num, den = (sum(c * prod([pow(x, k, prime)
+                                      for x, k in zip(point, e) if k])
+                            for e, c in p.terms.items())
+                        for p in (self._num, self._den))
+        else:
+            x = point[self._idx]
+            num, den = (sum(c * pow(x, k, prime) for k, c in enumerate(q))
+                        for q in (self._num, self._den))
+        den %= prime
+        return num * pow(den, -1, prime) % prime if den else None
 
     # -- structural maps ---------------------------------------------------
 

@@ -32,6 +32,20 @@ deterministic.  Rows are fed until every target is settled, so a member
 costs only the rows up to its last pivot.  Reductions record their steps
 (pivot, multiplier), expanded into a combination of wrapped rows only for a
 target reduced to zero; basis rows are independent, so it is unique.
+
+A bounded span over a named space runs a point pass first
+(`_point_certificates`).  Its rows are reduced modulo the prime 2^61 - 1
+at a fixed point (`_PointSpan`), where arithmetic costs a few int
+operations, and each target settled there names the rows it rests on.
+Only those rows are reduced over the exact field: 80 of the 561 rows that
+symbolic theorem1 builds at the point, 99 of corollary1's 717.  Rows
+independent at the point are independent over Q(names), so each of them
+is a basis row of the full exact span too, and a target's combination of
+basis rows is unique: the certificates are those of the full exact span,
+whatever the point.  A target that the pass leaves open, or that its rows
+do not reduce to zero, takes the full exact span.  Graded slices, whose
+named spans are one small slice each, and spans over Q keep the exact
+loop alone.
 """
 from __future__ import annotations
 
@@ -57,6 +71,15 @@ NOT_EQUIVALENT = "NOT_EQUIVALENT"
 # row estimate passes this budget; on 7 relations over 4 generators it
 # admits wrapper lengths up to 5.
 MAX_SPAN_ROWS = 100_000
+
+# The point pass of a bounded span over a named space works modulo the
+# Mersenne prime 2^61 - 1, at the point where name k takes POINT_ROOT^(k+1);
+# the root is the golden-ratio constant of multiplicative hashing, so that
+# no polynomial with small coefficients in the names is likely to vanish
+# there.  The point only decides how fast a verdict is found, never what
+# it is.
+POINT_PRIME = 2 ** 61 - 1
+POINT_ROOT = 0x9E3779B97F4A7C15 % POINT_PRIME
 
 
 class Presentation:
@@ -145,7 +168,10 @@ class _Span:
     a value that carries a name, and every value over two or more names,
     is a Coefficient.  A basis row leaves out its pivot entry 1, and a new
     row whose pivot is 1 is kept as it is.  Over Q, `_FractionSpan` keeps
-    Fraction rows with their pivot entries.  `_span_over` picks the class."""
+    Fraction rows with their pivot entries.  `_span_over` picks the class.
+    A bounded span over a named space is fed only the support rows that
+    its point pass, a `_PointSpan` of residues, found; the rows and
+    certificates are those of the full span (`_point_certificates`)."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.space = space
@@ -171,12 +197,17 @@ class _Span:
                 return steps
             c = vec.pop(piv)
             steps.append((piv, c))
-            for w, bc in basis[piv][0].items():
-                nv = _lower(vec.get(w, 0) - _lower(c * bc))
-                if nv:
-                    vec[w] = nv
-                else:
-                    vec.pop(w, None)
+            self._subtract(vec, c, basis[piv][0])
+
+    @staticmethod
+    def _subtract(vec: dict, c, row: dict):
+        """vec loses c * row; entries that become zero are dropped."""
+        for w, bc in row.items():
+            nv = _lower(vec.get(w, 0) - _lower(c * bc))
+            if nv:
+                vec[w] = nv
+            else:
+                vec.pop(w, None)
 
     @staticmethod
     def _monic(vec: dict, piv: Word):
@@ -250,7 +281,9 @@ class _FractionSpan(_Span):
     sweep pass 0.63x as long (0.93x with its rows left as Coefficients);
     ckbench keeps every pass's stdout, so a second pass then fits into more
     15 s runs and its 4.7 MB of output reads as a peak_rss_mb regression.
-    This class goes once ckbench keeps one pass's output."""
+    The point pass is kept off spans over Q for the same reason: it made
+    theorem1 at b = 7 take 15-23 ms instead of 32-36 ms in-process.  This
+    class goes once ckbench keeps one pass's output."""
 
     @staticmethod
     def _to_vec(p: NcPoly) -> dict:
@@ -279,7 +312,57 @@ class _FractionSpan(_Span):
         return {w: c * inv for w, c in vec.items()}, inv
 
 
+class _PointSpan(_Span):
+    """A span of the residues modulo POINT_PRIME at a fixed point, name k
+    at POINT_ROOT^(k+1): every entry, multiplier and inverse is an int in
+    [0, POINT_PRIME), and a vec is None when a coefficient has a pole at the
+    point.  It only finds pivots and support rows for the point pass
+    (`_point_certificates`); it makes no certificate."""
+
+    def __init__(self, relations: Sequence[NcPoly], space: Space):
+        self.point = tuple(pow(POINT_ROOT, k + 1, POINT_PRIME)
+                           for k in range(len(space)))
+        super().__init__(relations, space)
+
+    def _to_vec(self, p: NcPoly):
+        vec = {}
+        for w, c in p.terms.items():
+            r = c.residue(self.point, POINT_PRIME)
+            if r is None:
+                return None
+            if r:
+                vec[w] = r
+        return vec
+
+    @staticmethod
+    def _subtract(vec: dict, c: int, row: dict):
+        for w, bc in row.items():
+            nv = (vec.get(w, 0) - c * bc) % POINT_PRIME
+            if nv:
+                vec[w] = nv
+            else:
+                vec.pop(w, None)
+
+    @staticmethod
+    def _monic(vec: dict, piv: Word):
+        inv = pow(vec.pop(piv), -1, POINT_PRIME)
+        return {w: c * inv % POINT_PRIME for w, c in vec.items()}, inv
+
+    def support(self, steps: list, tags: set):
+        """Add to tags the tag of every basis row that the steps reach,
+        directly or through the steps recorded with a row they reach."""
+        todo = [piv for piv, _ in steps]
+        while todo:
+            _, tag, _, row_steps = self.basis[todo.pop()]
+            if tag not in tags:
+                tags.add(tag)
+                todo += [piv for piv, _ in row_steps]
+
+
 def _span_over(relations: Sequence[NcPoly], space: Space) -> _Span:
+    """The exact span for the space: a `_FractionSpan` over Q, else a
+    `_Span`.  The point pass builds its `_PointSpan` itself, before the
+    exact `_Span` of its support rows."""
     return (_Span if space else _FractionSpan)(relations, space)
 
 
@@ -361,6 +444,18 @@ def _check_rows(indices, n: int, top: int, degree: Optional[int],
             f"{MAX_SPAN_ROWS:,}")
 
 
+def _check_wrapper_len(wrapper_len, graded: bool):
+    """Refuse a wrapper length that is not a nonnegative int (a bool is not
+    one).  None passes in the graded regime, which does not read it."""
+    if wrapper_len is None and graded:
+        return
+    if not isinstance(wrapper_len, int) or isinstance(wrapper_len, bool):
+        raise ValueError("wrapper length must be an int, not "
+                         f"{type(wrapper_len).__name__}")
+    if wrapper_len < 0:
+        raise ValueError("wrapper length must be nonnegative")
+
+
 def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
               space: Space, wrapper_len: Optional[int],
               graded: Optional[bool] = None) -> list:
@@ -368,13 +463,15 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     every target is homogeneous): against the complete slice of the
     target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
     against the wrappers up to wrapper_len, so a failed search is
-    INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries."""
+    INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries.
+    A bounded span over a named space takes the point pass first
+    (`_point_certificates`), and its targets that stay open then take
+    `_certificates`, like every other span."""
     if targets and not relations:
         raise ValueError("empty relation list")
-    if wrapper_len is not None and wrapper_len < 0:
-        raise ValueError("wrapper length must be nonnegative")
     if graded is None:
         graded = all(p.is_homogeneous() for p in chain(relations, targets))
+    _check_wrapper_len(wrapper_len, graded)
     verdicts = []
     batches: dict = {}         # degree (None if bounded) -> target indices
     for k, target in enumerate(targets):
@@ -385,20 +482,74 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
                         MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
-        span = _span_over(relations, space)
-        open_ = {k: (span._to_vec(targets[k]), []) for k in batch}
-        for row in _span(relations, degree, wrapper_len):
-            piv = span.add_wrapped(*row)
-            for k in [k for k, (vec, _) in open_.items() if piv in vec]:
-                vec, steps = open_[k]
-                steps += span._reduce(vec)
-                if not vec:
-                    del open_[k]
-                    verdicts[k] = MembershipVerdict(
-                        MEMBER, span.certificate(targets[k], steps))
-            if not open_:
-                break
+        found = {}
+        if degree is None and space:
+            found = _point_certificates(targets, batch, relations, space,
+                                        wrapper_len)
+        rest = [k for k in batch if k not in found]
+        if rest:
+            found.update(_certificates(targets, rest, relations, space,
+                                       degree, wrapper_len))
+        for k, cert in found.items():
+            verdicts[k] = MembershipVerdict(MEMBER, cert)
     return verdicts
+
+
+def _feed(span: _Span, vecs: dict, rows) -> dict:
+    """Feed the rows (l, i, r) to the span, in order, until every vec
+    (target index -> the target as a vec of the span, reduced in place)
+    reduces to zero; target index -> its steps, for each that does."""
+    open_ = {k: (vec, []) for k, vec in vecs.items()}
+    settled = {}
+    for row in rows:
+        piv = span.add_wrapped(*row)
+        for k in [k for k, (vec, _) in open_.items() if piv in vec]:
+            vec, steps = open_[k]
+            steps += span._reduce(vec)
+            if not vec:
+                settled[k] = open_.pop(k)[1]
+        if not open_:
+            break
+    return settled
+
+
+def _certificates(targets: Sequence[NcPoly], batch: list,
+                  relations: Sequence[NcPoly], space: Space,
+                  degree: Optional[int], wrapper_len: Optional[int]) -> dict:
+    """Target index -> certificate, for each target of the batch that the
+    rows of the span (the degree slice, or the wrappers up to wrapper_len
+    when degree is None) reduce to zero, fed to one exact span until
+    every target is settled."""
+    span = _span_over(relations, space)
+    vecs = {k: span._to_vec(targets[k]) for k in batch}
+    settled = _feed(span, vecs, _span(relations, degree, wrapper_len))
+    return {k: span.certificate(targets[k], steps)
+            for k, steps in settled.items()}
+
+
+def _point_certificates(targets: Sequence[NcPoly], batch: list,
+                        relations: Sequence[NcPoly], space: Space,
+                        wrapper_len: int) -> dict:
+    """Target index -> certificate, for each target of the batch that the
+    point pass settles and its support rows then reduce to zero over the
+    exact field: the rows are fed to a `_PointSpan`, and the union of the
+    rows that the settled targets reach (`_PointSpan.support`), in tag
+    order, to an exact `_Span`.  The module docstring says why each
+    certificate is the one `_certificates` finds.  Nothing is settled when
+    a relation or target coefficient has a pole at the point."""
+    point = _PointSpan(relations, space)
+    vecs = {k: point._to_vec(targets[k]) for k in batch}
+    if None in point._vec_cache or None in vecs.values():
+        return {}
+    settled = _feed(point, vecs, _span(relations, None, wrapper_len))
+    support: set = set()
+    for steps in settled.values():
+        point.support(steps, support)
+    exact = _Span(relations, space)
+    vecs = {k: exact._to_vec(targets[k]) for k in settled}
+    rows = [point.tags[t] for t in sorted(support)]
+    return {k: exact.certificate(targets[k], steps)
+            for k, steps in _feed(exact, vecs, rows).items()}
 
 
 def _overall(verdicts, yes: str, no: str) -> str:

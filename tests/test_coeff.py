@@ -967,6 +967,25 @@ def test_lowered_gives_a_rational_constant_as_int_or_fraction():
     assert type((two - two + 2).lowered()) is int
 
 
+def test_residue_is_the_value_at_the_point_modulo_the_prime():
+    """Over one name and over two, the residue is the exact value at the
+    point taken modulo the prime; it is None exactly where the denominator
+    vanishes modulo the prime, a multiple of the prime away from a pole."""
+    p, point = 101, (3, 5)
+    a, b = (Coefficient.param(AB, n) for n in AB)
+    values = [Coefficient.const(AB, 0), Coefficient.const(AB, Fraction(-3, 7)),
+              (b * b - 2) / (b + 4), (a - b) / (a * b + 1), a * b / (a - 7)]
+    for c in values:
+        at = c.substitute({n: Coefficient.const(AB, x)
+                           for n, x in zip(AB, point)}).as_fraction()
+        assert c.residue(point, p) == \
+            at.numerator * pow(at.denominator, -1, p) % p
+    for pole in ((b - 5).inv(), (b + 96).inv(), (a - b + 2).inv(),
+                 (a * b - 15).inv()):
+        assert pole.residue(point, p) is None
+    assert (b + 96).residue(point, p) == 0
+
+
 # ---------------------------------------------------------------------------
 # constants print from their pair in a named space, through MultiPolys over Q
 

@@ -274,6 +274,38 @@ def test_negative_wrapper_len_refused():
             call()
 
 
+@pytest.mark.parametrize("wrapper_len,kind",
+                         [(None, "NoneType"), (2.5, "float"), (True, "bool"),
+                          ("2", "str")], ids=["none", "float", "bool", "str"])
+def test_wrapper_len_that_is_no_int_refused(wrapper_len, kind):
+    """A wrapper length that is not an int, or is a bool, is refused by
+    every bounded entry point and by verify before any work; None is
+    refused there too, since a bounded search needs its bound."""
+    unit = gen(0) * gen(1) + gen(2) * gen(3) - NcPoly.one(X, RATIONALS)
+    bounded = cuntz_krieger(CKMatrix.for_modulus(7))
+    for call in (lambda: bounded_membership(unit, [unit], wrapper_len),
+                 lambda: involution_stability(bounded, wrapper_len),
+                 lambda: presentations_equivalent(*modulus_family(7),
+                                                  wrapper_len),
+                 lambda: verify("theorem1", b=7, wrapper_len=wrapper_len)):
+        with pytest.raises(ValueError, match="^wrapper length must be an "
+                                             f"int, not {kind}$"):
+            call()
+
+
+@pytest.mark.parametrize("wrapper_len", [None, 2.5, True],
+                         ids=["none", "float", "bool"])
+def test_graded_path_takes_only_none_or_an_int(wrapper_len):
+    """The graded path does not read the wrapper length: None passes there,
+    and any other value that is not an int is still refused."""
+    graded = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
+    if wrapper_len is None:
+        assert involution_stability(graded, None).verdict == STABLE
+    else:
+        with pytest.raises(ValueError, match="^wrapper length must be an"):
+            involution_stability(graded, wrapper_len)
+
+
 def _entries(cert):
     return [(e.left, e.rel_index, e.right, e.coeff) for e in cert]
 
@@ -532,3 +564,201 @@ def test_symbolic_engine_makes_no_constant_coefficient_operation(
     monkeypatch.setattr(ideal, "_verdicts", engine)
     assert verify(claim, b=None).verdict == "PASS"
     assert seen[0] > 1000 and constant == []
+
+
+# ---------------------------------------------------------------------------
+# the point pass: a bounded span over a named space finds its support rows
+# modulo a prime at a fixed point, then solves exactly on those rows only
+
+def _assert_same_as_exact_loop(targets, relations, wrapper_len):
+    """_verdicts gives every target the verdict, and every MEMBER the
+    certificate entries, in value and in printed form, that the exact row
+    loop alone gives."""
+    space = relations[0].space
+    got = ideal._verdicts(targets, relations, space, wrapper_len,
+                          graded=False)
+    batch = [k for k, t in enumerate(targets) if not t.is_zero()]
+    want = ideal._certificates(targets, batch, relations, space, None,
+                               wrapper_len)
+    for k, v in enumerate(got):
+        if k not in batch:
+            continue
+        if k not in want:
+            assert (v.kind, v.bound) == (INCONCLUSIVE, wrapper_len)
+            continue
+        assert v.kind == MEMBER
+        assert _entries(v.certificate) == _entries(want[k])
+        assert [str(e.coeff) for e in v.certificate] == \
+            [str(e.coeff) for e in want[k]]
+    return got
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ideal.<name>, which keeps working."""
+    calls = []
+    fn = getattr(ideal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(ideal, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_omega", [False, True],
+                         ids=["theorem1", "corollary1"])
+def test_point_pass_changes_no_family_certificate(with_omega, monkeypatch):
+    """Both directions of the symbolic family, and 1 against either side
+    (the unit certificates of a zero quotient), get the verdicts and
+    certificates of the exact loop; the point pass settles every target,
+    so the exact loop never runs inside _verdicts."""
+    p, q = modulus_family(None, with_omega=with_omega)
+    fallbacks = _counting(monkeypatch, "_certificates")
+    for sources, side in ((p, q), (q, p)):
+        got = _assert_same_as_exact_loop(sources.relations, side.relations, 2)
+        assert {v.kind for v in got} == {MEMBER}
+        one = NcPoly.one(X, side.space)
+        unit = _assert_same_as_exact_loop([one], side.relations, 2)
+        alone = bounded_membership(one, side.relations, 2)
+        assert unit[0].kind == alone.kind == MEMBER
+        assert _entries(unit[0].certificate) == _entries(alone.certificate)
+    assert len(fallbacks) == 4     # the reference calls of the helper only
+
+
+@pytest.mark.parametrize("wrapper_len", [0, 1])
+@pytest.mark.parametrize("with_omega", [False, True],
+                         ids=["theorem1", "corollary1"])
+def test_point_pass_keeps_the_bound_of_an_open_target(with_omega,
+                                                      wrapper_len):
+    """At wrapper length 0 or 1 two targets of each direction stay open:
+    they go through the exact loop too and keep their bound."""
+    p, q = modulus_family(None, with_omega=with_omega)
+    for sources, side in ((p, q), (q, p)):
+        got = _assert_same_as_exact_loop(sources.relations, side.relations,
+                                         wrapper_len)
+        assert [v.bound for v in got if v.kind == INCONCLUSIVE] == \
+            [wrapper_len] * 2
+
+
+def _random_bounded_problem(rng, space):
+    """Three random inhomogeneous relations over three generators with
+    coefficients in Q(space), and four targets: two combinations of
+    wrapped relations (members) and two random polynomials."""
+    gens, params = X[:3], [Coefficient.param(space, n) for n in space]
+    one = Coefficient.const(space, 1)
+
+    def scalar():
+        c = Coefficient.const(space, Fraction(rng.choice([-3, -2, -1, 1, 2]),
+                                              rng.randint(1, 2)))
+        x = rng.choice(params)
+        c = c + x * rng.randint(-2, 2)
+        if rng.random() < 0.3:
+            c = c / (rng.choice(params) + rng.randint(1, 3))
+        return c or one
+
+    def word(n):
+        return tuple(rng.randrange(3) for _ in range(n))
+
+    def poly(max_len):
+        return NcPoly(gens, space, {word(rng.randint(0, max_len)): scalar()
+                                    for _ in range(3)})
+
+    relations = [poly(2) for _ in range(3)]
+    targets = []
+    for _ in range(2):
+        t = NcPoly.zero(gens, space)
+        for _ in range(2):
+            llen = rng.randint(0, 1)
+            t = t + (NcPoly(gens, space, {word(llen): one})
+                     * rng.choice(relations)
+                     * NcPoly(gens, space, {word(1 - llen): one})
+                     ).scale(scalar())
+        targets.append(t)
+    return relations, targets + [poly(2), poly(3)]
+
+
+@pytest.mark.parametrize("space,wrapper_lens", [(("t",), (1, 2)),
+                                                (("s", "t"), (1,))],
+                         ids=["one_name", "two_names"])
+def test_point_pass_changes_no_random_verdict(space, wrapper_lens):
+    """Seeded random bounded problems get the exact loop's verdicts and
+    certificates.  Over two names only at wrapper length 1: without a
+    multivariate GCD the exact loop's entries there grow too fast for a
+    test at length 2."""
+    rng = random.Random(2024)
+    members = 0
+    for _ in range(6):
+        relations, targets = _random_bounded_problem(rng, space)
+        for wrapper_len in wrapper_lens:
+            got = _assert_same_as_exact_loop(targets, relations, wrapper_len)
+            members += sum(v.kind == MEMBER for v in got)
+    assert members >= 12 * len(wrapper_lens)
+
+
+def _point_value():
+    """The value of the only name of ("b",) at the point of the point pass."""
+    return ideal._PointSpan([], ("b",)).point[0]
+
+
+def _vanishing(b):
+    """b minus its value at the point: zero there, nonzero in Q(b)."""
+    return b - _point_value()
+
+
+@pytest.mark.parametrize("where", ["relation", "target"])
+def test_point_pass_is_skipped_at_a_pole(where, monkeypatch):
+    """A coefficient with a pole at the point skips the pass: no row is
+    built modulo the prime, and the exact loop gives the verdict."""
+    space = ("b",)
+    b = Coefficient.param(space, "b")
+    pole = Coefficient.const(space, 1) / _vanishing(b)
+    x1, x2 = (NcPoly.generator(X, space, i) for i in range(2))
+    relations = [x1 - x2.scale(pole if where == "relation" else b), x2]
+    target = x1.scale(pole) if where == "target" else x1
+    point_rows = []
+    add_wrapped = ideal._PointSpan.add_wrapped
+    monkeypatch.setattr(ideal._PointSpan, "add_wrapped",
+                        lambda self, *row: point_rows.append(row) or
+                        add_wrapped(self, *row))
+    [v] = _assert_same_as_exact_loop([target], relations, 1)
+    assert v.kind == MEMBER and point_rows == []
+
+
+@pytest.mark.parametrize("case", ["open", "short_support", "non_member"])
+def test_point_pass_falls_back_where_a_row_vanishes_at_the_point(
+        case, monkeypatch):
+    """Relation 1 equals relation 0 at the point only, so it is a basis row
+    of the exact span and not of the point pass.  x2 is then left open
+    by the pass; relation 1 itself is settled there on relation 0 alone,
+    which does not reduce it exactly; x1 + (b - point) x3 is settled there
+    too but is no member.  Each goes through the exact loop."""
+    space = ("b",)
+    b = Coefficient.param(space, "b")
+    x1, x2, x3 = (NcPoly.generator(X, space, i) for i in range(3))
+    relations = [x1, x1 + x2.scale(_vanishing(b))]
+    target = {"open": x2, "short_support": relations[1],
+              "non_member": x1 + x3.scale(_vanishing(b))}[case]
+    fallbacks = _counting(monkeypatch, "_certificates")
+    [v] = _assert_same_as_exact_loop([target], relations, 0)
+    assert len(fallbacks) == 2     # one inside _verdicts, one reference
+    if case == "non_member":
+        assert (v.kind, v.bound) == (INCONCLUSIVE, 0)
+    else:
+        assert v.kind == MEMBER
+    if case == "short_support":
+        assert _entries(v.certificate) == [((), 1, (), 1)]
+
+
+def test_point_pass_refuses_a_span_past_the_budget_before_any_row(
+        monkeypatch):
+    """The row budget still refuses a bounded span over Q(b) before a row
+    is built, modulo the prime or exactly."""
+    built = []
+    add_wrapped = ideal._Span.add_wrapped
+    monkeypatch.setattr(ideal._Span, "add_wrapped",
+                        lambda self, *row: built.append(row) or
+                        add_wrapped(self, *row))
+    monkeypatch.setattr(ideal, "MAX_SPAN_ROWS", 398)
+    with pytest.raises(ValueError, match="^wrapper length 2 needs 399 "):
+        presentations_equivalent(*modulus_family(None))
+    assert built == []
