@@ -42,8 +42,12 @@ symbolic theorem1 builds at the point, 99 of corollary1's 717.  Rows
 independent at the point are independent over Q(names), so each of them
 is a basis row of the full exact span too, and a target's combination of
 basis rows is unique: the certificates are those of the full exact span,
-whatever the point.  A target that the pass leaves open, or that its rows
-do not reduce to zero, takes the full exact span.  Graded slices, whose
+whatever the point.  A target whose support rows do not reduce it to
+zero takes the full exact span, and so does a target that the pass
+leaves open, unless no row reduced to zero at the point: the exact span
+then has the point's rank, and the target stays INCONCLUSIVE.  The pass
+keys words by int codes ordered as deglex (`_PointSpan`), so a wrapped
+row is integer arithmetic and a pivot a plain max.  Graded slices, whose
 named spans are one small slice each, and spans over Q keep the exact
 loop alone.
 """
@@ -185,14 +189,16 @@ class _Span:
     def _to_vec(p: NcPoly) -> dict:
         return {w: _lower(c) for w, c in p.terms.items()}
 
+    _key = staticmethod(word_key)    # the deglex sort key of a vec's keys
+
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis and return the steps
         (pivot, multiplier): vec loses the sum of multiplier * row(pivot)."""
         basis = self.basis
+        key = self._key
         steps = []
         while True:
-            piv = max((w for w in vec if w in basis), key=word_key,
-                      default=None)
+            piv = max(filter(basis.__contains__, vec), key=key, default=None)
             if piv is None:
                 return steps
             c = vec.pop(piv)
@@ -317,22 +323,86 @@ class _PointSpan(_Span):
     at POINT_ROOT^(k+1): every entry, multiplier and inverse is an int in
     [0, POINT_PRIME), and a vec is None when a coefficient has a pole at the
     point.  It only finds pivots and support rows for the point pass
-    (`_point_certificates`); it makes no certificate."""
+    (`_point_certificates`); it makes no certificate.
+
+    A vec is keyed by word codes, not words: the code of w is off[len(w)]
+    plus w read as a base-n number, first letter most significant, where n
+    is the alphabet size and off[L] = n^0 + ... + n^(L-1) counts the words
+    shorter than L.  Codes are distinct and ordered as the words are in
+    deglex, so each pivot is the plain max of its candidates and the pass
+    picks the pivots of a span keyed by words.  A relation is kept as
+    (length, value, residue) triples, one per term, so a wrapped row
+    l * g * r gets its codes from integer arithmetic; tags stay words."""
+
+    _key = None
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
+        super().__init__((), space)     # relations are kept as triples
         self.point = tuple(pow(POINT_ROOT, k + 1, POINT_PRIME)
                            for k in range(len(space)))
-        super().__init__(relations, space)
+        self._n = len(relations[0].alphabet) if relations else 1
+        self._off, self._pow = [0], [1]     # off[L], n^L
+        self._top = max((len(w) for rel in relations for w in rel.terms),
+                        default=0)
+        for rel in relations:
+            terms = self._residues(rel)
+            self._vec_cache.append(
+                None if terms is None else
+                [(len(w), self._value(w), r) for w, r in terms])
 
-    def _to_vec(self, p: NcPoly):
-        vec = {}
+    def _residues(self, p: NcPoly):
+        """(word, residue) for each term with a nonzero residue, or None
+        when a coefficient has a pole at the point."""
+        terms = []
         for w, c in p.terms.items():
             r = c.residue(self.point, POINT_PRIME)
             if r is None:
                 return None
             if r:
-                vec[w] = r
-        return vec
+                terms.append((w, r))
+        return terms
+
+    def _value(self, w: Word) -> int:
+        v, n = 0, self._n
+        for g in w:
+            v = v * n + g
+        return v
+
+    def _grow(self, length: int):
+        """Extend off and the powers of n up to index length."""
+        off, pw = self._off, self._pow
+        while len(off) <= length:
+            off.append(off[-1] + pw[-1])
+            pw.append(pw[-1] * self._n)
+
+    def _code(self, w: Word) -> int:
+        self._grow(len(w))
+        return self._off[len(w)] + self._value(w)
+
+    def _to_vec(self, p: NcPoly):
+        terms = self._residues(p)
+        return None if terms is None else \
+            {self._code(w): r for w, r in terms}
+
+    def add_wrapped(self, left: Word, rel_index: int, right: Word):
+        """`_Span.add_wrapped` on codes: the code of l * w * r is
+        off[|l| + |w| + |r|] + (value(l) * n^|w| + value(w)) * n^|r|
+        + value(r)."""
+        ll, rl = len(left), len(right)
+        self._grow(ll + self._top + rl)
+        off, pw = self._off, self._pow
+        lv, rv, shift = self._value(left), self._value(right), pw[rl]
+        vec = {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
+               for length, v, c in self._vec_cache[rel_index]}
+        tag = len(self.tags)
+        self.tags.append((left, rel_index, right))
+        steps = self._reduce(vec)
+        if not vec:
+            return None
+        piv = max(vec)
+        vec, inv = self._monic(vec, piv)
+        self.basis[piv] = (vec, tag, inv, steps)
+        return piv
 
     @staticmethod
     def _subtract(vec: dict, c: int, row: dict):
@@ -344,7 +414,7 @@ class _PointSpan(_Span):
                 vec.pop(w, None)
 
     @staticmethod
-    def _monic(vec: dict, piv: Word):
+    def _monic(vec: dict, piv: int):
         inv = pow(vec.pop(piv), -1, POINT_PRIME)
         return {w: c * inv % POINT_PRIME for w, c in vec.items()}, inv
 
@@ -465,8 +535,8 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     against the wrappers up to wrapper_len, so a failed search is
     INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries.
     A bounded span over a named space takes the point pass first
-    (`_point_certificates`), and its targets that stay open then take
-    `_certificates`, like every other span."""
+    (`_point_certificates`), and the targets it leaves to the exact loop
+    then take `_certificates`, like every other span."""
     if targets and not relations:
         raise ValueError("empty relation list")
     if graded is None:
@@ -482,11 +552,10 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
                         MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
-        found = {}
+        found, rest = {}, batch
         if degree is None and space:
-            found = _point_certificates(targets, batch, relations, space,
-                                        wrapper_len)
-        rest = [k for k in batch if k not in found]
+            found, rest = _point_certificates(targets, batch, relations,
+                                              space, wrapper_len)
         if rest:
             found.update(_certificates(targets, rest, relations, space,
                                        degree, wrapper_len))
@@ -529,18 +598,30 @@ def _certificates(targets: Sequence[NcPoly], batch: list,
 
 def _point_certificates(targets: Sequence[NcPoly], batch: list,
                         relations: Sequence[NcPoly], space: Space,
-                        wrapper_len: int) -> dict:
-    """Target index -> certificate, for each target of the batch that the
-    point pass settles and its support rows then reduce to zero over the
-    exact field: the rows are fed to a `_PointSpan`, and the union of the
-    rows that the settled targets reach (`_PointSpan.support`), in tag
-    order, to an exact `_Span`.  The module docstring says why each
-    certificate is the one `_certificates` finds.  Nothing is settled when
-    a relation or target coefficient has a pole at the point."""
+                        wrapper_len: int):
+    """(target index -> certificate, the targets of the batch left to the
+    exact loop).  A target gets its certificate when the point pass settles
+    it and its support rows then reduce it to zero over the exact field:
+    the rows are fed to a `_PointSpan`, and the union of the rows that the
+    settled targets reach (`_PointSpan.support`), in tag order, to an exact
+    `_Span`.  The module docstring says why each certificate is the one
+    `_certificates` finds.  Nothing is settled when a relation or target
+    coefficient has a pole at the point.
+
+    A target that the pass leaves open is left to the exact loop only when
+    some row reduced to zero at the point.  The pass has then fed every
+    row; if every row became a basis row, the rows are independent at the
+    point, so some square minor of them is nonzero there.  An exact
+    combination of the rows equal to the target can have no pole at the
+    point: by Cramer's rule on that minor each of its coefficients is a
+    polynomial in the entries over the minor, so clearing a denominator
+    that vanishes at the point would make the rows dependent there.  Its
+    value at the point would then settle the target there, so the target
+    is INCONCLUSIVE over Q(names) as well."""
     point = _PointSpan(relations, space)
     vecs = {k: point._to_vec(targets[k]) for k in batch}
     if None in point._vec_cache or None in vecs.values():
-        return {}
+        return {}, batch
     settled = _feed(point, vecs, _span(relations, None, wrapper_len))
     support: set = set()
     for steps in settled.values():
@@ -548,8 +629,11 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     exact = _Span(relations, space)
     vecs = {k: exact._to_vec(targets[k]) for k in settled}
     rows = [point.tags[t] for t in sorted(support)]
-    return {k: exact.certificate(targets[k], steps)
-            for k, steps in _feed(exact, vecs, rows).items()}
+    found = {k: exact.certificate(targets[k], steps)
+             for k, steps in _feed(exact, vecs, rows).items()}
+    full_rank = len(point.basis) == len(point.tags)
+    return found, [k for k in batch if k not in found
+                   and (k in settled or not full_rank)]
 
 
 def _overall(verdicts, yes: str, no: str) -> str:

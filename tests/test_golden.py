@@ -52,6 +52,16 @@ VERIFY_GOLDEN = [
      "e4453c9eeabe14397db2de986dd384361ceaae8c55efdb0a056ffbfdfa1cd9f5"),
     (["verify", "lemma5", "--b", "7"], 0,
      "a67e2d230c0ac379ed46a40ff02f5ae863da11e9c26b9811885c26783a5a08ba"),
+    # short bounded spans over Q(b): two targets of each direction stay
+    # open, so these pin the open-target path of the point pass
+    (["verify", "theorem1", "--symbolic", "--wrapper-len", "0"], 2,
+     "390f2eae6141e67eb16f72e3150694eebae312cc6c00583a5713b799594d13a5"),
+    (["verify", "theorem1", "--symbolic", "--wrapper-len", "1"], 2,
+     "e5abbb90fa0fb6f80fbce01454e0e2a1260baa1b739c89e39ec3544313b514b1"),
+    (["verify", "corollary1", "--symbolic", "--wrapper-len", "0"], 2,
+     "5dade15295882c731b6fb21d913b735853d88116c2a58a54d0ed943667ed3490"),
+    (["verify", "corollary1", "--symbolic", "--wrapper-len", "1"], 2,
+     "244c3528b7f062a4e62e67364adb5772feae73153bbab43b213e18fe8864e27f"),
 ]
 
 # The symbolic certificates have poles at b = 2 and 3, so the elimination at

@@ -1,6 +1,7 @@
 """Membership engine: graded and bounded searches, certificates, stability."""
 from __future__ import annotations
 
+import itertools
 import random
 from types import SimpleNamespace
 from fractions import Fraction
@@ -13,7 +14,8 @@ from ckverify.ideal import (
     EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, NOT_EQUIVALENT,
     Presentation, STABLE, UNSTABLE, bounded_membership, graded_membership,
     involution_stability, presentations_equivalent)
-from ckverify.ncpoly import InvolutionSpec, NcPoly, adjoint_involution
+from ckverify.ncpoly import (InvolutionSpec, NcPoly, adjoint_involution,
+                             word_key)
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
                                     _defining_pair, _exchange_relations,
                                     cuntz_krieger, ideal_I0, ideal_J0,
@@ -625,26 +627,104 @@ def test_point_pass_changes_no_family_certificate(with_omega, monkeypatch):
     assert len(fallbacks) == 4     # the reference calls of the helper only
 
 
+# whether a row of the direction (forward, backward) reduces to zero at the
+# point: none does at wrapper length 0; at length 1, 0 and 4 rows do for
+# theorem1, 4 and 8 for corollary1
+_ZERO_ROWS_AT_THE_POINT = {(False, 0): (False, False),
+                           (False, 1): (False, True),
+                           (True, 0): (False, False),
+                           (True, 1): (True, True)}
+
+
 @pytest.mark.parametrize("wrapper_len", [0, 1])
 @pytest.mark.parametrize("with_omega", [False, True],
                          ids=["theorem1", "corollary1"])
 def test_point_pass_keeps_the_bound_of_an_open_target(with_omega,
-                                                      wrapper_len):
-    """At wrapper length 0 or 1 two targets of each direction stay open:
-    they go through the exact loop too and keep their bound."""
+                                                      wrapper_len,
+                                                      monkeypatch):
+    """At wrapper length 0 or 1 two targets of each direction stay open
+    and keep their bound.  They go through the exact loop too only when a
+    row reduced to zero at the point: otherwise the point rank is the
+    exact rank, and the exact loop could settle nothing more."""
     p, q = modulus_family(None, with_omega=with_omega)
-    for sources, side in ((p, q), (q, p)):
+    zero_rows = _ZERO_ROWS_AT_THE_POINT[with_omega, wrapper_len]
+    for (sources, side), zero_row in zip(((p, q), (q, p)), zero_rows):
+        fallbacks = _counting(monkeypatch, "_certificates")
         got = _assert_same_as_exact_loop(sources.relations, side.relations,
                                          wrapper_len)
         assert [v.bound for v in got if v.kind == INCONCLUSIVE] == \
             [wrapper_len] * 2
+        # one reference call of the helper, and one fallback if any
+        assert len(fallbacks) == 1 + zero_row
+        monkeypatch.undo()
 
 
-def _random_bounded_problem(rng, space):
-    """Three random inhomogeneous relations over three generators with
+@pytest.mark.parametrize("claim,point_rows,exact_rows",
+                         [("theorem1", 561, 80), ("corollary1", 717, 99)])
+def test_point_pass_feeds_a_fixed_number_of_rows(claim, point_rows,
+                                                 exact_rows, monkeypatch):
+    """The symbolic claims feed a known number of rows at the point and to
+    the exact sub-span.  Certificates are unique, so they cannot show a
+    change of pivot order; these counts can."""
+    fed = {ideal._PointSpan: 0, ideal._Span: 0}
+    for cls in fed:
+        add_wrapped = cls.add_wrapped
+
+        def counting(self, *row, cls=cls, add_wrapped=add_wrapped):
+            fed[cls] += 1
+            return add_wrapped(self, *row)
+        monkeypatch.setattr(cls, "add_wrapped", counting)
+    assert verify(claim, b=None).verdict == "PASS"
+    assert fed == {ideal._PointSpan: point_rows, ideal._Span: exact_rows}
+
+
+def _words(n, max_len):
+    return [w for k in range(max_len + 1)
+            for w in itertools.product(range(n), repeat=k)]
+
+
+def _code_span(n, relations=None):
+    """A _PointSpan over n generators, by default on the relation x1."""
+    gens = tuple(f"y{i}" for i in range(n))
+    if relations is None:
+        relations = [NcPoly.generator(gens, ("b",), 0)]
+    return ideal._PointSpan(relations, ("b",))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_codes_are_distinct_and_ordered_as_deglex(n):
+    """Up to length 5, the point pass's word codes are distinct and sort
+    the words as word_key does."""
+    span = _code_span(n)
+    words = _words(n, 5)
+    codes = [span._code(w) for w in words]
+    assert len(set(codes)) == len(words)
+    assert sorted(words, key=span._code) == sorted(words, key=word_key)
+    assert sorted(codes) == list(range(len(words)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_wrapped_row_codes_are_the_codes_of_its_words(n):
+    """A wrapped row keys each entry by the code of left + word + right:
+    every row of a fresh span is its pivot plus its other entries."""
+    space = ("b",)
+    gens = tuple(f"y{i}" for i in range(n))
+    b = Coefficient.param(space, "b")
+    rel = NcPoly(gens, space, {w: b + k + 1
+                               for k, w in enumerate(_words(n, 2)[::2])})
+    for left in _words(n, 2):
+        for right in _words(n, 2):
+            span = _code_span(n, [rel])
+            piv = span.add_wrapped(left, 0, right)
+            assert {piv, *span.basis[piv][0]} == \
+                {span._code(left + w + right) for w in rel.terms}
+
+
+def _random_bounded_problem(rng, space, gens=X[:3]):
+    """Three random inhomogeneous relations over the generators with
     coefficients in Q(space), and four targets: two combinations of
     wrapped relations (members) and two random polynomials."""
-    gens, params = X[:3], [Coefficient.param(space, n) for n in space]
+    params = [Coefficient.param(space, n) for n in space]
     one = Coefficient.const(space, 1)
 
     def scalar():
@@ -657,7 +737,7 @@ def _random_bounded_problem(rng, space):
         return c or one
 
     def word(n):
-        return tuple(rng.randrange(3) for _ in range(n))
+        return tuple(rng.randrange(len(gens)) for _ in range(n))
 
     def poly(max_len):
         return NcPoly(gens, space, {word(rng.randint(0, max_len)): scalar()
@@ -677,18 +757,22 @@ def _random_bounded_problem(rng, space):
     return relations, targets + [poly(2), poly(3)]
 
 
-@pytest.mark.parametrize("space,wrapper_lens", [(("t",), (1, 2)),
-                                                (("s", "t"), (1,))],
-                         ids=["one_name", "two_names"])
-def test_point_pass_changes_no_random_verdict(space, wrapper_lens):
+@pytest.mark.parametrize("space,wrapper_lens,gens",
+                         [(("t",), (1, 2), X[:3]), (("s", "t"), (1,), X[:3]),
+                          (("t",), (1, 2, 3), X[:1]),
+                          (("t",), (1, 2), X + ("x5",))],
+                         ids=["one_name", "two_names", "one_generator",
+                              "five_generators"])
+def test_point_pass_changes_no_random_verdict(space, wrapper_lens, gens):
     """Seeded random bounded problems get the exact loop's verdicts and
-    certificates.  Over two names only at wrapper length 1: without a
+    certificates, over 1, 3 and 5 generators, so over word codes in
+    bases 1, 3 and 5.  Over two names only at wrapper length 1: without a
     multivariate GCD the exact loop's entries there grow too fast for a
     test at length 2."""
     rng = random.Random(2024)
     members = 0
     for _ in range(6):
-        relations, targets = _random_bounded_problem(rng, space)
+        relations, targets = _random_bounded_problem(rng, space, gens)
         for wrapper_len in wrapper_lens:
             got = _assert_same_as_exact_loop(targets, relations, wrapper_len)
             members += sum(v.kind == MEMBER for v in got)
@@ -754,10 +838,10 @@ def test_point_pass_refuses_a_span_past_the_budget_before_any_row(
     """The row budget still refuses a bounded span over Q(b) before a row
     is built, modulo the prime or exactly."""
     built = []
-    add_wrapped = ideal._Span.add_wrapped
-    monkeypatch.setattr(ideal._Span, "add_wrapped",
-                        lambda self, *row: built.append(row) or
-                        add_wrapped(self, *row))
+    for cls in (ideal._Span, ideal._PointSpan):
+        monkeypatch.setattr(cls, "add_wrapped",
+                            lambda self, *row, add_wrapped=cls.add_wrapped:
+                            built.append(row) or add_wrapped(self, *row))
     monkeypatch.setattr(ideal, "MAX_SPAN_ROWS", 398)
     with pytest.raises(ValueError, match="^wrapper length 2 needs 399 "):
         presentations_equivalent(*modulus_family(None))
