@@ -44,12 +44,12 @@ is a basis row of the full exact span too, and a target's combination of
 basis rows is unique: the certificates are those of the full exact span,
 whatever the point.  A target whose support rows do not reduce it to
 zero takes the full exact span, and so does a target that the pass
-leaves open, unless no row reduced to zero at the point: the exact span
-then has the point's rank, and the target stays INCONCLUSIVE.  The pass
-keys words by int codes ordered as deglex (`_PointSpan`), so a wrapped
-row is integer arithmetic and a pivot a plain max.  Graded slices, whose
-named spans are one small slice each, and spans over Q keep the exact
-loop alone.
+leaves open, unless no row reduced to zero at the point and the target
+does not vanish there: the exact span then has the point's rank, and the
+target stays INCONCLUSIVE.  The pass keys words by int codes ordered as
+deglex (`_PointSpan`), so a wrapped row is integer arithmetic and a pivot
+a plain max.  Graded slices, whose named spans are one small slice each,
+and spans over Q keep the exact loop alone.
 """
 from __future__ import annotations
 
@@ -257,13 +257,18 @@ class _Span:
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
         """Reduce left * relation * right; the pivot of a new basis row."""
         base = self._vec_cache[rel_index]
-        vec = {left + w + right: c for w, c in base.items()}
+        return self._insert({left + w + right: c for w, c in base.items()},
+                            (left, rel_index, right))
+
+    def _insert(self, vec: dict, row: tuple):
+        """Reduce vec, the wrapped row (l, i, r), and keep it as a basis row
+        unless it reduces to zero; its pivot, or None."""
         tag = len(self.tags)
-        self.tags.append((left, rel_index, right))
+        self.tags.append(row)
         steps = self._reduce(vec)
         if not vec:
             return None
-        piv = max(vec, key=word_key)
+        piv = max(vec, key=self._key)
         vec, inv = self._monic(vec, piv)
         self.basis[piv] = (vec, tag, inv, steps)
         return piv
@@ -392,17 +397,10 @@ class _PointSpan(_Span):
         self._grow(ll + self._top + rl)
         off, pw = self._off, self._pow
         lv, rv, shift = self._value(left), self._value(right), pw[rl]
-        vec = {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
-               for length, v, c in self._vec_cache[rel_index]}
-        tag = len(self.tags)
-        self.tags.append((left, rel_index, right))
-        steps = self._reduce(vec)
-        if not vec:
-            return None
-        piv = max(vec)
-        vec, inv = self._monic(vec, piv)
-        self.basis[piv] = (vec, tag, inv, steps)
-        return piv
+        return self._insert(
+            {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
+             for length, v, c in self._vec_cache[rel_index]},
+            (left, rel_index, right))
 
     @staticmethod
     def _subtract(vec: dict, c: int, row: dict):
@@ -616,12 +614,16 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     point: by Cramer's rule on that minor each of its coefficients is a
     polynomial in the entries over the minor, so clearing a denominator
     that vanishes at the point would make the rows dependent there.  Its
-    value at the point would then settle the target there, so the target
-    is INCONCLUSIVE over Q(names) as well."""
+    value at the point would then reduce the target's to zero, so a target
+    open at the point is INCONCLUSIVE over Q(names) as well.  A target
+    that vanishes at the point is the exception: `_feed` settles a vec
+    only once a pivot lands in it, so an empty one stays open, and it is
+    left to the exact loop whatever the rank."""
     point = _PointSpan(relations, space)
     vecs = {k: point._to_vec(targets[k]) for k in batch}
     if None in point._vec_cache or None in vecs.values():
         return {}, batch
+    vanishing = {k for k, vec in vecs.items() if not vec}
     settled = _feed(point, vecs, _span(relations, None, wrapper_len))
     support: set = set()
     for steps in settled.values():
@@ -633,7 +635,7 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
              for k, steps in _feed(exact, vecs, rows).items()}
     full_rank = len(point.basis) == len(point.tags)
     return found, [k for k in batch if k not in found
-                   and (k in settled or not full_rank)]
+                   and (k in settled or k in vanishing or not full_rank)]
 
 
 def _overall(verdicts, yes: str, no: str) -> str:

@@ -833,6 +833,25 @@ def test_point_pass_falls_back_where_a_row_vanishes_at_the_point(
         assert _entries(v.certificate) == [((), 1, (), 1)]
 
 
+@pytest.mark.parametrize("factor", ["prime", "vanishing"])
+def test_point_pass_falls_back_for_a_target_that_vanishes_at_the_point(
+        factor, monkeypatch):
+    """A member whose every coefficient is zero at the point has no entry
+    there, so the pass never settles it.  It still gets its certificate
+    from the exact loop, although the only row is independent at the
+    point."""
+    space = ("b",)
+    b = Coefficient.param(space, "b")
+    rel = NcPoly.generator(X, space, 0) + NcPoly.one(X, space).scale(b)
+    scale = {"prime": Coefficient.const(space, ideal.POINT_PRIME),
+             "vanishing": _vanishing(b)}[factor]
+    fallbacks = _counting(monkeypatch, "_certificates")
+    [v] = _assert_same_as_exact_loop([rel.scale(scale)], [rel], 0)
+    assert len(fallbacks) == 2     # one inside _verdicts, one reference
+    assert v.kind == MEMBER
+    assert _entries(v.certificate) == [((), 0, (), scale)]
+
+
 def test_point_pass_refuses_a_span_past_the_budget_before_any_row(
         monkeypatch):
     """The row budget still refuses a bounded span over Q(b) before a row
