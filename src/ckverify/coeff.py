@@ -630,8 +630,13 @@ class Coefficient:
 
     def residue(self, point: tuple, prime: int):
         """The value with names[i] set to point[i], modulo the prime, as an
-        int in [0, prime); None when the denominator vanishes there."""
-        if self._idx is None:
+        int in [0, prime); None when the denominator vanishes there.  A
+        rational constant is read off its pair and needs no point."""
+        if self.is_rational():
+            num, den = self._num[0] if self._num else 0, self._den[0]
+            if den == 1:
+                return num % prime
+        elif self._idx is None:
             num, den = (sum(c * prod([pow(x, k, prime)
                                       for x, k in zip(point, e) if k])
                             for e, c in p.terms.items())

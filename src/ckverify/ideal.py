@@ -33,23 +33,25 @@ costs only the rows up to its last pivot.  Reductions record their steps
 (pivot, multiplier), expanded into a combination of wrapped rows only for a
 target reduced to zero; basis rows are independent, so it is unique.
 
-A bounded span over a named space runs a point pass first
-(`_point_certificates`).  Its rows are reduced modulo the prime 2^61 - 1
-at a fixed point (`_PointSpan`), where arithmetic costs a few int
-operations, and each target settled there names the rows it rests on.
-Only those rows are reduced over the exact field: 80 of the 561 rows that
-symbolic theorem1 builds at the point, 99 of corollary1's 717.  Rows
-independent at the point are independent over Q(names), so each of them
-is a basis row of the full exact span too, and a target's combination of
-basis rows is unique: the certificates are those of the full exact span,
-whatever the point.  A target whose support rows do not reduce it to
-zero takes the full exact span, and so does a target that the pass
-leaves open, unless no row reduced to zero at the point and the target
-does not vanish there: the exact span then has the point's rank, and the
-target stays INCONCLUSIVE.  The pass keys words by int codes ordered as
-deglex (`_PointSpan`), so a wrapped row is integer arithmetic and a pivot
-a plain max.  Graded slices, whose named spans are one small slice each,
-and spans over Q keep the exact loop alone.
+A span over a named space, a bounded span or a degree slice, runs a point
+pass first (`_point_certificates`).  Its rows are reduced modulo the
+prime 2^61 - 1 at a fixed point (`_PointSpan`), where arithmetic costs a
+few int operations, and each target settled there names the rows it
+rests on.  Only those rows are reduced over the exact field: 80 of the
+561 rows that symbolic theorem1 builds at the point, 99 of corollary1's
+717, 14 of lemma1's 24.  Rows independent at the point are independent
+over Q(names), so each of them is a basis row of the full exact span too,
+and a target's combination of basis rows is unique: the certificates are
+those of the full exact span, whatever the point.  A target whose support
+rows do not reduce it to zero takes the full exact span, and so does a
+target that the pass leaves open, unless no row reduced to zero at the
+point and the target does not vanish there: the exact span then has the
+point's rank, and the target is open over Q(names) too.  It stays
+INCONCLUSIVE in a bounded span; in a degree slice, the complete slice of
+the ideal, it is NON_MEMBER, so lemma1's unstable images are decided
+without an exact row.  The pass keys words by int codes ordered as deglex
+(`_PointSpan`), so a wrapped row is integer arithmetic and a pivot a plain
+max.  Spans over Q keep the exact loop alone (`_FractionSpan` says why).
 """
 from __future__ import annotations
 
@@ -76,12 +78,13 @@ NOT_EQUIVALENT = "NOT_EQUIVALENT"
 # admits wrapper lengths up to 5.
 MAX_SPAN_ROWS = 100_000
 
-# The point pass of a bounded span over a named space works modulo the
-# Mersenne prime 2^61 - 1, at the point where name k takes POINT_ROOT^(k+1);
-# the root is the golden-ratio constant of multiplicative hashing, so that
-# no polynomial with small coefficients in the names is likely to vanish
-# there.  The point only decides how fast a verdict is found, never what
-# it is.
+# The point pass of a span over a named space, bounded or graded, works
+# modulo the Mersenne prime 2^61 - 1, at the point where name k takes
+# POINT_ROOT^(k+1); the root is the golden-ratio constant of multiplicative
+# hashing, so that no polynomial with small coefficients in the names is
+# likely to vanish there.  The point only decides how fast a verdict is
+# found, never what it is: a graded target left open there at full point
+# rank is NON_MEMBER over Q(names) too (`_point_certificates`).
 POINT_PRIME = 2 ** 61 - 1
 POINT_ROOT = 0x9E3779B97F4A7C15 % POINT_PRIME
 
@@ -173,9 +176,9 @@ class _Span:
     is a Coefficient.  A basis row leaves out its pivot entry 1, and a new
     row whose pivot is 1 is kept as it is.  Over Q, `_FractionSpan` keeps
     Fraction rows with their pivot entries.  `_span_over` picks the class.
-    A bounded span over a named space is fed only the support rows that
-    its point pass, a `_PointSpan` of residues, found; the rows and
-    certificates are those of the full span (`_point_certificates`)."""
+    A span over a named space is fed only the support rows that its point
+    pass, a `_PointSpan` of residues, found; the rows and certificates are
+    those of the full span (`_point_certificates`)."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.space = space
@@ -532,9 +535,11 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
     against the wrappers up to wrapper_len, so a failed search is
     INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries.
-    A bounded span over a named space takes the point pass first
-    (`_point_certificates`), and the targets it leaves to the exact loop
-    then take `_certificates`, like every other span."""
+    A span over a named space, bounded or graded, takes the point pass
+    first (`_point_certificates`), and the targets it leaves to the exact
+    loop then take `_certificates`, like every span over Q.  A graded
+    target that the pass leaves open at full point rank keeps its
+    NON_MEMBER without the exact loop."""
     if targets and not relations:
         raise ValueError("empty relation list")
     if graded is None:
@@ -551,9 +556,9 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
         found, rest = {}, batch
-        if degree is None and space:
+        if space:
             found, rest = _point_certificates(targets, batch, relations,
-                                              space, wrapper_len)
+                                              space, degree, wrapper_len)
         if rest:
             found.update(_certificates(targets, rest, relations, space,
                                        degree, wrapper_len))
@@ -596,15 +601,17 @@ def _certificates(targets: Sequence[NcPoly], batch: list,
 
 def _point_certificates(targets: Sequence[NcPoly], batch: list,
                         relations: Sequence[NcPoly], space: Space,
-                        wrapper_len: int):
+                        degree: Optional[int], wrapper_len: Optional[int]):
     """(target index -> certificate, the targets of the batch left to the
-    exact loop).  A target gets its certificate when the point pass settles
-    it and its support rows then reduce it to zero over the exact field:
-    the rows are fed to a `_PointSpan`, and the union of the rows that the
-    settled targets reach (`_PointSpan.support`), in tag order, to an exact
-    `_Span`.  The module docstring says why each certificate is the one
-    `_certificates` finds.  Nothing is settled when a relation or target
-    coefficient has a pole at the point.
+    exact loop).  The rows are those of `_span`: the degree slice, or the
+    wrappers up to wrapper_len when degree is None.  A target gets its
+    certificate when the point pass settles it and its support rows then
+    reduce it to zero over the exact field: the rows are fed to a
+    `_PointSpan`, and the union of the rows that the settled targets reach
+    (`_PointSpan.support`), in tag order, to an exact `_Span`.  The module
+    docstring says why each certificate is the one `_certificates` finds.
+    Nothing is settled when a relation or target coefficient has a pole at
+    the point.
 
     A target that the pass leaves open is left to the exact loop only when
     some row reduced to zero at the point.  The pass has then fed every
@@ -615,7 +622,9 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     polynomial in the entries over the minor, so clearing a denominator
     that vanishes at the point would make the rows dependent there.  Its
     value at the point would then reduce the target's to zero, so a target
-    open at the point is INCONCLUSIVE over Q(names) as well.  A target
+    open at the point is open over Q(names) as well: INCONCLUSIVE in a
+    bounded span, and NON_MEMBER in a degree slice, which holds the whole
+    degree-d part of the ideal, so the caller's default stands.  A target
     that vanishes at the point is the exception: `_feed` settles a vec
     only once a pivot lands in it, so an empty one stays open, and it is
     left to the exact loop whatever the rank."""
@@ -624,7 +633,7 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     if None in point._vec_cache or None in vecs.values():
         return {}, batch
     vanishing = {k for k, vec in vecs.items() if not vec}
-    settled = _feed(point, vecs, _span(relations, None, wrapper_len))
+    settled = _feed(point, vecs, _span(relations, degree, wrapper_len))
     support: set = set()
     for steps in settled.values():
         point.support(steps, support)

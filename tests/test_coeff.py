@@ -986,6 +986,19 @@ def test_residue_is_the_value_at_the_point_modulo_the_prime():
     assert (b + 96).residue(point, p) == 0
 
 
+@pytest.mark.parametrize("space", [RATIONALS, ("b",), AB])
+def test_residue_of_a_rational_constant_is_read_off_its_pair(space):
+    """n mod p for an integer, n * d^-1 mod p for a fraction, None when p
+    divides d: over Q, whose point is empty, and over named spaces, whose
+    point a constant does not read."""
+    p = 2 ** 61 - 1
+    for value, want in [(0, 0), (1, 1), (-1, p - 1), (p + 5, 5),
+                        (Fraction(3, 7), 3 * pow(7, -1, p) % p),
+                        (Fraction(-3, 7), -3 * pow(7, -1, p) % p),
+                        (Fraction(1, p), None), (Fraction(p, 2), 0)]:
+        assert Coefficient.const(space, value).residue((), p) == want
+
+
 # ---------------------------------------------------------------------------
 # constants print from their pair in a named space, through MultiPolys over Q
 

@@ -569,24 +569,32 @@ def test_symbolic_engine_makes_no_constant_coefficient_operation(
 
 
 # ---------------------------------------------------------------------------
-# the point pass: a bounded span over a named space finds its support rows
-# modulo a prime at a fixed point, then solves exactly on those rows only
+# the point pass: a span over a named space, bounded or graded, finds its
+# support rows modulo a prime at a fixed point, then solves exactly on those
+# rows only
 
 def _assert_same_as_exact_loop(targets, relations, wrapper_len):
     """_verdicts gives every target the verdict, and every MEMBER the
     certificate entries, in value and in printed form, that the exact row
-    loop alone gives."""
+    loop alone gives: bounded at wrapper_len, or graded, against the slice
+    of each target's degree, when wrapper_len is None."""
     space = relations[0].space
+    graded = wrapper_len is None
     got = ideal._verdicts(targets, relations, space, wrapper_len,
-                          graded=False)
-    batch = [k for k, t in enumerate(targets) if not t.is_zero()]
-    want = ideal._certificates(targets, batch, relations, space, None,
-                               wrapper_len)
-    for k, v in enumerate(got):
-        if k not in batch:
-            continue
+                          graded=graded)
+    batches: dict = {}
+    for k, t in enumerate(targets):
+        if not t.is_zero():
+            batches.setdefault(t.degree() if graded else None, []).append(k)
+    want = {}
+    for degree, batch in batches.items():
+        want.update(ideal._certificates(targets, batch, relations, space,
+                                        degree, wrapper_len))
+    open_ = (NON_MEMBER, None) if graded else (INCONCLUSIVE, wrapper_len)
+    for k in itertools.chain(*batches.values()):
+        v = got[k]
         if k not in want:
-            assert (v.kind, v.bound) == (INCONCLUSIVE, wrapper_len)
+            assert (v.kind, v.bound) == open_
             continue
         assert v.kind == MEMBER
         assert _entries(v.certificate) == _entries(want[k])
@@ -660,12 +668,16 @@ def test_point_pass_keeps_the_bound_of_an_open_target(with_omega,
 
 
 @pytest.mark.parametrize("claim,point_rows,exact_rows",
-                         [("theorem1", 561, 80), ("corollary1", 717, 99)])
+                         [("theorem1", 561, 80), ("corollary1", 717, 99),
+                          ("lemma1", 24, 14), ("lemma2", 8, 8),
+                          ("lemma4", 10, 8)])
 def test_point_pass_feeds_a_fixed_number_of_rows(claim, point_rows,
                                                  exact_rows, monkeypatch):
     """The symbolic claims feed a known number of rows at the point and to
-    the exact sub-span.  Certificates are unique, so they cannot show a
-    change of pivot order; these counts can."""
+    the exact sub-span: bounded spans for theorem1 and corollary1, graded
+    slices for the lemmas (the exact loop alone fed all 24 of lemma1's
+    rows, for its non-members).  Certificates are unique, so they cannot
+    show a change of pivot order; these counts can."""
     fed = {ideal._PointSpan: 0, ideal._Span: 0}
     for cls in fed:
         add_wrapped = cls.add_wrapped
@@ -720,27 +732,31 @@ def test_wrapped_row_codes_are_the_codes_of_its_words(n):
                 {span._code(left + w + right) for w in rel.terms}
 
 
+def _random_scalar(rng, space):
+    """A nonzero random value of Q(space), a quotient about one time in
+    three."""
+    params = [Coefficient.param(space, n) for n in space]
+    c = Coefficient.const(space, Fraction(rng.choice([-3, -2, -1, 1, 2]),
+                                          rng.randint(1, 2)))
+    x = rng.choice(params)
+    c = c + x * rng.randint(-2, 2)
+    if rng.random() < 0.3:
+        c = c / (rng.choice(params) + rng.randint(1, 3))
+    return c or Coefficient.const(space, 1)
+
+
 def _random_bounded_problem(rng, space, gens=X[:3]):
     """Three random inhomogeneous relations over the generators with
     coefficients in Q(space), and four targets: two combinations of
     wrapped relations (members) and two random polynomials."""
-    params = [Coefficient.param(space, n) for n in space]
     one = Coefficient.const(space, 1)
-
-    def scalar():
-        c = Coefficient.const(space, Fraction(rng.choice([-3, -2, -1, 1, 2]),
-                                              rng.randint(1, 2)))
-        x = rng.choice(params)
-        c = c + x * rng.randint(-2, 2)
-        if rng.random() < 0.3:
-            c = c / (rng.choice(params) + rng.randint(1, 3))
-        return c or one
 
     def word(n):
         return tuple(rng.randrange(len(gens)) for _ in range(n))
 
     def poly(max_len):
-        return NcPoly(gens, space, {word(rng.randint(0, max_len)): scalar()
+        return NcPoly(gens, space, {word(rng.randint(0, max_len)):
+                                    _random_scalar(rng, space)
                                     for _ in range(3)})
 
     relations = [poly(2) for _ in range(3)]
@@ -752,7 +768,7 @@ def _random_bounded_problem(rng, space, gens=X[:3]):
             t = t + (NcPoly(gens, space, {word(llen): one})
                      * rng.choice(relations)
                      * NcPoly(gens, space, {word(1 - llen): one})
-                     ).scale(scalar())
+                     ).scale(_random_scalar(rng, space))
         targets.append(t)
     return relations, targets + [poly(2), poly(3)]
 
@@ -779,6 +795,77 @@ def test_point_pass_changes_no_random_verdict(space, wrapper_lens, gens):
     assert members >= 12 * len(wrapper_lens)
 
 
+def _random_graded_problem(rng, space, degrees, top, gens=X[:3]):
+    """Random homogeneous relations of the given degrees over the
+    generators with coefficients in Q(space), and four targets: two
+    combinations of wrapped relations of degree top (members) and two
+    random homogeneous polynomials of degrees top - 1 and top."""
+    one = Coefficient.const(space, 1)
+
+    def word(n):
+        return tuple(rng.randrange(len(gens)) for _ in range(n))
+
+    def poly(degree):
+        return NcPoly(gens, space, {word(degree): _random_scalar(rng, space)
+                                    for _ in range(3)})
+
+    relations = [poly(d) for d in degrees]
+    targets = []
+    for _ in range(2):
+        t = NcPoly.zero(gens, space)
+        for _ in range(2):
+            rel = rng.choice(relations)
+            total = top - rel.degree()
+            llen = rng.randint(0, total)
+            t = t + (NcPoly(gens, space, {word(llen): one}) * rel
+                     * NcPoly(gens, space, {word(total - llen): one})
+                     ).scale(_random_scalar(rng, space))
+        targets.append(t)
+    return relations, targets + [poly(top - 1), poly(top)]
+
+
+@pytest.mark.parametrize("space,degrees,top,gens",
+                         [(("t",), (1, 2, 2), 3, X[:3]),
+                          (("t",), (2, 2, 2), 4, X[:3]),
+                          (("s", "t"), (1, 2), 2, X[:3]),
+                          (("t",), (1, 2, 2), 3, X + ("x5",))],
+                         ids=["one_name", "one_name_degree_4", "two_names",
+                              "five_generators"])
+def test_graded_point_pass_changes_no_random_verdict(space, degrees, top,
+                                                     gens):
+    """Seeded random graded problems get the exact loop's verdicts and
+    certificates, members and non-members alike.  Over two names only up
+    to degree 2, for the reason the bounded test gives."""
+    rng = random.Random(2024)
+    kinds = []
+    for _ in range(6):
+        relations, targets = _random_graded_problem(rng, space, degrees,
+                                                    top, gens)
+        got = _assert_same_as_exact_loop(targets, relations, None)
+        kinds += [v.kind for v in got]
+    assert kinds.count(MEMBER) >= 12 and kinds.count(NON_MEMBER) >= 6
+
+
+def test_graded_non_member_at_full_point_rank_skips_the_exact_loop(
+        monkeypatch):
+    """A graded target that the pass leaves open where every row of its
+    slice is independent at the point keeps its NON_MEMBER without
+    _certificates: over one name, and in the three unstable stages of
+    symbolic lemma1 over six."""
+    space = ("b",)
+    b = Coefficient.param(space, "b")
+    x1, x2, x3 = (NcPoly.generator(X, space, i) for i in range(3))
+    rel = x1 * x2 - (x2 * x1).scale(b)
+    targets = [x2 * x1, x3 * x1 * x2, x3 * rel + rel * x1.scale(b)]
+    fallbacks = _counting(monkeypatch, "_certificates")
+    got = ideal._verdicts(targets, [rel], space, None, graded=True)
+    assert [v.kind for v in got] == [NON_MEMBER, NON_MEMBER, MEMBER]
+    assert verify("lemma1", b=None).verdict == "PASS"
+    assert fallbacks == []
+    monkeypatch.undo()
+    _assert_same_as_exact_loop(targets, [rel], None)
+
+
 def _point_value():
     """The value of the only name of ("b",) at the point of the point pass."""
     return ideal._PointSpan([], ("b",)).point[0]
@@ -789,10 +876,19 @@ def _vanishing(b):
     return b - _point_value()
 
 
-@pytest.mark.parametrize("where", ["relation", "target"])
-def test_point_pass_is_skipped_at_a_pole(where, monkeypatch):
+def _both_regimes(cases, wrapper_len):
+    """pytest params (case, wrapper_len), bounded under the case's own id,
+    and (case, None), graded, under graded_<case>."""
+    return [pytest.param(c, wrapper_len, id=c) for c in cases] + \
+        [pytest.param(c, None, id=f"graded_{c}") for c in cases]
+
+
+@pytest.mark.parametrize("where,wrapper_len",
+                         _both_regimes(["relation", "target"], 1))
+def test_point_pass_is_skipped_at_a_pole(where, wrapper_len, monkeypatch):
     """A coefficient with a pole at the point skips the pass: no row is
-    built modulo the prime, and the exact loop gives the verdict."""
+    built modulo the prime, and the exact loop gives the verdict, in
+    either regime."""
     space = ("b",)
     b = Coefficient.param(space, "b")
     pole = Coefficient.const(space, 1) / _vanishing(b)
@@ -804,18 +900,22 @@ def test_point_pass_is_skipped_at_a_pole(where, monkeypatch):
     monkeypatch.setattr(ideal._PointSpan, "add_wrapped",
                         lambda self, *row: point_rows.append(row) or
                         add_wrapped(self, *row))
-    [v] = _assert_same_as_exact_loop([target], relations, 1)
+    [v] = _assert_same_as_exact_loop([target], relations, wrapper_len)
     assert v.kind == MEMBER and point_rows == []
 
 
-@pytest.mark.parametrize("case", ["open", "short_support", "non_member"])
+@pytest.mark.parametrize(
+    "case,wrapper_len",
+    _both_regimes(["open", "short_support", "non_member"], 0))
 def test_point_pass_falls_back_where_a_row_vanishes_at_the_point(
-        case, monkeypatch):
+        case, wrapper_len, monkeypatch):
     """Relation 1 equals relation 0 at the point only, so it is a basis row
     of the exact span and not of the point pass.  x2 is then left open
     by the pass; relation 1 itself is settled there on relation 0 alone,
     which does not reduce it exactly; x1 + (b - point) x3 is settled there
-    too but is no member.  Each goes through the exact loop."""
+    too but is no member.  Each goes through the exact loop, bounded or
+    graded: a graded target open below full point rank is no NON_MEMBER
+    until the exact loop says so."""
     space = ("b",)
     b = Coefficient.param(space, "b")
     x1, x2, x3 = (NcPoly.generator(X, space, i) for i in range(3))
@@ -823,30 +923,33 @@ def test_point_pass_falls_back_where_a_row_vanishes_at_the_point(
     target = {"open": x2, "short_support": relations[1],
               "non_member": x1 + x3.scale(_vanishing(b))}[case]
     fallbacks = _counting(monkeypatch, "_certificates")
-    [v] = _assert_same_as_exact_loop([target], relations, 0)
+    [v] = _assert_same_as_exact_loop([target], relations, wrapper_len)
     assert len(fallbacks) == 2     # one inside _verdicts, one reference
     if case == "non_member":
-        assert (v.kind, v.bound) == (INCONCLUSIVE, 0)
+        assert (v.kind, v.bound) == ((NON_MEMBER, None) if wrapper_len is None
+                                     else (INCONCLUSIVE, 0))
     else:
         assert v.kind == MEMBER
     if case == "short_support":
         assert _entries(v.certificate) == [((), 1, (), 1)]
 
 
-@pytest.mark.parametrize("factor", ["prime", "vanishing"])
+@pytest.mark.parametrize("factor,wrapper_len",
+                         _both_regimes(["prime", "vanishing"], 0))
 def test_point_pass_falls_back_for_a_target_that_vanishes_at_the_point(
-        factor, monkeypatch):
+        factor, wrapper_len, monkeypatch):
     """A member whose every coefficient is zero at the point has no entry
     there, so the pass never settles it.  It still gets its certificate
     from the exact loop, although the only row is independent at the
-    point."""
+    point: a graded one too, which would otherwise keep NON_MEMBER."""
     space = ("b",)
     b = Coefficient.param(space, "b")
-    rel = NcPoly.generator(X, space, 0) + NcPoly.one(X, space).scale(b)
+    rel = NcPoly.generator(X, space, 0) + \
+        NcPoly.generator(X, space, 1).scale(b)
     scale = {"prime": Coefficient.const(space, ideal.POINT_PRIME),
              "vanishing": _vanishing(b)}[factor]
     fallbacks = _counting(monkeypatch, "_certificates")
-    [v] = _assert_same_as_exact_loop([rel.scale(scale)], [rel], 0)
+    [v] = _assert_same_as_exact_loop([rel.scale(scale)], [rel], wrapper_len)
     assert len(fallbacks) == 2     # one inside _verdicts, one reference
     assert v.kind == MEMBER
     assert _entries(v.certificate) == [((), 0, (), scale)]
