@@ -16,7 +16,8 @@ MAX_SPAN_ROWS rows is refused with ValueError before any row is built.
 A call takes the graded regime exactly when every relation and every target
 is homogeneous; graded_membership and bounded_membership name their regime
 instead.  Targets against an empty relation list are refused with
-ValueError("empty relation list").
+ValueError("empty relation list"), and so is a target or relation over
+another alphabet or parameter space than the first relation.
 
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
@@ -35,13 +36,14 @@ target reduced to zero; basis rows are independent, so it is unique.
 
 A span over a named space, a bounded span or a degree slice, runs a point
 pass first (`_point_certificates`).  Its rows are reduced modulo the
-prime 2^61 - 1 at a fixed point (`_PointSpan`), where arithmetic costs a
-few int operations, and each target settled there names the rows it
-rests on.  Only those rows are reduced over the exact field: 80 of the
-561 rows that symbolic theorem1 builds at the point, 99 of corollary1's
-717, 14 of lemma1's 24.  Rows independent at the point are independent
-over Q(names), so each of them is a basis row of the full exact span too,
-and a target's combination of basis rows is unique: the certificates are
+prime 2^30 - 35 at a fixed point (`_PointSpan`, with a pivot loop of its
+own that keeps only the pivots), where every residue is one CPython
+digit, and each target settled there names the rows it rests on.  Only
+those rows are reduced over the exact field: 80 of the 561 rows that
+symbolic theorem1 builds at the point, 99 of corollary1's 717, 14 of
+lemma1's 24.  Rows independent at the point are independent over
+Q(names), so each of them is a basis row of the full exact span too, and
+a target's combination of basis rows is unique: the certificates are
 those of the full exact span, whatever the point.  A target whose support
 rows do not reduce it to zero takes the full exact span, and so does a
 target that the pass leaves open, unless no row reduced to zero at the
@@ -79,13 +81,16 @@ NOT_EQUIVALENT = "NOT_EQUIVALENT"
 MAX_SPAN_ROWS = 100_000
 
 # The point pass of a span over a named space, bounded or graded, works
-# modulo the Mersenne prime 2^61 - 1, at the point where name k takes
-# POINT_ROOT^(k+1); the root is the golden-ratio constant of multiplicative
-# hashing, so that no polynomial with small coefficients in the names is
-# likely to vanish there.  The point only decides how fast a verdict is
-# found, never what it is: a graded target left open there at full point
-# rank is NON_MEMBER over Q(names) too (`_point_certificates`).
-POINT_PRIME = 2 ** 61 - 1
+# modulo 2^30 - 35, the largest prime below 2^30, so that every residue is
+# one 30-bit CPython digit and each reduction divides by a one-digit int,
+# at the point where name k takes POINT_ROOT^(k+1).  The root is the
+# golden-ratio constant of multiplicative hashing, so that no polynomial
+# with small coefficients in the names is likely to vanish there; where
+# one does, its targets take the exact loop.  The point only decides how
+# fast a verdict is found, never what it is: a graded target left open
+# there at full point rank is NON_MEMBER over Q(names) too
+# (`_point_certificates`).
+POINT_PRIME = 2 ** 30 - 35
 POINT_ROOT = 0x9E3779B97F4A7C15 % POINT_PRIME
 
 
@@ -192,31 +197,24 @@ class _Span:
     def _to_vec(p: NcPoly) -> dict:
         return {w: _lower(c) for w, c in p.terms.items()}
 
-    _key = staticmethod(word_key)    # the deglex sort key of a vec's keys
-
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis and return the steps
         (pivot, multiplier): vec loses the sum of multiplier * row(pivot)."""
         basis = self.basis
-        key = self._key
         steps = []
         while True:
-            piv = max(filter(basis.__contains__, vec), key=key, default=None)
+            piv = max(filter(basis.__contains__, vec), key=word_key,
+                      default=None)
             if piv is None:
                 return steps
             c = vec.pop(piv)
             steps.append((piv, c))
-            self._subtract(vec, c, basis[piv][0])
-
-    @staticmethod
-    def _subtract(vec: dict, c, row: dict):
-        """vec loses c * row; entries that become zero are dropped."""
-        for w, bc in row.items():
-            nv = _lower(vec.get(w, 0) - _lower(c * bc))
-            if nv:
-                vec[w] = nv
-            else:
-                vec.pop(w, None)
+            for w, bc in basis[piv][0].items():
+                nv = _lower(vec.get(w, 0) - _lower(c * bc))
+                if nv:
+                    vec[w] = nv
+                else:
+                    vec.pop(w, None)
 
     @staticmethod
     def _monic(vec: dict, piv: Word):
@@ -258,20 +256,16 @@ class _Span:
         return combo
 
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
-        """Reduce left * relation * right; the pivot of a new basis row."""
+        """Reduce left * relation * right and keep it as a basis row unless
+        it reduces to zero; its pivot, or None."""
         base = self._vec_cache[rel_index]
-        return self._insert({left + w + right: c for w, c in base.items()},
-                            (left, rel_index, right))
-
-    def _insert(self, vec: dict, row: tuple):
-        """Reduce vec, the wrapped row (l, i, r), and keep it as a basis row
-        unless it reduces to zero; its pivot, or None."""
+        vec = {left + w + right: c for w, c in base.items()}
         tag = len(self.tags)
-        self.tags.append(row)
+        self.tags.append((left, rel_index, right))
         steps = self._reduce(vec)
         if not vec:
             return None
-        piv = max(vec, key=self._key)
+        piv = max(vec, key=word_key)
         vec, inv = self._monic(vec, piv)
         self.basis[piv] = (vec, tag, inv, steps)
         return piv
@@ -328,10 +322,12 @@ class _FractionSpan(_Span):
 
 class _PointSpan(_Span):
     """A span of the residues modulo POINT_PRIME at a fixed point, name k
-    at POINT_ROOT^(k+1): every entry, multiplier and inverse is an int in
-    [0, POINT_PRIME), and a vec is None when a coefficient has a pole at the
-    point.  It only finds pivots and support rows for the point pass
-    (`_point_certificates`); it makes no certificate.
+    at POINT_ROOT^(k+1): every entry is an int in [0, POINT_PRIME), and a
+    vec is None when a coefficient has a pole at the point.  It only finds
+    pivots and support rows for the point pass (`_point_certificates`); it
+    makes no certificate, so a basis row is (row, tag, pivots): the monic
+    row without its pivot entry, and the pivots its reduction used, with
+    no multiplier or inverse.
 
     A vec is keyed by word codes, not words: the code of w is off[len(w)]
     plus w read as a base-n number, first letter most significant, where n
@@ -341,8 +337,6 @@ class _PointSpan(_Span):
     picks the pivots of a span keyed by words.  A relation is kept as
     (length, value, residue) triples, one per term, so a wrapped row
     l * g * r gets its codes from integer arithmetic; tags stay words."""
-
-    _key = None
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         super().__init__((), space)     # relations are kept as triples
@@ -392,6 +386,23 @@ class _PointSpan(_Span):
         return None if terms is None else \
             {self._code(w): r for w, r in terms}
 
+    def _reduce(self, vec: dict) -> list:
+        """Reduce vec in place against the basis; the pivots used."""
+        basis, prime = self.basis, POINT_PRIME
+        pivots = []
+        while True:
+            piv = max(filter(basis.__contains__, vec), default=None)
+            if piv is None:
+                return pivots
+            pivots.append(piv)
+            c = vec.pop(piv)
+            for w, bc in basis[piv][0].items():
+                nv = (vec.get(w, 0) - c * bc) % prime
+                if nv:
+                    vec[w] = nv
+                else:
+                    vec.pop(w, None)
+
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
         """`_Span.add_wrapped` on codes: the code of l * w * r is
         off[|l| + |w| + |r|] + (value(l) * n^|w| + value(w)) * n^|r|
@@ -400,34 +411,28 @@ class _PointSpan(_Span):
         self._grow(ll + self._top + rl)
         off, pw = self._off, self._pow
         lv, rv, shift = self._value(left), self._value(right), pw[rl]
-        return self._insert(
-            {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
-             for length, v, c in self._vec_cache[rel_index]},
-            (left, rel_index, right))
+        vec = {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
+               for length, v, c in self._vec_cache[rel_index]}
+        tag = len(self.tags)
+        self.tags.append((left, rel_index, right))
+        pivots = self._reduce(vec)
+        if not vec:
+            return None
+        piv, prime = max(vec), POINT_PRIME
+        inv = pow(vec.pop(piv), -1, prime)
+        self.basis[piv] = ({w: c * inv % prime for w, c in vec.items()},
+                           tag, pivots)
+        return piv
 
-    @staticmethod
-    def _subtract(vec: dict, c: int, row: dict):
-        for w, bc in row.items():
-            nv = (vec.get(w, 0) - c * bc) % POINT_PRIME
-            if nv:
-                vec[w] = nv
-            else:
-                vec.pop(w, None)
-
-    @staticmethod
-    def _monic(vec: dict, piv: int):
-        inv = pow(vec.pop(piv), -1, POINT_PRIME)
-        return {w: c * inv % POINT_PRIME for w, c in vec.items()}, inv
-
-    def support(self, steps: list, tags: set):
-        """Add to tags the tag of every basis row that the steps reach,
-        directly or through the steps recorded with a row they reach."""
-        todo = [piv for piv, _ in steps]
+    def support(self, pivots: list, tags: set):
+        """Add to tags the tag of every basis row that the pivots reach,
+        directly or through the pivots recorded with a row they reach."""
+        todo = list(pivots)
         while todo:
-            _, tag, _, row_steps = self.basis[todo.pop()]
+            _, tag, row_pivots = self.basis[todo.pop()]
             if tag not in tags:
                 tags.add(tag)
-                todo += [piv for piv, _ in row_steps]
+                todo += row_pivots
 
 
 def _span_over(relations: Sequence[NcPoly], space: Space) -> _Span:
@@ -539,9 +544,13 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     first (`_point_certificates`), and the targets it leaves to the exact
     loop then take `_certificates`, like every span over Q.  A graded
     target that the pass leaves open at full point rank keeps its
-    NON_MEMBER without the exact loop."""
+    NON_MEMBER without the exact loop.  A target or relation over another
+    alphabet or space than the first relation is refused (ValueError)
+    before any row is built."""
     if targets and not relations:
         raise ValueError("empty relation list")
+    for p in chain(relations, targets):
+        relations[0]._check(p)
     if graded is None:
         graded = all(p.is_homogeneous() for p in chain(relations, targets))
     _check_wrapper_len(wrapper_len, graded)

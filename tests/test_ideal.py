@@ -7,6 +7,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
+from sympy import isprime
 
 from ckverify import ideal
 from ckverify.coeff import Coefficient, RATIONALS
@@ -203,6 +204,43 @@ def test_graded_membership_refuses_inhomogeneous_input():
     with pytest.raises(ValueError, match="^graded membership needs a "
                                          "homogeneous target$"):
         graded_membership(unit, [quadric])
+
+
+def _linear(space, c, gens=X[:2]):
+    """x1 - c * x2 over the generators, with coefficients in Q(space)."""
+    x1, x2 = (NcPoly.generator(gens, space, i) for i in range(2))
+    return x1 - x2.scale(c)
+
+
+_X5 = X + ("x5",)
+
+
+@pytest.mark.parametrize("target,relations,message", [
+    (NcPoly.generator(_X5, RATIONALS, 4) * NcPoly.generator(_X5, RATIONALS, 0),
+     [NcPoly.generator(X[:2], RATIONALS, 0)], "alphabet mismatch"),
+    (gen(0), [gen(0), NcPoly.generator(_X5, RATIONALS, 0)],
+     "alphabet mismatch"),
+    (_linear(("b",), 2), [_linear(("s",), 2)], "parameter space mismatch"),
+    (_linear(("b",), Coefficient.param(("b",), "b")), [_linear(("s",), 2)],
+     "parameter space mismatch"),
+    (_linear(RATIONALS, 2), [_linear(RATIONALS, 2), _linear(("s",), 2)],
+     "parameter space mismatch"),
+], ids=["target_alphabet", "relation_alphabet", "target_space",
+        "target_space_with_its_name", "relation_space"])
+def test_membership_refuses_mixed_alphabets_and_spaces(target, relations,
+                                                       message, monkeypatch):
+    """A target or relation over another alphabet or parameter space than
+    the first relation is refused in either regime before any row is
+    built, whatever its values: x5*x1 lies in the ideal of x1, and
+    x1 - 2*x2 over Q(b) is term by term the relation over Q(s)."""
+    built = []
+    for cls in (ideal._Span, ideal._PointSpan):
+        monkeypatch.setattr(cls, "add_wrapped",
+                            lambda self, *row: built.append(row))
+    for membership in (graded_membership, bounded_membership):
+        with pytest.raises(ValueError, match=f"^{message}: "):
+            membership(target, relations)
+    assert built == []
 
 
 def test_certificate_that_fails_re_expansion_is_refused(monkeypatch):
@@ -573,15 +611,23 @@ def test_symbolic_engine_makes_no_constant_coefficient_operation(
 # support rows modulo a prime at a fixed point, then solves exactly on those
 # rows only
 
-def _assert_same_as_exact_loop(targets, relations, wrapper_len):
+# the prime of the point pass before it was cut to one CPython digit, and
+# the prime of today; the point decides speed only, so neither may change a
+# verdict or a certificate
+_PRIMES = (2 ** 61 - 1, 2 ** 30 - 35)
+
+
+def _assert_same_as_exact_loop(targets, relations, wrapper_len,
+                               primes=(None,)):
     """_verdicts gives every target the verdict, and every MEMBER the
     certificate entries, in value and in printed form, that the exact row
     loop alone gives: bounded at wrapper_len, or graded, against the slice
-    of each target's degree, when wrapper_len is None."""
+    of each target's degree, when wrapper_len is None.  Checked with the
+    point pass modulo each of the primes (None: POINT_PRIME as it is), at
+    the point of POINT_ROOT's golden-ratio constant reduced by that prime;
+    the verdicts of the last prime are returned."""
     space = relations[0].space
     graded = wrapper_len is None
-    got = ideal._verdicts(targets, relations, space, wrapper_len,
-                          graded=graded)
     batches: dict = {}
     for k, t in enumerate(targets):
         if not t.is_zero():
@@ -591,15 +637,22 @@ def _assert_same_as_exact_loop(targets, relations, wrapper_len):
         want.update(ideal._certificates(targets, batch, relations, space,
                                         degree, wrapper_len))
     open_ = (NON_MEMBER, None) if graded else (INCONCLUSIVE, wrapper_len)
-    for k in itertools.chain(*batches.values()):
-        v = got[k]
-        if k not in want:
-            assert (v.kind, v.bound) == open_
-            continue
-        assert v.kind == MEMBER
-        assert _entries(v.certificate) == _entries(want[k])
-        assert [str(e.coeff) for e in v.certificate] == \
-            [str(e.coeff) for e in want[k]]
+    for prime in primes:
+        with pytest.MonkeyPatch.context() as mp:
+            if prime is not None:
+                mp.setattr(ideal, "POINT_PRIME", prime)
+                mp.setattr(ideal, "POINT_ROOT", 0x9E3779B97F4A7C15 % prime)
+            got = ideal._verdicts(targets, relations, space, wrapper_len,
+                                  graded=graded)
+        for k in itertools.chain(*batches.values()):
+            v = got[k]
+            if k not in want:
+                assert (v.kind, v.bound) == open_
+                continue
+            assert v.kind == MEMBER
+            assert _entries(v.certificate) == _entries(want[k])
+            assert [str(e.coeff) for e in v.certificate] == \
+                [str(e.coeff) for e in want[k]]
     return got
 
 
@@ -620,15 +673,16 @@ def _counting(monkeypatch, name):
 def test_point_pass_changes_no_family_certificate(with_omega, monkeypatch):
     """Both directions of the symbolic family, and 1 against either side
     (the unit certificates of a zero quotient), get the verdicts and
-    certificates of the exact loop; the point pass settles every target,
-    so the exact loop never runs inside _verdicts."""
+    certificates of the exact loop under either prime; the point pass
+    settles every target, so the exact loop never runs inside _verdicts."""
     p, q = modulus_family(None, with_omega=with_omega)
     fallbacks = _counting(monkeypatch, "_certificates")
     for sources, side in ((p, q), (q, p)):
-        got = _assert_same_as_exact_loop(sources.relations, side.relations, 2)
+        got = _assert_same_as_exact_loop(sources.relations, side.relations, 2,
+                                         _PRIMES)
         assert {v.kind for v in got} == {MEMBER}
         one = NcPoly.one(X, side.space)
-        unit = _assert_same_as_exact_loop([one], side.relations, 2)
+        unit = _assert_same_as_exact_loop([one], side.relations, 2, _PRIMES)
         alone = bounded_membership(one, side.relations, 2)
         assert unit[0].kind == alone.kind == MEMBER
         assert _entries(unit[0].certificate) == _entries(alone.certificate)
@@ -651,19 +705,21 @@ def test_point_pass_keeps_the_bound_of_an_open_target(with_omega,
                                                       wrapper_len,
                                                       monkeypatch):
     """At wrapper length 0 or 1 two targets of each direction stay open
-    and keep their bound.  They go through the exact loop too only when a
-    row reduced to zero at the point: otherwise the point rank is the
-    exact rank, and the exact loop could settle nothing more."""
+    and keep their bound, under either prime.  They go through the exact
+    loop too only when a row reduced to zero at the point: otherwise the
+    point rank is the exact rank, and the exact loop could settle nothing
+    more."""
     p, q = modulus_family(None, with_omega=with_omega)
     zero_rows = _ZERO_ROWS_AT_THE_POINT[with_omega, wrapper_len]
     for (sources, side), zero_row in zip(((p, q), (q, p)), zero_rows):
         fallbacks = _counting(monkeypatch, "_certificates")
         got = _assert_same_as_exact_loop(sources.relations, side.relations,
-                                         wrapper_len)
+                                         wrapper_len, _PRIMES)
         assert [v.bound for v in got if v.kind == INCONCLUSIVE] == \
             [wrapper_len] * 2
-        # one reference call of the helper, and one fallback if any
-        assert len(fallbacks) == 1 + zero_row
+        # one reference call of the helper, and one fallback per prime if
+        # any
+        assert len(fallbacks) == 1 + len(_PRIMES) * zero_row
         monkeypatch.undo()
 
 
@@ -732,6 +788,36 @@ def test_wrapped_row_codes_are_the_codes_of_its_words(n):
                 {span._code(left + w + right) for w in rel.terms}
 
 
+def test_point_prime_is_one_digit_and_the_point_is_generic():
+    """POINT_PRIME is a prime below 2^30, so every residue is one 30-bit
+    CPython digit, and the point gives 1 to 8 names nonzero, distinct
+    values."""
+    assert isprime(ideal.POINT_PRIME) and ideal.POINT_PRIME < 2 ** 30
+    for n in range(1, 9):
+        point = ideal._PointSpan([], tuple(f"t{k}" for k in range(n))).point
+        assert 0 not in point and len(set(point)) == n
+
+
+@pytest.mark.parametrize("degree,hilbert", [(2, 10), (3, 20), (4, 35),
+                                            (5, 56)])
+def test_point_and_exact_spans_agree_on_a_full_degree_slice(degree,
+                                                            hilbert):
+    """The whole degree-n slice of the six quadratic relations of the
+    family's first side (without its unit relation), fed to a _PointSpan
+    and to an exact _Span over Q(b), leaves 4^n minus its rank = C(n+3, 3)
+    words, the Hilbert function of a Sklyanin algebra in four generators.
+    Its rows fill in as they reduce, which the few-entry rows of the
+    symbolic claims never do."""
+    p, _ = modulus_family(None)
+    quadrics = [r for r in p.relations if r.is_homogeneous()]
+    assert len(quadrics) == 6
+    for cls in (ideal._PointSpan, ideal._Span):
+        span = cls(quadrics, p.space)
+        for row in ideal._span(quadrics, degree, None):
+            span.add_wrapped(*row)
+        assert 4 ** degree - len(span.basis) == hilbert
+
+
 def _random_scalar(rng, space):
     """A nonzero random value of Q(space), a quotient about one time in
     three."""
@@ -781,16 +867,17 @@ def _random_bounded_problem(rng, space, gens=X[:3]):
                               "five_generators"])
 def test_point_pass_changes_no_random_verdict(space, wrapper_lens, gens):
     """Seeded random bounded problems get the exact loop's verdicts and
-    certificates, over 1, 3 and 5 generators, so over word codes in
-    bases 1, 3 and 5.  Over two names only at wrapper length 1: without a
-    multivariate GCD the exact loop's entries there grow too fast for a
-    test at length 2."""
+    certificates under either prime, over 1, 3 and 5 generators, so over
+    word codes in bases 1, 3 and 5.  Over two names only at wrapper
+    length 1: without a multivariate GCD the exact loop's entries there
+    grow too fast for a test at length 2."""
     rng = random.Random(2024)
     members = 0
     for _ in range(6):
         relations, targets = _random_bounded_problem(rng, space, gens)
         for wrapper_len in wrapper_lens:
-            got = _assert_same_as_exact_loop(targets, relations, wrapper_len)
+            got = _assert_same_as_exact_loop(targets, relations, wrapper_len,
+                                             _PRIMES)
             members += sum(v.kind == MEMBER for v in got)
     assert members >= 12 * len(wrapper_lens)
 
@@ -834,14 +921,15 @@ def _random_graded_problem(rng, space, degrees, top, gens=X[:3]):
 def test_graded_point_pass_changes_no_random_verdict(space, degrees, top,
                                                      gens):
     """Seeded random graded problems get the exact loop's verdicts and
-    certificates, members and non-members alike.  Over two names only up
-    to degree 2, for the reason the bounded test gives."""
+    certificates under either prime, members and non-members alike.  Over
+    two names only up to degree 2, for the reason the bounded test
+    gives."""
     rng = random.Random(2024)
     kinds = []
     for _ in range(6):
         relations, targets = _random_graded_problem(rng, space, degrees,
                                                     top, gens)
-        got = _assert_same_as_exact_loop(targets, relations, None)
+        got = _assert_same_as_exact_loop(targets, relations, None, _PRIMES)
         kinds += [v.kind for v in got]
     assert kinds.count(MEMBER) >= 12 and kinds.count(NON_MEMBER) >= 6
 
