@@ -24,9 +24,8 @@ and the names a value uses decide how it is stored:
   and again.
   Equality is equality of the canonical tuples.  A parameter and the
   formal conjugate of such a value (the same pair at the conjugate name's
-  index) are also read straight off the pair, and so is its printed form
-  in a space with at least one name; a constant over Q prints through
-  MultiPolys (`Coefficient.__str__` says why).
+  index) are also read straight off the pair, and so is its printed form,
+  a constant over Q included.
 * two or more names: a quotient of two MultiPolys with int coefficients,
   scaled to jointly primitive content and a positive leading denominator
   coefficient.  An operation with such a value, or between values in
@@ -53,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add
-from typing import Mapping
+from typing import Mapping, Optional
 
 Space = tuple  # ordered tuple of parameter/variable names
 
@@ -380,8 +379,9 @@ def _nonzero(coeffs: tuple) -> int:
     return len(coeffs) - coeffs.count(0)
 
 
-def _ipoly_str(coeffs: tuple, name: str, den: int = 1) -> str:
-    """str() of the MultiPoly sum of coeffs[k]/den * name^k, for den > 0."""
+def _ipoly_str(coeffs: tuple, name: Optional[str], den: int = 1) -> str:
+    """str() of the MultiPoly sum of coeffs[k]/den * name^k, for den > 0;
+    name may be None when coeffs is a constant."""
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
@@ -688,15 +688,12 @@ class Coefficient:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        """An integer pair in a space with a name, a constant included,
-        prints straight from the pair.  A constant over Q (the empty space)
-        takes the MultiPoly route to the same bytes: a ckbench sweep pass
-        prints about 32,000 of them, and a shorter pass lets a second one
-        into a 15 s run, whose retained output reads as a peak_rss_mb
-        regression.  That route goes once ckbench keeps one pass's
-        output."""
-        if self._idx is not None and self.names:
-            name = self.names[self._idx]
+        """An integer pair, a constant over Q included, prints straight
+        from the pair; a constant has no power of a name, so over Q it
+        prints with no name.  Only a value in two or more names takes the
+        MultiPoly route, to the same form."""
+        if self._idx is not None:
+            name = self.names[self._idx] if self.names else None
             num, den = self._num, self._den
             if len(den) == 1:
                 return _ipoly_str(num, name, den[0])

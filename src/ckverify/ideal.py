@@ -157,9 +157,6 @@ class MembershipVerdict(NamedTuple):
     certificate: Optional[MembershipCertificate] = None
     bound: Optional[int] = None
 
-    def is_member(self) -> bool:
-        return self.kind == MEMBER
-
     def __repr__(self):
         extra = f" bound={self.bound}" if self.bound is not None else ""
         return f"<{self.kind}{extra}>"
@@ -722,10 +719,12 @@ class EquivalenceReport(NamedTuple):
 
 
 def presentations_equivalent(P: Presentation, Q: Presentation,
-                             wrapper_len: int = 2) -> EquivalenceReport:
+                             wrapper_len: Optional[int] = 2) -> EquivalenceReport:
     """Do P and Q generate the same two-sided ideal under the identity map
     on generators?  EQUIVALENT iff every relation of each lies in the other's
-    ideal; certificates are retained for both directions."""
+    ideal; certificates are retained for both directions.  wrapper_len may
+    be None when every relation is homogeneous, since slices do not read
+    it."""
     if P.alphabet != Q.alphabet:
         raise ValueError("presentations use different alphabets")
     if P.space != Q.space:

@@ -379,16 +379,20 @@ def _stability_step(name: str, p: ideal.Presentation, wrapper_len: int,
 
 def _two_way_step(name: str, ok: bool, detail: str, labels, first,
                   second) -> StepReport:
-    """Graded membership of each relation of first in the ideal of second
-    and back, passing when ok holds and every membership is certified; the
-    certificates are filed as "<a>_in_<b>" and "<b>_in_<a>" for the
-    labels (a, b)."""
-    fwd = [ideal.graded_membership(r, second) for r in first]
-    bwd = [ideal.graded_membership(r, first) for r in second]
+    """Membership of each relation of first in the ideal of second and
+    back, asked of the engine once per direction through
+    `ideal.presentations_equivalent`, which decides homogeneous relations
+    slice by slice; passing when ok holds and every membership is
+    certified.  The certificates are filed as "<a>_in_<b>" and
+    "<b>_in_<a>" for the labels (a, b)."""
+    sp = first[0].space
+    rep = ideal.presentations_equivalent(
+        *(ideal.Presentation(GENERATORS, sp, rels, adjoint_involution())
+          for rels in (first, second)), wrapper_len=None)
     a, b = labels
-    return _step(name, ok and all(v.is_member() for v in fwd + bwd), detail,
-                 {f"{a}_in_{b}": [v.certificate for v in fwd],
-                  f"{b}_in_{a}": [v.certificate for v in bwd]})
+    return _step(name, ok and rep.verdict == ideal.EQUIVALENT, detail,
+                 {f"{a}_in_{b}": [v.certificate for v in rep.forward],
+                  f"{b}_in_{a}": [v.certificate for v in rep.backward]})
 
 
 def _lemma1(b: Optional[int], wrapper_len: int):

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from ckverify import coeff
 from ckverify.coeff import (
     Coefficient, ConjugationSpec, MultiPoly, PoleError, RATIONALS)
 from ckverify.coeff import (_gcd, _ipoly_mul, _ipoly_str, _qt,
@@ -1030,6 +1031,27 @@ def test_constants_print_as_the_multipoly_rendering(names):
                                                    else "x")):
                 printed = print_expr(NcPoly(alphabet, names, {word: c}))
                 assert printed == ("-" if q < 0 else "") + term, q
+
+
+@pytest.mark.parametrize("names", [("t",), ("a", "b"), SIX, RATIONALS])
+def test_constants_print_without_a_multipoly(names, monkeypatch):
+    """A constant prints straight from its integer pair in every space, Q
+    included: str, sign_split and print_expr build no MultiPoly for it
+    (coeff._poly_of is never called).  The bytes are pinned by
+    test_constants_print_as_the_multipoly_rendering."""
+    built = []
+    poly_of = coeff._poly_of
+
+    def counting(*args):
+        built.append(args)
+        return poly_of(*args)
+    monkeypatch.setattr(coeff, "_poly_of", counting)
+    for q in _constant_values():
+        c = Coefficient.const(names, q)
+        assert str(c) == str(q)
+        c.sign_split()
+        print_expr(NcPoly(("x",), names, {(): c, (0,): c}))
+    assert built == []
 
 
 def test_pair_printer_reduces_a_constant_over_its_denominator():

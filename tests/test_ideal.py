@@ -725,8 +725,8 @@ def test_point_pass_keeps_the_bound_of_an_open_target(with_omega,
 
 @pytest.mark.parametrize("claim,point_rows,exact_rows",
                          [("theorem1", 561, 80), ("corollary1", 717, 99),
-                          ("lemma1", 24, 14), ("lemma2", 8, 8),
-                          ("lemma4", 10, 8)])
+                          ("lemma1", 24, 14), ("lemma2", 4, 4),
+                          ("lemma4", 6, 6)])
 def test_point_pass_feeds_a_fixed_number_of_rows(claim, point_rows,
                                                  exact_rows, monkeypatch):
     """The symbolic claims feed a known number of rows at the point and to
