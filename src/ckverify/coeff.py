@@ -1,9 +1,11 @@
 """Exact scalar arithmetic: rational functions over Q in named parameters.
 
 A parameter space is a fixed, ordered tuple of names.  MultiPoly is a sparse
-polynomial over such a space with rational coefficients (ints or Fractions);
-Coefficient is an element of the field of rational functions over the space,
-and the names a value uses decide how it is stored:
+polynomial over such a space with rational coefficients, an integral one
+stored as an int and only a proper fraction as a Fraction, so that a
+polynomial built from int data runs on int arithmetic; Coefficient is an
+element of the field of rational functions over the space, and the names a
+value uses decide how it is stored:
 
 * at most one name (every constant, and every value of Q(t), which is where
   each symbolic claim in the modulus lives): numerator and denominator are
@@ -35,6 +37,11 @@ and the names a value uses decide how it is stored:
   then decided by cross-multiplication, so no canonical form (and no
   multivariate GCD) is ever required for correctness.
 
+`scalar_sum` adds a list of values at once: integer pairs over one
+denominator add their numerators and are canonicalised once, ints and
+Fractions add natively, and a list that uses two or more names is folded
+left with `+`.
+
 Every quotient of MultiPolys is first scaled by `_scale_to_primitive`, the
 one function that normalises a value in several names.  `_evaluate` is the
 one routine that moves terms into other names: substitution, embedding in a
@@ -49,7 +56,7 @@ and `ncpoly.print_expr` only produce its terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import add
 from typing import Mapping, Optional
@@ -69,17 +76,24 @@ def _check_space(a: Space, b: Space):
         raise ValueError(f"parameter space mismatch: {a} vs {b}")
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _rational(v):
+    """The int or Fraction v as an int when it is integral, else as a
+    Fraction."""
+    if type(v) is int:
         return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
 class MultiPoly:
     """Sparse multivariate polynomial: exponent tuple -> nonzero int or
-    Fraction.  Zero coefficients given to the constructor are dropped."""
+    Fraction.  Zero coefficients given to the constructor are dropped.
+    `const`, `var` and `scaled` store an integral coefficient as an int and
+    only a proper fraction as a Fraction, so a polynomial built from int
+    data runs on int arithmetic."""
 
     __slots__ = ("names", "terms")
 
@@ -93,14 +107,14 @@ class MultiPoly:
 
     @staticmethod
     def const(names: Space, value) -> "MultiPoly":
-        return MultiPoly(names, {(0,) * len(names): _as_fraction(value)})
+        return MultiPoly(names, {(0,) * len(names): _rational(value)})
 
     @staticmethod
     def var(names: Space, name: str) -> "MultiPoly":
         if name not in names:
             raise KeyError(f"unknown parameter {name!r} (space has {names})")
         exps = tuple(1 if n == name else 0 for n in names)
-        return MultiPoly(names, {exps: Fraction(1)})
+        return MultiPoly(names, {exps: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -110,9 +124,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return next(iter(self.terms.values()))
@@ -163,8 +177,9 @@ class MultiPoly:
         return MultiPoly(self.names, terms)
 
     def scaled(self, q) -> "MultiPoly":
-        q = _as_fraction(q)
-        return MultiPoly(self.names, {e: c * q for e, c in self.terms.items()})
+        q = _rational(q)
+        return MultiPoly(self.names, {e: _rational(c * q)
+                                      for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -202,11 +217,11 @@ class MultiPoly:
         """Terms ordered degree-descending, then exponent-lex ascending."""
         return sorted(self.terms.items(), key=lambda ec: (-sum(ec[0]), ec[0]))
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         """The coefficient of the first of sorted_terms, found by min with
         the same key."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         return min(self.terms.items(),
                    key=lambda ec: (-sum(ec[0]), ec[0]))[1]
 
@@ -490,7 +505,7 @@ class Coefficient:
             return _qt(names, ((value,), _ONE) if value else _ZERO)
         if isinstance(value, Coefficient):
             return value
-        q = _as_fraction(value)
+        q = _rational(value)
         return _qt(names, ((q.numerator,), (q.denominator,)) if q else _ZERO)
 
     @staticmethod
@@ -734,6 +749,66 @@ class Coefficient:
 
     def __repr__(self) -> str:
         return f"<Coefficient {self}>"
+
+
+def _lowered(v):
+    """v as `Coefficient.lowered` gives it, for an int or a Fraction too."""
+    return v.lowered() if type(v) is Coefficient else _rational(v)
+
+
+def scalar_sum(values: list):
+    """The sum of ints, Fractions and Coefficients over one space, lowered
+    (`Coefficient.lowered`).  Ints and Fractions add natively; the
+    numerators of integer pairs over one denominator, the rational part
+    included when it has that denominator, add as tuples and are
+    canonicalised once; a group that comes to a rational constant is
+    lowered before it meets any other, so no Coefficient operation has
+    two rational constants; the groups then add pairwise.  Values that use
+    two or more names between them are folded left with `+`, since the
+    printed form of a quotient in several names depends on the order of
+    the operations that built it."""
+    if len(values) < 2:
+        return _lowered(values[0]) if values else 0
+    q, names, name = 0, None, None
+    groups: dict = {}        # denominator -> the numerators over it
+    for v in values:
+        if type(v) is not Coefficient:
+            q += v
+            continue
+        if names is None:
+            names = v.names
+        elif v.names is not names:
+            _check_space(names, v.names)
+        i, den = v._idx, v._den
+        if i is not None and (len(den) > 1 or len(v._num) > 1):
+            if name is None:                    # v carries its name
+                name = i
+            elif i != name:
+                i = None
+        if i is None:
+            return _lowered(reduce(add, values))
+        groups.setdefault(den, []).append(v._num)
+    q = _rational(q)
+    if not groups:
+        return q
+    if q and (q.denominator,) in groups:
+        groups[(q.denominator,)].append((q.numerator,))
+        q = 0
+    out = None               # the sum of the groups that carry the name
+    for den, nums in groups.items():
+        n, d = (nums[0], den) if len(nums) == 1 else _canon(
+            reduce(lambda a, b: _ipoly_lin(1, a, 1, b), nums), den)
+        if len(d) == 1 and len(n) < 2:          # a rational constant
+            if n:
+                q += n[0] if d[0] == 1 else Fraction(n[0], d[0])
+            continue
+        v = _qt(names, (n, d), name)
+        out = v if out is None else out + v
+        if out.is_rational():
+            q, out = q + out.lowered(), None
+    if out is None:
+        return _rational(q)
+    return out + q if q else out
 
 
 def _evaluate(p: MultiPoly, bindings: Mapping, const, var):

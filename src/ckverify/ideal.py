@@ -32,7 +32,9 @@ monic and inserted smallest-wrapper-first, which makes certificates
 deterministic.  Rows are fed until every target is settled, so a member
 costs only the rows up to its last pivot.  Reductions record their steps
 (pivot, multiplier), expanded into a combination of wrapped rows only for a
-target reduced to zero; basis rows are independent, so it is unique.
+target reduced to zero; basis rows are independent, so it is unique.  The
+combination and the re-expansion collect the terms of each row weight and
+of each word first and add them once (`coeff.scalar_sum`).
 
 A span over a named space, a bounded span or a degree slice, runs a point
 pass first (`_point_certificates`).  Its rows are reduced modulo the
@@ -62,7 +64,7 @@ from heapq import heappop, heappush
 from itertools import chain, product
 from typing import NamedTuple, Optional, Sequence
 
-from .coeff import Coefficient, Space
+from .coeff import Coefficient, Space, scalar_sum
 from .ncpoly import NcPoly, InvolutionSpec, Word, word_key
 
 MEMBER = "MEMBER"
@@ -229,24 +231,30 @@ class _Span:
         multiplier * row(pivot) over the steps.  Row k expands to inv_k *
         (e_tag_k - sum of c_j * row_j over its own steps), and every row_j
         there is older than row k, so the rows are expanded newest first:
-        each after every newer row has added to its weight."""
+        each after every newer row has added to its weight.  A row's
+        weight is kept as the list of what was added to it and summed once
+        when the row is popped (`scalar_sum`), since every term has arrived
+        by then."""
         basis = self.basis
-        weight: dict = {}          # tag of a basis row -> its weight so far
+        parts: dict = {}           # tag of a basis row -> its weight's terms
         newest: list = []          # heap of (-tag, pivot)
         combo: dict = {}
 
         def add(steps, scale):
             for piv, c in steps:
                 tag = basis[piv][1]
-                if tag not in weight:
+                terms = parts.get(tag)
+                if terms is None:
+                    parts[tag] = [_lower(scale * c)]
                     heappush(newest, (-tag, piv))
-                weight[tag] = _lower(weight.get(tag, 0) + _lower(scale * c))
+                else:
+                    terms.append(_lower(scale * c))
 
         add(steps, 1)
         while newest:
             _, piv = heappop(newest)
             _, tag, inv, row_steps = basis[piv]
-            a = _lower(weight[tag] * inv)
+            a = _lower(scalar_sum(parts.pop(tag)) * inv)
             if a:
                 combo[tag] = a
                 add(row_steps, -a)
@@ -456,19 +464,17 @@ def _lower(c):
 def _residual(rows, relation_terms, target_terms) -> dict:
     """sum of c * (l * g_i * r) over the rows (l, i, r, c), minus the target,
     as a word -> scalar dict without zero entries, every scalar lowered;
-    relation_terms[i] and target_terms are word -> scalar dicts."""
-    acc: dict = {}
-    products = ((left + w + right, _lower(c * gc))
-                for left, i, right, c in rows
-                for w, gc in relation_terms[i].items())
-    negated = ((w, -c) for w, c in target_terms.items())
-    for w, c in chain(products, negated):
-        nv = _lower(acc.get(w, 0) + c)
-        if nv:
-            acc[w] = nv
-        else:
-            acc.pop(w, None)
-    return acc
+    relation_terms[i] and target_terms are word -> scalar dicts.  Each
+    word's products and negated target entry are collected first and
+    summed once (`scalar_sum`), so the terms over one denominator add as
+    numerators and are canonicalised once."""
+    parts: dict = {}
+    for left, i, right, c in rows:
+        for w, gc in relation_terms[i].items():
+            parts.setdefault(left + w + right, []).append(_lower(c * gc))
+    for w, c in target_terms.items():
+        parts.setdefault(w, []).append(-c)
+    return {w: s for w, terms in parts.items() if (s := scalar_sum(terms))}
 
 
 def _span(relations: Sequence[NcPoly], degree: Optional[int],

@@ -1,6 +1,7 @@
 """Exact scalar layer: multivariate polynomials and rational functions."""
 from __future__ import annotations
 
+import functools
 import operator
 import random
 import re
@@ -1115,3 +1116,80 @@ def test_leading_coeff_is_the_first_sorted_term():
             ties += sum(sum(e) == degree for e in p.terms) > 1
     assert ties > 100
     assert MultiPoly(names, {}).leading_coeff() == 0
+
+
+# ---------------------------------------------------------------------------
+# the n-ary sum
+
+def _lowered_value(v):
+    """v lowered as `Coefficient.lowered` does, for an int or Fraction too."""
+    if type(v) is Coefficient:
+        return v.lowered()
+    return v.numerator if v.denominator == 1 else v
+
+
+def _sum_operands(rng, dens, two_names):
+    """A seeded list of operands over SIX: values in SIX[0] over the shared
+    denominators dens or over their own, rational constants stored at any
+    name index, ints and Fractions, and with two_names values in SIX[1]
+    and in SIX[0] and SIX[1] together.  A third of the lists end with a
+    value that cancels the rest to 0, a third with one that leaves a
+    rational constant."""
+    out = []
+    for _ in range(rng.randint(2, 9)):
+        kind = rng.randrange(7 if two_names else 5)
+        if kind == 0:
+            out.append(_one_name_value(rng, SIX[0]))
+        elif kind == 1:
+            num = _rand_poly(rng, SIX, SIX[0], 3, rng.choice((1, 2)))
+            if num.is_zero():
+                num = MultiPoly.const(SIX, 1)
+            out.append(Coefficient(num, rng.choice(dens)))
+        elif kind == 2:
+            q = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7)))
+            out.append(_qt(SIX, ((q.numerator,) if q else (),
+                                 (q.denominator,)), rng.randrange(6)))
+        elif kind == 3:
+            out.append(rng.randint(-5, 5))
+        elif kind == 4:
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        elif kind == 5:
+            out.append(_one_name_value(rng, SIX[1]))
+        else:
+            out.append(_multi_name_value(rng, SIX[:2]))
+    end = rng.randrange(3)
+    if end:
+        rest = functools.reduce(operator.add, out)
+        out.append(Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
+                   - rest if end == 2 else -rest)
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("two_names", [False, True])
+def test_scalar_sum_is_the_lowered_left_fold(two_names):
+    """coeff.scalar_sum gives the value of a left fold with + and its
+    lowered type: int or Fraction for a rational constant, else a
+    Coefficient."""
+    rng = random.Random(3030 + two_names)
+    a = MultiPoly.var(SIX, SIX[0])
+    one = MultiPoly.const(SIX, 1)
+    dens = [one.scaled(6), a * a - one, (a + one).scaled(2), a ** 3 + a]
+    kinds = set()
+    for _ in range(400):
+        values = _sum_operands(rng, dens, two_names)
+        got = coeff.scalar_sum(values)
+        want = _lowered_value(functools.reduce(operator.add, values))
+        assert got == want and type(got) is type(want), values
+        kinds.add(type(got))
+        kinds.add("zero" if got == 0 else
+                  "one name" if type(got) is Coefficient and got._idx == 0
+                  else "two names" if type(got) is Coefficient else "q")
+    assert kinds >= {int, Fraction, Coefficient, "zero", "q", "one name"}
+    assert ("two names" in kinds) == two_names
+    assert coeff.scalar_sum([]) == 0
+    assert coeff.scalar_sum([Fraction(4, 2)]) == 2
+    assert type(coeff.scalar_sum([Fraction(4, 2)])) is int
+    with pytest.raises(ValueError, match="parameter space mismatch"):
+        coeff.scalar_sum([Coefficient.param(SIX, "beta"),
+                          Coefficient.param(AB, "a")])

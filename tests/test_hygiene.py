@@ -1,9 +1,10 @@
 """Dead code in src/ckverify: an import a module never uses, or a private
 module-level function or class, or a private method of a module-level
 class, that nothing refers to; a package __all__ that has drifted from
-the names the package imports; a cache without a bound on a function
-that takes arguments; and a heavy stdlib module on the import path of the
-command line."""
+the names the package imports; a read of a Coefficient's storage
+outside coeff; a cache without a bound on a function that takes
+arguments; and a heavy stdlib module on the import path of the command
+line."""
 from __future__ import annotations
 
 import ast
@@ -62,6 +63,20 @@ def test_every_private_definition_is_referenced():
                     and node.name.startswith("_") \
                     and not node.name.startswith("__"):
                 assert node.name in used, f"{module}.{node.name} is unused"
+
+
+def test_coefficient_storage_is_read_only_inside_coeff():
+    """No module but coeff reads a Coefficient's storage fields, so that
+    how a value is stored stays coeff's own decision."""
+    fields = {"_num", "_den", "_idx"}
+    for module, tree in TREES.items():
+        if module == "coeff":
+            continue
+        read = sorted({n.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Attribute) and n.attr in fields})
+        assert not read, f"{module} reads {read}"
+    assert {n.attr for n in ast.walk(TREES["coeff"])
+            if isinstance(n, ast.Attribute)} >= fields
 
 
 def _unbounded_caches(tree) -> dict:

@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 from sympy import isprime
 
-from ckverify import ideal
-from ckverify.coeff import Coefficient, RATIONALS
+from ckverify import ideal, presentations
+from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS
 from ckverify.ideal import (
-    EQUIVALENT, INCONCLUSIVE, MEMBER, NON_MEMBER, NOT_EQUIVALENT,
-    Presentation, STABLE, UNSTABLE, bounded_membership, graded_membership,
-    involution_stability, presentations_equivalent)
+    EQUIVALENT, INCONCLUSIVE, MEMBER, MembershipCertificate, NON_MEMBER,
+    NOT_EQUIVALENT, Presentation, STABLE, UNSTABLE, bounded_membership,
+    graded_membership, involution_stability, presentations_equivalent)
 from ckverify.ncpoly import (InvolutionSpec, NcPoly, adjoint_involution,
                              word_key)
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
@@ -1056,3 +1056,79 @@ def test_point_pass_refuses_a_span_past_the_budget_before_any_row(
     with pytest.raises(ValueError, match="^wrapper length 2 needs 399 "):
         presentations_equivalent(*modulus_family(None))
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# re-expansion refuses a certificate that does not add up to its target
+
+def _claim_certificates(claim, b):
+    """(target, relations, certificate) for every certificate of theorem1
+    or corollary1 at b (symbolic when None), or of lemma1's
+    fully_identified stage (six names)."""
+    if claim == "lemma1":
+        sp = presentations._SCAN_SPACE
+        rels = presentations._sklyanin_relations(
+            sp, Coefficient.param(sp, "alpha"), 1, -1)
+        conj = ConjugationSpec({k: v for k, v in
+                                presentations._SCAN_PAIRS.items()
+                                if k not in ("alpha", "alphabar")})
+        p = Presentation(X, sp, rels, adjoint_involution(conj))
+        rep = involution_stability(p, 2)
+        pairs = [(rel.involute(p.involution), p.relations, r.verdict)
+                 for rel, r in zip(p.relations, rep.relations)]
+    else:
+        p, q = modulus_family(b, with_omega=claim == "corollary1")
+        rep = presentations_equivalent(p, q, 2)
+        pairs = [(t, q.relations, v) for t, v in zip(p.relations, rep.forward)]
+        pairs += [(t, p.relations, v)
+                  for t, v in zip(q.relations, rep.backward)]
+    assert all(v.kind == MEMBER for _, _, v in pairs)
+    return [(t, rels, v.certificate) for t, rels, v in pairs]
+
+
+def _at_point(space):
+    """Bindings of every name of space to a rational that is a pole of no
+    certificate coefficient here."""
+    return {n: Coefficient.const(space, Fraction(10007 + 3 * k, 3 + k))
+            for k, n in enumerate(space)}
+
+
+def _oracle_agrees(target, relations, entries, bindings) -> bool:
+    """Whether oracles.expand_certificate, run on the entries and relations
+    with every name bound, gives the target so bound."""
+    if bindings:
+        entries = [e._replace(coeff=e.coeff.substitute(bindings))
+                   for e in entries]
+        relations = [r.substitute_params(bindings) for r in relations]
+        target = target.substitute_params(bindings)
+    return expand_certificate(entries, relations) == poly_to_dict(target)
+
+
+@pytest.mark.parametrize("claim,b", [("theorem1", None), ("theorem1", 7),
+                                     ("corollary1", None),
+                                     ("corollary1", 7), ("lemma1", None)])
+def test_re_expansion_refuses_a_changed_certificate(claim, b):
+    """Each certificate re-expands to its target, and each of three edits
+    of one entry makes MembershipCertificate.verify refuse it, as the
+    word-dict oracle does at a point: 1 added to its coefficient, the
+    coefficient multiplied by (x+1)/x for a name x (by (b+1)/b at an
+    integer b), and the entry dropped."""
+    rng = random.Random(f"{claim}-{b}")
+    certified = _claim_certificates(claim, b)
+    space = certified[0][1][0].space
+    bindings = _at_point(space)
+    x = Coefficient.param(space, space[0]) if space else \
+        Coefficient.const(space, b)
+    factor = (x + 1) / x
+    for target, relations, cert in certified:
+        entries = list(cert)
+        assert cert.verify(target, relations)
+        assert _oracle_agrees(target, relations, entries, bindings)
+        k = rng.randrange(len(entries))
+        e = entries[k]
+        for changed in (e._replace(coeff=e.coeff + 1),
+                        e._replace(coeff=e.coeff * factor), None):
+            edited = entries[:k] + ([changed] if changed else []) + \
+                entries[k + 1:]
+            assert not MembershipCertificate(edited).verify(target, relations)
+            assert not _oracle_agrees(target, relations, edited, bindings)
