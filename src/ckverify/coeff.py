@@ -1,11 +1,11 @@
 """Exact scalar arithmetic: rational functions over Q in named parameters.
 
 A parameter space is a fixed, ordered tuple of names.  MultiPoly is a sparse
-polynomial over such a space with rational coefficients, an integral one
-stored as an int and only a proper fraction as a Fraction, so that a
-polynomial built from int data runs on int arithmetic; Coefficient is an
-element of the field of rational functions over the space, and the names a
-value uses decide how it is stored:
+polynomial over such a space with rational coefficients; its constructor
+stores an integral one as an int and only a proper fraction as a Fraction,
+so that a polynomial built from int data runs on int arithmetic.
+Coefficient is an element of the field of rational functions over the
+space, and the names a value uses decide how it is stored:
 
 * at most one name (every constant, and every value of Q(t), which is where
   each symbolic claim in the modulus lives): numerator and denominator are
@@ -37,10 +37,12 @@ value uses decide how it is stored:
   then decided by cross-multiplication, so no canonical form (and no
   multivariate GCD) is ever required for correctness.
 
-`scalar_sum` adds a list of values at once: integer pairs over one
-denominator add their numerators and are canonicalised once, ints and
-Fractions add natively, and a list that uses two or more names is folded
-left with `+`.
+`lowered` is the one lowering of a scalar: a rational constant, whatever
+its space, becomes an int, else a Fraction, and any other value stays a
+Coefficient.  `scalar_sum` adds a list of values at once and lowers the
+sum: integer pairs over one denominator add their numerators and are
+canonicalised once, ints and Fractions add natively, and a list that uses
+two or more names is folded left with `+`.
 
 Every quotient of MultiPolys is first scaled by `_scale_to_primitive`, the
 one function that normalises a value in several names.  `_evaluate` is the
@@ -90,24 +92,22 @@ def _rational(v):
 
 class MultiPoly:
     """Sparse multivariate polynomial: exponent tuple -> nonzero int or
-    Fraction.  Zero coefficients given to the constructor are dropped.
-    `const`, `var` and `scaled` store an integral coefficient as an int and
-    only a proper fraction as a Fraction, so a polynomial built from int
-    data runs on int arithmetic."""
+    Fraction.  The constructor drops zero coefficients and stores an
+    integral one as an int, only a proper fraction as a Fraction, so a
+    polynomial built from int data, or a sum or product that comes out
+    integral, runs on int arithmetic."""
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names: Space, terms: dict):
         self.names = names
-        # the dict is copied only when it holds a zero
-        self.terms = terms if all(terms.values()) else \
-            {e: c for e, c in terms.items() if c}
+        self.terms = {e: _rational(c) for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(names: Space, value) -> "MultiPoly":
-        return MultiPoly(names, {(0,) * len(names): _rational(value)})
+        return MultiPoly(names, {(0,) * len(names): value})
 
     @staticmethod
     def var(names: Space, name: str) -> "MultiPoly":
@@ -150,11 +150,7 @@ class MultiPoly:
         _check_space(self.names, other.names)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return MultiPoly(self.names, terms)
 
     def __neg__(self) -> "MultiPoly":
@@ -169,17 +165,11 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly(self.names, terms)
 
     def scaled(self, q) -> "MultiPoly":
-        q = _rational(q)
-        return MultiPoly(self.names, {e: _rational(c * q)
-                                      for e, c in self.terms.items()})
+        return MultiPoly(self.names, {e: c * q for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -751,24 +741,25 @@ class Coefficient:
         return f"<Coefficient {self}>"
 
 
-def _lowered(v):
-    """v as `Coefficient.lowered` gives it, for an int or a Fraction too."""
+def lowered(v):
+    """The one lowering of a scalar: an int, a Fraction or a Coefficient
+    that is a rational constant as an int when it is integral, else as a
+    Fraction; any other Coefficient as it is."""
     return v.lowered() if type(v) is Coefficient else _rational(v)
 
 
 def scalar_sum(values: list):
-    """The sum of ints, Fractions and Coefficients over one space, lowered
-    (`Coefficient.lowered`).  Ints and Fractions add natively; the
-    numerators of integer pairs over one denominator, the rational part
-    included when it has that denominator, add as tuples and are
-    canonicalised once; a group that comes to a rational constant is
-    lowered before it meets any other, so no Coefficient operation has
-    two rational constants; the groups then add pairwise.  Values that use
-    two or more names between them are folded left with `+`, since the
-    printed form of a quotient in several names depends on the order of
-    the operations that built it."""
+    """The sum of ints, Fractions and Coefficients over one space,
+    `lowered`.  Ints and Fractions add natively; the numerators of integer
+    pairs over one denominator, the rational part included when it has
+    that denominator, add as tuples and are canonicalised once; a group
+    that comes to a rational constant is lowered before it meets any
+    other, so no Coefficient operation has two rational constants; the
+    groups then add pairwise.  Values that use two or more names between
+    them are folded left with `+`, since the printed form of a quotient in
+    several names depends on the order of the operations that built it."""
     if len(values) < 2:
-        return _lowered(values[0]) if values else 0
+        return lowered(values[0]) if values else 0
     q, names, name = 0, None, None
     groups: dict = {}        # denominator -> the numerators over it
     for v in values:
@@ -786,7 +777,7 @@ def scalar_sum(values: list):
             elif i != name:
                 i = None
         if i is None:
-            return _lowered(reduce(add, values))
+            return lowered(reduce(add, values))
         groups.setdefault(den, []).append(v._num)
     q = _rational(q)
     if not groups:

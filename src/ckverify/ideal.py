@@ -22,19 +22,19 @@ another alphabet or parameter space than the first relation.
 Every MEMBER verdict carries a certificate (left word, relation index, right
 word, coefficient) which is re-expanded and compared against the target
 before it is returned.  Reduction is sparse row echelon over the exact
-scalar field.  Over one name an entry is stored in the cheapest exact type
-that holds it (an int, else a Fraction, and a Coefficient only when its
-value carries the name), so the many entries that are constants, mostly
-+-1, never go through Coefficient arithmetic; over two or more names every
-entry is a Coefficient, and over Q a Fraction (`_FractionSpan` says why).
-Certificates lift every coefficient back to a Coefficient.  Rows are kept
-monic and inserted smallest-wrapper-first, which makes certificates
-deterministic.  Rows are fed until every target is settled, so a member
-costs only the rows up to its last pivot.  Reductions record their steps
-(pivot, multiplier), expanded into a combination of wrapped rows only for a
-target reduced to zero; basis rows are independent, so it is unique.  The
-combination and the re-expansion collect the terms of each row weight and
-of each word first and add them once (`coeff.scalar_sum`).
+scalar field.  Over a named space an entry is stored in the cheapest exact
+type that holds it (`coeff.lowered`: an int, else a Fraction, and a
+Coefficient only when its value carries a name), so the many entries that
+are constants, mostly +-1, never go through Coefficient arithmetic; over Q
+every entry is a Fraction (`_FractionSpan` says why).  Certificates lift
+every coefficient back to a Coefficient.  Rows are kept monic and inserted
+smallest-wrapper-first, which makes certificates deterministic.  Rows are
+fed until every target is settled, so a member costs only the rows up to
+its last pivot.  Reductions record their steps (pivot, multiplier),
+expanded into a combination of wrapped rows only for a target reduced to
+zero; basis rows are independent, so it is unique.  The combination and
+the re-expansion collect the terms of each row weight and of each word
+first and add them once (`coeff.scalar_sum`).
 
 A span over a named space, a bounded span or a degree slice, runs a point
 pass first (`_point_certificates`).  Its rows are reduced modulo the
@@ -64,7 +64,7 @@ from heapq import heappop, heappush
 from itertools import chain, product
 from typing import NamedTuple, Optional, Sequence
 
-from .coeff import Coefficient, Space, scalar_sum
+from .coeff import Coefficient, Space, lowered, scalar_sum
 from .ncpoly import NcPoly, InvolutionSpec, Word, word_key
 
 MEMBER = "MEMBER"
@@ -174,12 +174,11 @@ class _Span:
     from those steps only when the target reduces to zero.
 
     Over a parameter space every entry, multiplier, inverse and weight is
-    kept lowered (`_lower`): over one name a rational constant is an int,
-    else a Fraction, so the many entries that are +-1 make int arithmetic;
-    a value that carries a name, and every value over two or more names,
-    is a Coefficient.  A basis row leaves out its pivot entry 1, and a new
-    row whose pivot is 1 is kept as it is.  Over Q, `_FractionSpan` keeps
-    Fraction rows with their pivot entries.  `_span_over` picks the class.
+    kept `lowered`: a rational constant is an int, else a Fraction, so the
+    many entries that are +-1 make int arithmetic, and only a value that
+    carries a name is a Coefficient.  A basis row leaves out its pivot
+    entry 1.  Over Q, `_FractionSpan` keeps Fraction rows with their pivot
+    entries.  `_span_over` picks the class.
     A span over a named space is fed only the support rows that its point
     pass, a `_PointSpan` of residues, found; the rows and certificates are
     those of the full span (`_point_certificates`)."""
@@ -194,7 +193,7 @@ class _Span:
 
     @staticmethod
     def _to_vec(p: NcPoly) -> dict:
-        return {w: _lower(c) for w, c in p.terms.items()}
+        return {w: lowered(c) for w, c in p.terms.items()}
 
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis and return the steps
@@ -209,7 +208,7 @@ class _Span:
             c = vec.pop(piv)
             steps.append((piv, c))
             for w, bc in basis[piv][0].items():
-                nv = _lower(vec.get(w, 0) - _lower(c * bc))
+                nv = lowered(vec.get(w, 0) - lowered(c * bc))
                 if nv:
                     vec[w] = nv
                 else:
@@ -220,11 +219,9 @@ class _Span:
         """(vec divided by its pivot entry, without that entry; the inverse
         of the pivot entry).  vec loses its pivot entry."""
         inv = vec.pop(piv)
-        if type(inv) is int and inv == 1:
-            return vec, inv
         inv = inv.inv() if type(inv) is Coefficient else \
-            _lower(Fraction(1, inv))
-        return {w: _lower(c * inv) for w, c in vec.items()}, inv
+            lowered(Fraction(1, inv))
+        return {w: lowered(c * inv) for w, c in vec.items()}, inv
 
     def _combination(self, steps: list) -> dict:
         """tag -> coefficient of the wrapped rows whose sum is the sum of
@@ -245,16 +242,16 @@ class _Span:
                 tag = basis[piv][1]
                 terms = parts.get(tag)
                 if terms is None:
-                    parts[tag] = [_lower(scale * c)]
+                    parts[tag] = [lowered(scale * c)]
                     heappush(newest, (-tag, piv))
                 else:
-                    terms.append(_lower(scale * c))
+                    terms.append(lowered(scale * c))
 
         add(steps, 1)
         while newest:
             _, piv = heappop(newest)
             _, tag, inv, row_steps = basis[piv]
-            a = _lower(scalar_sum(parts.pop(tag)) * inv)
+            a = lowered(scalar_sum(parts.pop(tag)) * inv)
             if a:
                 combo[tag] = a
                 add(row_steps, -a)
@@ -325,14 +322,14 @@ class _FractionSpan(_Span):
         return {w: c * inv for w, c in vec.items()}, inv
 
 
-class _PointSpan(_Span):
+class _PointSpan:
     """A span of the residues modulo POINT_PRIME at a fixed point, name k
     at POINT_ROOT^(k+1): every entry is an int in [0, POINT_PRIME), and a
     vec is None when a coefficient has a pole at the point.  It only finds
     pivots and support rows for the point pass (`_point_certificates`); it
     makes no certificate, so a basis row is (row, tag, pivots): the monic
     row without its pivot entry, and the pivots its reduction used, with
-    no multiplier or inverse.
+    no multiplier or inverse.  It is no `_Span`, but `_feed` takes either.
 
     A vec is keyed by word codes, not words: the code of w is off[len(w)]
     plus w read as a base-n number, first letter most significant, where n
@@ -344,7 +341,9 @@ class _PointSpan(_Span):
     l * g * r gets its codes from integer arithmetic; tags stay words."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
-        super().__init__((), space)     # relations are kept as triples
+        self.tags: list = []
+        self.basis: dict = {}
+        self._vec_cache: list = []      # relations are kept as triples
         self.point = tuple(pow(POINT_ROOT, k + 1, POINT_PRIME)
                            for k in range(len(space)))
         self._n = len(relations[0].alphabet) if relations else 1
@@ -447,20 +446,6 @@ def _span_over(relations: Sequence[NcPoly], space: Space) -> _Span:
     return (_Span if space else _FractionSpan)(relations, space)
 
 
-def _lower(c):
-    """c as a lowered span entry: over one name a rational constant becomes
-    an int, else a Fraction, and so does an int-valued Fraction; any other
-    value is kept.  Over two or more names the constants are mostly proper
-    fractions, and a Fraction operand on a Coefficient costs more than the
-    Coefficient itself, so they stay Coefficients."""
-    t = type(c)
-    if t is Coefficient:
-        return c.lowered() if len(c.names) == 1 else c
-    if t is int:
-        return c
-    return c.numerator if c.denominator == 1 else c
-
-
 def _residual(rows, relation_terms, target_terms) -> dict:
     """sum of c * (l * g_i * r) over the rows (l, i, r, c), minus the target,
     as a word -> scalar dict without zero entries, every scalar lowered;
@@ -471,7 +456,7 @@ def _residual(rows, relation_terms, target_terms) -> dict:
     parts: dict = {}
     for left, i, right, c in rows:
         for w, gc in relation_terms[i].items():
-            parts.setdefault(left + w + right, []).append(_lower(c * gc))
+            parts.setdefault(left + w + right, []).append(lowered(c * gc))
     for w, c in target_terms.items():
         parts.setdefault(w, []).append(-c)
     return {w: s for w, terms in parts.items() if (s := scalar_sum(terms))}
@@ -579,10 +564,11 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     return verdicts
 
 
-def _feed(span: _Span, vecs: dict, rows) -> dict:
-    """Feed the rows (l, i, r) to the span, in order, until every vec
-    (target index -> the target as a vec of the span, reduced in place)
-    reduces to zero; target index -> its steps, for each that does."""
+def _feed(span, vecs: dict, rows) -> dict:
+    """Feed the rows (l, i, r) to the span, a `_Span` or a `_PointSpan`,
+    in order, until every vec (target index -> the target as a vec of the
+    span, reduced in place) reduces to zero; target index -> its steps,
+    for each that does."""
     open_ = {k: (vec, []) for k, vec in vecs.items()}
     settled = {}
     for row in rows:

@@ -551,15 +551,47 @@ def _extended(pres, space):
             for r in pres.relations]
 
 
-def test_span_over_two_names_keeps_coefficients():
-    """Over two or more names every scalar stays a Coefficient, constants
-    too, and the verdicts are those over ("b",)."""
+def test_span_over_two_names_stores_lowered_scalars():
+    """Over two or more names too, a constant entry is an int or a
+    Fraction and a Coefficient is kept only when its value carries a name,
+    and the verdicts are those over ("b",)."""
     space = ("a", "b")
     p, q = (SimpleNamespace(relations=_extended(x, space), space=space)
             for x in modulus_family(None))
     span, combos = _fed_span(p, q)
-    assert {type(c) for c in _stored_scalars(span, combos)} == {Coefficient}
+    assert {int, Coefficient} <= _assert_lowered(_stored_scalars(span, combos))
     assert len(combos) == len(_fed_span(*modulus_family(None))[1])
+
+
+def _printed(cert):
+    """A certificate's entries, each with its coefficient printed."""
+    return [(e.left, e.rel_index, e.right, str(e.coeff)) for e in cert]
+
+
+def test_family_over_two_names_gives_the_one_name_certificates():
+    """The modulus family with its relations extended to ("a", "b"), a
+    space that no workload reaches, gets the verdicts and the printed
+    certificate entries it gets over ("b",): through the point pass
+    (`presentations_equivalent`), and through the exact loop alone
+    (`ideal._certificates`) in both directions."""
+    space = ("a", "b")
+    one = modulus_family(None)
+    two = [Presentation(x.alphabet, space, _extended(x, space), x.involution)
+           for x in one]
+    reports = [presentations_equivalent(*sides, 2) for sides in (one, two)]
+    assert [r.verdict for r in reports] == [EQUIVALENT, EQUIVALENT]
+    outcomes = [[(v.kind, _printed(v.certificate))
+                 for v in r.forward + r.backward] for r in reports]
+    assert outcomes[1] == outcomes[0]
+    for order in (slice(None), slice(None, None, -1)):
+        found = []
+        for p, q in (one[order], two[order]):
+            batch = list(range(len(p.relations)))
+            certs = ideal._certificates(p.relations, batch, q.relations,
+                                        q.space, None, 2)
+            found.append({k: _printed(c) for k, c in certs.items()})
+        assert len(found[0]) == len(one[order][0].relations)
+        assert found[1] == found[0]
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -571,11 +603,16 @@ def _is_rational_constant(x):
                                          x.is_rational())
 
 
-@pytest.mark.parametrize("claim", ["theorem1", "corollary1"])
+@pytest.mark.parametrize("claim,min_ops",
+                         [("theorem1", 1000), ("corollary1", 1000),
+                          ("lemma1", 100), ("lemma2", 80)],
+                         ids=["theorem1", "corollary1", "lemma1", "lemma2"])
 def test_symbolic_engine_makes_no_constant_coefficient_operation(
-        monkeypatch, claim):
+        monkeypatch, claim, min_ops):
     """Inside the engine, no Coefficient operation has two rational
-    constants as operands: those are int or Fraction arithmetic."""
+    constants as operands: those are int or Fraction arithmetic, over one
+    name (theorem1, corollary1) and over two or more (lemma1's six names,
+    lemma2's two).  min_ops keeps the count from passing vacuously."""
     inside, seen, constant = [False], [0], []
 
     def counting(name):
@@ -603,7 +640,7 @@ def test_symbolic_engine_makes_no_constant_coefficient_operation(
 
     monkeypatch.setattr(ideal, "_verdicts", engine)
     assert verify(claim, b=None).verdict == "PASS"
-    assert seen[0] > 1000 and constant == []
+    assert seen[0] > min_ops and constant == []
 
 
 # ---------------------------------------------------------------------------
