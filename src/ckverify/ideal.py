@@ -19,22 +19,24 @@ instead.  Targets against an empty relation list are refused with
 ValueError("empty relation list"), and so is a target or relation over
 another alphabet or parameter space than the first relation.
 
-Every MEMBER verdict carries a certificate (left word, relation index, right
-word, coefficient) which is re-expanded and compared against the target
-before it is returned.  Reduction is sparse row echelon over the exact
-scalar field.  Over a named space an entry is stored in the cheapest exact
-type that holds it (`coeff.lowered`: an int, else a Fraction, and a
-Coefficient only when its value carries a name), so the many entries that
-are constants, mostly +-1, never go through Coefficient arithmetic; over Q
-every entry is a Fraction (`_FractionSpan` says why).  Certificates lift
-every coefficient back to a Coefficient.  Rows are kept monic and inserted
-smallest-wrapper-first, which makes certificates deterministic.  Rows are
-fed until every target is settled, so a member costs only the rows up to
-its last pivot.  Reductions record their steps (pivot, multiplier),
-expanded into a combination of wrapped rows only for a target reduced to
-zero; basis rows are independent, so it is unique.  The combination and
-the re-expansion collect the terms of each row weight and of each word
-first and add them once (`coeff.scalar_sum`).
+Every MEMBER verdict carries a certificate (left word, relation index,
+right word, coefficient) which is re-expanded and compared against the
+target before it is returned.  Reduction is sparse row echelon over the
+exact scalar field.  Over a named space each reduction sorts the vec's
+basis words once and pops its pivots from them (`_Span._reduce`), and an
+entry is stored in the cheapest exact type that holds it (`coeff.lowered`:
+an int, else a Fraction, and a Coefficient only when its value carries a
+name), so the many entries that are constants, mostly +-1, never go
+through Coefficient arithmetic; over Q every entry is a Fraction
+(`_FractionSpan` says why).  Certificates lift every coefficient back to a
+Coefficient.  Rows are kept monic and inserted smallest-wrapper-first,
+which makes certificates deterministic.  Rows are fed until every target
+is settled, so a member costs only the rows up to its last pivot.
+Reductions record their steps (pivot, multiplier), expanded into a
+combination of wrapped rows only for a target reduced to zero; basis rows
+are independent, so it is unique.  The combination and the re-expansion
+collect the terms of each row weight and of each word first and add them
+once (`coeff.scalar_sum`).
 
 A span over a named space, a bounded span or a degree slice, runs a point
 pass first (`_point_certificates`).  Its rows are reduced modulo the
@@ -54,11 +56,13 @@ point's rank, and the target is open over Q(names) too.  It stays
 INCONCLUSIVE in a bounded span; in a degree slice, the complete slice of
 the ideal, it is NON_MEMBER, so lemma1's unstable images are decided
 without an exact row.  The pass keys words by int codes ordered as deglex
-(`_PointSpan`), so a wrapped row is integer arithmetic and a pivot a plain
-max.  Spans over Q keep the exact loop alone (`_FractionSpan` says why).
+(`_PointSpan`), so a wrapped row is integer arithmetic and its pivot
+candidates sort as plain ints.  Spans over Q keep the exact loop alone
+(`_FractionSpan` says why).
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, product
@@ -197,22 +201,28 @@ class _Span:
 
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis and return the steps
-        (pivot, multiplier): vec loses the sum of multiplier * row(pivot)."""
+        (pivot, multiplier): vec loses the sum of multiplier * row(pivot).
+        Its basis words are sorted once; each step pops the largest, skips
+        one that an earlier step cancelled and inserts each basis word it
+        newly brings in, so the pivots are those of a max at every step."""
         basis = self.basis
+        todo = sorted(filter(basis.__contains__, vec), key=word_key)
         steps = []
-        while True:
-            piv = max(filter(basis.__contains__, vec), key=word_key,
-                      default=None)
-            if piv is None:
-                return steps
-            c = vec.pop(piv)
+        while todo:
+            piv = todo.pop()
+            c = vec.pop(piv, None)
+            if c is None:
+                continue
             steps.append((piv, c))
             for w, bc in basis[piv][0].items():
                 nv = lowered(vec.get(w, 0) - lowered(c * bc))
                 if nv:
+                    if w not in vec and w in basis:
+                        insort(todo, w, key=word_key)
                     vec[w] = nv
                 else:
                     vec.pop(w, None)
+        return steps
 
     @staticmethod
     def _monic(vec: dict, piv: Word):
@@ -292,8 +302,10 @@ class _FractionSpan(_Span):
     ckbench keeps every pass's stdout, so a second pass then fits into more
     15 s runs and its 4.7 MB of output reads as a peak_rss_mb regression.
     The point pass is kept off spans over Q for the same reason: it made
-    theorem1 at b = 7 take 15-23 ms instead of 32-36 ms in-process.  This
-    class goes once ckbench keeps one pass's output."""
+    theorem1 at b = 7 take 15-23 ms instead of 32-36 ms in-process, and
+    its pivot loop keeps a max per step, since sorting the candidates once
+    (`_Span._reduce`) made sweep's ops 0.95x as long.  This class goes
+    once ckbench keeps one pass's output."""
 
     @staticmethod
     def _to_vec(p: NcPoly) -> dict:
@@ -335,10 +347,11 @@ class _PointSpan:
     plus w read as a base-n number, first letter most significant, where n
     is the alphabet size and off[L] = n^0 + ... + n^(L-1) counts the words
     shorter than L.  Codes are distinct and ordered as the words are in
-    deglex, so each pivot is the plain max of its candidates and the pass
-    picks the pivots of a span keyed by words.  A relation is kept as
-    (length, value, residue) triples, one per term, so a wrapped row
-    l * g * r gets its codes from integer arithmetic; tags stay words."""
+    deglex, so a reduction sorts its pivot candidates once as plain ints,
+    pops them as `_Span._reduce` does, and picks the pivots of a span keyed
+    by words.  A relation is kept as (length, value, residue) triples, one
+    per term, so a wrapped row l * g * r gets its codes from integer
+    arithmetic; tags stay words."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.tags: list = []
@@ -393,19 +406,23 @@ class _PointSpan:
     def _reduce(self, vec: dict) -> list:
         """Reduce vec in place against the basis; the pivots used."""
         basis, prime = self.basis, POINT_PRIME
+        todo = sorted(filter(basis.__contains__, vec))
         pivots = []
-        while True:
-            piv = max(filter(basis.__contains__, vec), default=None)
-            if piv is None:
-                return pivots
+        while todo:
+            piv = todo.pop()
+            c = vec.pop(piv, None)
+            if c is None:
+                continue
             pivots.append(piv)
-            c = vec.pop(piv)
             for w, bc in basis[piv][0].items():
                 nv = (vec.get(w, 0) - c * bc) % prime
                 if nv:
+                    if w not in vec and w in basis:
+                        insort(todo, w)
                     vec[w] = nv
                 else:
                     vec.pop(w, None)
+        return pivots
 
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
         """`_Span.add_wrapped` on codes: the code of l * w * r is

@@ -138,3 +138,34 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_program_imports_only_the_standard_library(tmp_path):
+    """ckverify has no runtime dependency: a fresh isolated interpreter
+    with src on sys.path that imports the command line and runs a verdict
+    and a check-file over a named space (its point pass included) loads no
+    top-level module outside the standard library but ckverify.  The
+    modules loaded before the import are left out, since site may load a
+    third-party .pth module."""
+    pres = tmp_path / "p.pres"
+    pres.write_text("GENERATORS: x1 x2 x3 x4\nPARAMS: a\n"
+                    "INVOLUTION: x1 -> x2; x2 -> x1; x3 -> x4; x4 -> x3\n"
+                    "RELATIONS:\n  a*x1*x1 + x4*x4\n  a*x2*x2 + x3*x3\n",
+                    encoding="utf-8")
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import ckverify.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [ckverify.cli.main(['verify', 'lemma5', '--b', '7',\n"
+        "                                '--format', 'json']),\n"
+        "             ckverify.cli.main(['check-file', sys.argv[2],\n"
+        "                                '--involution-stability'])]\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(codes, sorted(new - set(sys.stdlib_module_names)))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code,
+                          str(SRC.parent), str(pres)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[0, 0] ['ckverify']\n"

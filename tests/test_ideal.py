@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from sympy import isprime
 
 from ckverify import ideal, presentations
-from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS
+from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS, lowered
 from ckverify.ideal import (
     EQUIVALENT, INCONCLUSIVE, MEMBER, MembershipCertificate, NON_MEMBER,
     NOT_EQUIVALENT, Presentation, STABLE, UNSTABLE, bounded_membership,
@@ -833,6 +834,122 @@ def test_point_prime_is_one_digit_and_the_point_is_generic():
     for n in range(1, 9):
         point = ideal._PointSpan([], tuple(f"t{k}" for k in range(n))).point
         assert 0 not in point and len(set(point)) == n
+
+
+def _max_reduce(basis, vec, key, subtract, bound=1000):
+    """The reference pivot loop: at each step the max of the vec's basis
+    words, by key; the steps (pivot, multiplier) and whether a step brought
+    back a basis word that an earlier step had cancelled."""
+    steps, cancelled, returned = [], set(), False
+    for _ in range(bound):
+        piv = max(filter(basis.__contains__, vec), key=key, default=None)
+        if piv is None:
+            return steps, returned
+        c = vec.pop(piv)
+        steps.append((piv, c))
+        for w, bc in basis[piv][0].items():
+            nv = subtract(vec.get(w, 0), c, bc)
+            if nv:
+                returned = returned or (w in cancelled and w not in vec)
+                vec[w] = nv
+            else:
+                if w in basis:
+                    cancelled.add(w)
+                vec.pop(w, None)
+    raise AssertionError("the reference loop did not end")
+
+
+def _bounded_reduce(span, vec, lines=20_000):
+    """span._reduce(vec), failing once its frame has run more lines than
+    any of these reductions needs, so that a loop that does not end fails
+    instead of hanging."""
+    code, left = type(span)._reduce.__code__, [lines]
+
+    def count(frame, event, arg):
+        left[0] -= 1
+        if left[0] < 0:
+            raise AssertionError("the reduction loop did not end")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count if frame.f_code is code else None)
+    try:
+        return span._reduce(vec)
+    finally:
+        sys.settrace(previous)
+
+
+_EXACT = (ideal._Span, word_key,
+          lambda a, c, bc: lowered(a - lowered(c * bc)))
+_POINT = (ideal._PointSpan, None,
+          lambda a, c, bc: (a - c * bc) % ideal.POINT_PRIME)
+
+
+def _compare_reductions(kind, basis, vec):
+    """Reduce a copy of vec with the span's _reduce and with the reference
+    loop; both give the same pivots (and multipliers, for a _Span) and
+    the same reduced vec.  The steps, the reduced vec, and whether the
+    reference brought a cancelled word back."""
+    cls, key, subtract = kind
+    span = cls([], ("b",))
+    span.basis = basis
+    new_vec, ref_vec = dict(vec), dict(vec)
+    steps = _bounded_reduce(span, new_vec)
+    ref_steps, returned = _max_reduce(basis, ref_vec, key, subtract)
+    if cls is ideal._PointSpan:
+        ref_steps = [piv for piv, _ in ref_steps]
+    assert steps == ref_steps
+    assert new_vec == ref_vec
+    return steps, new_vec, returned
+
+
+@pytest.mark.parametrize("kind", [_EXACT, _POINT],
+                         ids=["span", "point"])
+def test_sorted_pivot_loop_brings_back_a_cancelled_word(kind):
+    """Words q < p1 < p2 < p3 with rows p3 -> p1 + p2, p2 -> p1, p1 -> q:
+    reducing p3 + p1, the first step cancels the candidate p1 and brings
+    in p2, whose step brings p1 back, so p1 is the third pivot."""
+    if kind is _EXACT:
+        q, p1, p2, p3 = (), (0,), (1,), (2,)
+        neg = -1
+    else:
+        q, p1, p2, p3 = 0, 1, 2, 3
+        neg = ideal.POINT_PRIME - 1
+    basis = {p3: ({p1: 1, p2: 1},), p2: ({p1: 1},), p1: ({q: 1},)}
+    steps, vec, returned = _compare_reductions(kind, basis, {p3: 1, p1: 1})
+    assert returned
+    assert steps == ([(p3, 1), (p2, -1), (p1, 1)] if kind is _EXACT
+                     else [p3, p2, p1])
+    assert vec == {q: neg}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", [_EXACT, _POINT],
+                         ids=["span", "point"])
+def test_sorted_pivot_loop_matches_the_max_loop(kind, seed):
+    """Seeded random vecs reduced against seeded random echelon bases:
+    each row holds only words below its pivot, as a basis row does, and
+    its entries are small, so that steps cancel words and bring them back.
+    The named spans' _reduce gives the reference loop's steps and reduced
+    vec."""
+    rng = random.Random(seed)
+    cls, _, _ = kind
+    words = sorted(_words(2, 3), key=word_key)
+    keys = words if cls is ideal._Span else list(range(len(words)))
+    scalars = ([1, -1, 1, -1, 2, Fraction(-1, 2)] if cls is ideal._Span
+               else [1, ideal.POINT_PRIME - 1, 2])
+    returned = 0
+    for _ in range(60):
+        basis = {}
+        for i in rng.sample(range(1, len(keys)), rng.randint(4, 12)):
+            below = rng.sample(range(i), min(i, rng.randint(0, 4)))
+            basis[keys[i]] = ({keys[j]: rng.choice(scalars)
+                               for j in below},)
+        vec = {keys[j]: rng.choice(scalars)
+               for j in rng.sample(range(len(keys)), rng.randint(1, 8))}
+        returned += _compare_reductions(kind, basis, vec)[2]
+    assert returned
 
 
 @pytest.mark.parametrize("degree,hilbert", [(2, 10), (3, 20), (4, 35),
