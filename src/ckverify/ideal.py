@@ -343,15 +343,17 @@ class _PointSpan:
     row without its pivot entry, and the pivots its reduction used, with
     no multiplier or inverse.  It is no `_Span`, but `_feed` takes either.
 
-    A vec is keyed by word codes, not words: the code of w is off[len(w)]
-    plus w read as a base-n number, first letter most significant, where n
-    is the alphabet size and off[L] = n^0 + ... + n^(L-1) counts the words
-    shorter than L.  Codes are distinct and ordered as the words are in
-    deglex, so a reduction sorts its pivot candidates once as plain ints,
-    pops them as `_Span._reduce` does, and picks the pivots of a span keyed
-    by words.  A relation is kept as (length, value, residue) triples, one
-    per term, so a wrapped row l * g * r gets its codes from integer
-    arithmetic; tags stay words."""
+    A vec is keyed by word codes, not words: the code of w is w read as a
+    base-(n + 1) numeral, n the alphabet size, with generator g as the
+    digit g + 1 and the first letter most significant, so () is 0.  No
+    digit is 0, so codes are distinct and ordered as the words are in
+    deglex: a reduction sorts its pivot candidates once as plain ints,
+    pops them as `_Span._reduce` does, and picks the pivots of a span
+    keyed by words.  A concatenation is a shift, code(l * w * r) =
+    (code(l) * (n + 1)^|w| + code(w)) * (n + 1)^|r| + code(r), so a
+    relation is kept as ((n + 1)^|w|, code(w), residue) triples, one per
+    term, and a wrapped row gets its codes from integer arithmetic; tags
+    stay words."""
 
     def __init__(self, relations: Sequence[NcPoly], space: Space):
         self.tags: list = []
@@ -359,15 +361,12 @@ class _PointSpan:
         self._vec_cache: list = []      # relations are kept as triples
         self.point = tuple(pow(POINT_ROOT, k + 1, POINT_PRIME)
                            for k in range(len(space)))
-        self._n = len(relations[0].alphabet) if relations else 1
-        self._off, self._pow = [0], [1]     # off[L], n^L
-        self._top = max((len(w) for rel in relations for w in rel.terms),
-                        default=0)
+        self._base = len(relations[0].alphabet) + 1 if relations else 2
         for rel in relations:
             terms = self._residues(rel)
             self._vec_cache.append(
                 None if terms is None else
-                [(len(w), self._value(w), r) for w, r in terms])
+                [(self._base ** len(w), self._code(w), r) for w, r in terms])
 
     def _residues(self, p: NcPoly):
         """(word, residue) for each term with a nonzero residue, or None
@@ -381,22 +380,11 @@ class _PointSpan:
                 terms.append((w, r))
         return terms
 
-    def _value(self, w: Word) -> int:
-        v, n = 0, self._n
-        for g in w:
-            v = v * n + g
-        return v
-
-    def _grow(self, length: int):
-        """Extend off and the powers of n up to index length."""
-        off, pw = self._off, self._pow
-        while len(off) <= length:
-            off.append(off[-1] + pw[-1])
-            pw.append(pw[-1] * self._n)
-
     def _code(self, w: Word) -> int:
-        self._grow(len(w))
-        return self._off[len(w)] + self._value(w)
+        v, base = 0, self._base
+        for g in w:
+            v = v * base + g + 1
+        return v
 
     def _to_vec(self, p: NcPoly):
         terms = self._residues(p)
@@ -426,14 +414,11 @@ class _PointSpan:
 
     def add_wrapped(self, left: Word, rel_index: int, right: Word):
         """`_Span.add_wrapped` on codes: the code of l * w * r is
-        off[|l| + |w| + |r|] + (value(l) * n^|w| + value(w)) * n^|r|
-        + value(r)."""
-        ll, rl = len(left), len(right)
-        self._grow(ll + self._top + rl)
-        off, pw = self._off, self._pow
-        lv, rv, shift = self._value(left), self._value(right), pw[rl]
-        vec = {off[ll + length + rl] + (lv * pw[length] + v) * shift + rv: c
-               for length, v, c in self._vec_cache[rel_index]}
+        (code(l) * (n + 1)^|w| + code(w)) * (n + 1)^|r| + code(r)."""
+        lc, rc = self._code(left), self._code(right)
+        shift = self._base ** len(right)
+        vec = {(lc * power + v) * shift + rc: c
+               for power, v, c in self._vec_cache[rel_index]}
         tag = len(self.tags)
         self.tags.append((left, rel_index, right))
         pivots = self._reduce(vec)

@@ -8,8 +8,9 @@ Expression grammar (explicit '*' required between factors):
     power  := atom ('^' INT)?
     atom   := INT | IDENT | '(' expr ')'
 
-INT is a run of decimal digits, in any script (exactly what int() reads);
-IDENT starts with a letter or '_' and goes on with letters, digits or '_'.
+INT is a run of at most MAX_NUMBER_DIGITS decimal digits, in any script
+(exactly what int() reads); IDENT starts with a letter or '_' and goes on
+with letters, digits or '_'.
 Any other character is refused with its line and column, and an
 expression that stops before it is complete is reported as an unexpected
 end of expression, at the end of the input.
@@ -44,6 +45,9 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_POWER_TERMS = 10_000
+# A longer number is refused with its position before int() reads it:
+# CPython's default int-string limit would refuse it with no position.
+MAX_NUMBER_DIGITS = 4_300
 
 # One match per token, after any blanks and comments: a number (decimal
 # digits, all of which int() reads), a name, an operator, any other
@@ -57,11 +61,14 @@ def _tokenize(text: str, line0: int) -> list:
     """The token strings of text, ending with an empty one."""
     tokens = _TOKEN.findall(text)
     bad = [tokens.index(t) for t in set(tokens) if t and t not in _OPS
-           and not (_is_name(t) or t.isdecimal())]
-    if bad:  # a stray character, or one like '²' that is \w but no letter
+           and not (_is_name(t) or (t.isdecimal()
+                                    and len(t) <= MAX_NUMBER_DIGITS))]
+    if bad:  # a stray character, '²' (\w but no letter), or a long number
         i = min(bad)
-        raise _error(text, line0, f"unexpected character {tokens[i][0]!r}",
-                     _offset(text, tokens, i))
+        t = tokens[i]
+        message = (f"number longer than {MAX_NUMBER_DIGITS} digits"
+                   if t.isdecimal() else f"unexpected character {t[0]!r}")
+        raise _error(text, line0, message, _offset(text, tokens, i))
     return tokens
 
 

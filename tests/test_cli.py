@@ -348,6 +348,21 @@ def test_check_file_power_bound_exit_three(relation, message, tmp_path,
     assert message in err
 
 
+@pytest.mark.parametrize("relation,col",
+                         [("7" * 5000 + "*x1*x2 - x2*x1", 1),
+                          ("x1^" + "9" * 5000, 4),
+                          ("x1*x2 " + "7" * 5000, 7)],
+                         ids=["coefficient", "exponent", "trailing"])
+def test_check_file_number_past_the_int_string_limit_exit_three(
+        relation, col, tmp_path, capsys):
+    f = _relation_file(tmp_path, relation)
+    code, out, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: number longer than 4300 digits " \
+        f"(line 4, column {col})\n"
+
+
 def _exchange_file(tmp_path):
     f = tmp_path / "exchange.pres"
     f.write_text(print_presentation(cuntz_krieger(CKMatrix.for_modulus(7))))

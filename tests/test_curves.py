@@ -8,11 +8,13 @@ import pytest
 import sympy
 
 from ckverify import curves
+from ckverify.cli import main
 from ckverify.coeff import Coefficient, MultiPoly, RATIONALS
 from ckverify.curves import (
     LegendreCurve, QuadricSystem, _substitute_squares, curve_for_b,
     legendre_invariants, quadrics_eq19, reduction_chain, relations_eq21,
     shift_and_homogenize, verify_eq20_step, verify_eq22_step)
+from ckverify.presentations import verify
 
 from oracles import legendre_oracle
 
@@ -107,6 +109,58 @@ def test_reduction_chain_symbolic_and_samples():
         c = reduction_chain(q)
         assert c.ok
         assert c.curve.lam.as_fraction() == q
+
+
+def test_combines_refuses_a_wrong_vector():
+    rep = verify_eq20_step()
+    assert curves._combines(rep.images, rep.forward, rep.targets)
+    for wrong in (((1, 0), (0, 1)), ((1, 1), (0, 2)), ((1, 1), (1, 1))):
+        assert not curves._combines(rep.images, wrong, rep.targets)
+
+
+def _swapped_eq21(monkeypatch):
+    """relations_eq21 with its pair in the other order."""
+    right = curves.relations_eq21
+
+    def swapped(alpha=None):
+        pair = right(alpha)
+        return QuadricSystem(pair.names, pair.variables, pair.members[::-1])
+    monkeypatch.setattr(curves, "relations_eq21", swapped)
+
+
+def _other_cubic(monkeypatch):
+    """_plane_cubic plus 1: y^2 - x(x+1)(x+1-a) + 1."""
+    right = curves._plane_cubic
+
+    def other(a):
+        cubic = right(a)
+        return cubic + MultiPoly.const(cubic.names, 1)
+    monkeypatch.setattr(curves, "_plane_cubic", other)
+
+
+@pytest.mark.parametrize("wrong, failing", [
+    (_swapped_eq21, {"square_substitution", "plane_parametrization"}),
+    (_other_cubic, {"plane_parametrization", "shift_normalization"})],
+    ids=["swapped_eq21", "other_cubic"])
+def test_lemma5_fails_on_a_wrong_step(wrong, failing, monkeypatch, capsys):
+    """With the target pair of eq21 or the plane cubic changed, the steps
+    that check them report ok=False, lemma5 is FAIL and verify exits 1."""
+    wrong(monkeypatch)
+    for alpha in (None, Fraction(5, 9)):
+        chain = reduction_chain(alpha)
+        oks = {"square_substitution": chain.eq20.ok,
+               "plane_parametrization": chain.eq22.ok,
+               "shift_normalization": chain.shift.ok}
+        assert {name for name, ok in oks.items() if not ok} == failing
+        assert not chain.ok
+    for b in (None, 7):
+        report = verify("lemma5", b=b)
+        assert report.verdict == "FAIL"
+        assert {s.name for s in report.steps if s.verdict == "FAIL"} == \
+            failing
+    assert main(["verify", "lemma5"]) == 1
+    assert main(["verify", "lemma5", "--b", "7"]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
 
 
 def test_chain_rejects_non_polynomial_parameter():

@@ -800,13 +800,19 @@ def _code_span(n, relations=None):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_word_codes_are_distinct_and_ordered_as_deglex(n):
     """Up to length 5, the point pass's word codes are distinct and sort
-    the words as word_key does."""
+    the words as word_key does; () is 0, and up to length 3 a
+    concatenation u + v is a shift by base n + 1."""
     span = _code_span(n)
     words = _words(n, 5)
     codes = [span._code(w) for w in words]
     assert len(set(codes)) == len(words)
     assert sorted(words, key=span._code) == sorted(words, key=word_key)
-    assert sorted(codes) == list(range(len(words)))
+    assert span._code(()) == 0
+    base = n + 1
+    for u in _words(n, 3):
+        for v in _words(n, 3):
+            assert span._code(u + v) == \
+                span._code(u) * base ** len(v) + span._code(v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -304,6 +304,13 @@ ERROR_TABLE = [
     ("expr", "x1 +\n  x2 $", 7, "unexpected character '$'", 8, 6),
     ("rel", "x1 = x2 = x3", 4, "more than one '=' in relation", 4, 9),
     ("expr", "x1 * y", 12, "unknown identifier 'y'", 12, 6),
+    # a number past CPython's int-string limit, refused before int()
+    ("expr", "7" * 5000 + "*x1*x2 - x2*x1", 1,
+     "number longer than 4300 digits", 1, 1),
+    ("expr", "x1^" + "9" * 5000, 1, "number longer than 4300 digits", 1, 4),
+    ("expr", "x1*x2 " + "7" * 5000, 1, "number longer than 4300 digits",
+     1, 7),
+    ("expr", "x1 + " + "٣" * 4301, 1, "number longer than 4300 digits", 1, 6),
     # an expression that ends early, at the end of the input or where a
     # comment on its last line starts
     ("expr", "x1 +", 1, "unexpected end of expression", 1, 5),
@@ -339,6 +346,13 @@ def test_non_decimal_digit_is_a_positioned_error():
         assert str(e.value) == \
             f"unexpected character '²' (line 1, column {col})"
     assert parse_expr("x1*٣", X) == parse_expr("3*x1", X)  # Arabic-Indic 3
+
+
+def test_number_at_the_int_string_limit_is_read():
+    """A number of 4,300 digits, CPython's default int-string limit, is
+    read; a longer one is refused with its position (ERROR_TABLE)."""
+    assert parse_expr("7" * 4300 + "*x1", X) == \
+        parse_expr("x1", X).scale(int("7" * 4300))
 
 
 @pytest.mark.parametrize("name, accepted", [
