@@ -495,8 +495,10 @@ class Coefficient:
             return _qt(names, ((value,), _ONE) if value else _ZERO)
         if isinstance(value, Coefficient):
             return value
-        q = _rational(value)
-        return _qt(names, ((q.numerator,), (q.denominator,)) if q else _ZERO)
+        if type(value) is not Fraction:
+            value = _rational(value)
+        n, d = value.numerator, value.denominator
+        return _qt(names, ((n,), (d,)) if n else _ZERO)
 
     @staticmethod
     def param(names: Space, name: str) -> "Coefficient":
@@ -633,6 +635,16 @@ class Coefficient:
             raise ValueError(f"not a rational constant: {self}")
         return Fraction(self._num[0] if self._num else 0, self._den[0])
 
+    def height(self) -> int:
+        """The largest absolute value of an integer coefficient of the
+        stored numerator or denominator; each numerator or denominator of
+        a printed coefficient divides one of them."""
+        if self._idx is None:
+            ints = (*self._num.terms.values(), *self._den.terms.values())
+        else:
+            ints = self._num + self._den
+        return max(map(abs, ints))
+
     def residue(self, point: tuple, prime: int):
         """The value with names[i] set to point[i], modulo the prime, as an
         int in [0, prime); None when the denominator vanishes there.  A
@@ -720,7 +732,14 @@ class Coefficient:
         """(negative?, printed magnitude or None) for a printed term: the
         sign is the leading numerator coefficient's, None stands for a
         magnitude of 1, and a sum over a constant denominator is
-        parenthesised."""
+        parenthesised.  A nonzero constant in an integer pair is read off
+        the pair, as "n" or "n/d"; any other value prints its magnitude,
+        -self when negative."""
+        if self._idx is not None and len(self._den) == 1 == len(self._num):
+            n, d = self._num[0], self._den[0]
+            m = -n if n < 0 else n
+            return n < 0, (f"{m}/{d}" if d != 1 else
+                           None if m == 1 else str(m))
         if self._idx is None:
             neg = self._num.leading_coeff() < 0
         else:

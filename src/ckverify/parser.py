@@ -16,18 +16,28 @@ expression that stops before it is complete is reported as an unexpected
 end of expression, at the end of the input.
 Division is scalar-only: the right operand must be free of generators (and
 nonzero); this covers rational literals like 3/7 and parameter quotients like
-(b-2)/(b+2).  Presentation files are line-oriented UTF-8 with '#' comments and
-four sections: GENERATORS, PARAMS (entries may declare conjugate pairs as
-"a~abar"), INVOLUTION ("x1 -> x2" items separated by ';' or newlines) and
-RELATIONS (one expression per line; a single '=' is normalized to left-right).
-Expressions are printed by ncpoly.print_expr (re-exported here), which
-print_presentation uses for each relation.
+(b-2)/(b+2).  While an expression is parsed, its term dicts hold `lowered`
+scalars: a number is its int, INT / INT one Fraction, and a value becomes a
+Coefficient only once a name is in it; each finished term is lifted once.
+A coefficient with an integer of more than MAX_NUMBER_DIGITS digits could
+not be printed, and is refused at the expression's line, column 1.
+Presentation files are line-oriented UTF-8, with an optional byte-order mark,
+'#' comments and four sections: GENERATORS, PARAMS (entries may declare
+conjugate pairs as "a~abar"), INVOLUTION ("x1 -> x2" items separated by ';'
+or newlines) and RELATIONS (one expression per line; a single '=' is
+normalized to left-right).  A relation's error columns count from the start
+of its line, a section header before it on that line included; a byte that
+does not decode is refused at its line and column.  Expressions are printed
+by ncpoly.print_expr (re-exported here), which print_presentation uses for
+each relation.
 """
 from __future__ import annotations
 
+import codecs
 import re
+from fractions import Fraction
 
-from .coeff import Coefficient, ConjugationSpec, Space
+from .coeff import Coefficient, ConjugationSpec, Space, lowered
 from .ideal import Presentation
 from .ncpoly import InvolutionSpec, NcPoly, _add_terms, _mul_terms, print_expr
 
@@ -47,7 +57,9 @@ MAX_EXPONENT = 100
 MAX_POWER_TERMS = 10_000
 # A longer number is refused with its position before int() reads it:
 # CPython's default int-string limit would refuse it with no position.
+# A coefficient is held to the same limit, so that it can be printed.
 MAX_NUMBER_DIGITS = 4_300
+_TOO_LONG = 10 ** MAX_NUMBER_DIGITS  # the least number one digit longer
 
 # One match per token, after any blanks and comments: a number (decimal
 # digits, all of which int() reads), a name, an operator, any other
@@ -60,9 +72,11 @@ _OPS = frozenset("+-*/^()=")
 def _tokenize(text: str, line0: int) -> list:
     """The token strings of text, ending with an empty one."""
     tokens = _TOKEN.findall(text)
+    # a name token is \w+ not led by a digit, and \w is str.isalnum() or
+    # '_', so its first character decides what _is_name would
     bad = [tokens.index(t) for t in set(tokens) if t and t not in _OPS
-           and not (_is_name(t) or (t.isdecimal()
-                                    and len(t) <= MAX_NUMBER_DIGITS))]
+           and not (t[0].isalpha() or t[0] == "_" or (
+               t.isdecimal() and len(t) <= MAX_NUMBER_DIGITS))]
     if bad:  # a stray character, '²' (\w but no letter), or a long number
         i = min(bad)
         t = tokens[i]
@@ -89,21 +103,22 @@ def _error(text: str, line0: int, message: str, offset: int) -> ParseError:
 
 
 class _ExprParser:
-    """Recursive descent over the token strings into word -> Coefficient
-    dicts (NcPoly's term arithmetic), with one NcPoly per expression."""
+    """Recursive descent over the token strings into term dicts (NcPoly's
+    term arithmetic) whose scalars are `lowered`: ints and Fractions until
+    a name is in them, then Coefficients; `_poly` lifts each finished term
+    once, into one NcPoly per expression."""
 
     def __init__(self, generators, space: Space):
         self.alphabet = tuple(generators)
         self.space = space
-        self.one = one = Coefficient.const(space, 1)
         # the value of each name and number token seen: a parameter or a
         # number is a scalar, a generator a word of length one (generators
         # win a clash); the dicts are shared and never mutated
         self.atoms = {name: {(): Coefficient.param(space, name)}
                       for name in space}
-        self.atoms.update({name: {(i,): one}
+        self.atoms.update({name: {(i,): 1}
                            for i, name in enumerate(self.alphabet)})
-        self.atoms["1"] = {(): one}
+        self.atoms["1"] = {(): 1}
 
     def expression(self, text: str, line0: int) -> NcPoly:
         return self._poly(self._parse(text, line0, _tokenize(text, line0), 0))
@@ -126,7 +141,22 @@ class _ExprParser:
         return self._poly(_add_terms(left, right, True))
 
     def _poly(self, terms: dict) -> NcPoly:
-        return NcPoly(self.alphabet, self.space, dict(terms))
+        """The NcPoly of a finished term dict; a coefficient that could not
+        be printed is refused at the expression's first column."""
+        for c in terms.values():
+            if type(c) is int:
+                if abs(c) < _TOO_LONG:
+                    continue
+            elif type(c) is Fraction:
+                if abs(c.numerator) < _TOO_LONG > c.denominator:
+                    continue
+            elif c.height() < _TOO_LONG:
+                continue
+            raise ParseError(f"coefficient longer than {MAX_NUMBER_DIGITS} "
+                             "digits", self.line0, 1)
+        const, space = Coefficient.const, self.space
+        return NcPoly(self.alphabet, space,
+                      {w: const(space, c) for w, c in terms.items()})
 
     def _parse(self, text: str, line0: int, tokens: list, start: int) -> dict:
         self.text, self.line0 = text, line0
@@ -164,15 +194,21 @@ class _ExprParser:
                 if len(p) * len(q) > MAX_POWER_TERMS:
                     self.error(f"product of up to {len(p) * len(q)} terms "
                                f"exceeds {MAX_POWER_TERMS}", op)
-                p = _mul_terms(p, q, self.one)
+                p = _mul_terms(p, q, 1)
             else:
                 if not q:
                     self.error("division by zero", op)
                 if len(q) > 1 or () not in q:
                     self.error("division by an expression involving "
                                "generators", op)
-                inv = q[()].inv()
-                p = {w: c * inv for w, c in p.items()}
+                d = q[()]
+                if type(d) is Coefficient:
+                    d = d.inv()
+                    p = {w: lowered(c * d) for w, c in p.items()}
+                else:  # a rational constant: INT / INT is one Fraction
+                    p = {w: (Fraction(c, d) if c % d else c // d)
+                         if type(c) is int is type(d) else lowered(c / d)
+                         for w, c in p.items()}
         return p
 
     def unary(self) -> dict:
@@ -204,9 +240,9 @@ class _ExprParser:
                 self.error(f"power of up to {len(p) ** k} terms "
                            f"exceeds {MAX_POWER_TERMS}", caret)
             self.pos += 2
-            q, p = p, {(): self.one}
+            q, p = p, {(): 1}
             for _ in range(k):
-                p = _mul_terms(p, q, self.one)
+                p = _mul_terms(p, q, 1)
         return p
 
     def atom(self) -> dict:
@@ -222,7 +258,7 @@ class _ExprParser:
             self.pos += 1
             return p
         if t[:1].isdecimal():
-            c = Coefficient.const(self.space, int(t))
+            c = int(t)
             p = self.atoms[t] = {(): c} if c else {}
             return p
         if t == ")":
@@ -263,7 +299,8 @@ def parse_presentation_text(text: str):
     involution_lines, relation_lines = [], []  # (text, line number)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        code = _strip_comment(raw).rstrip()
+        line = code.lstrip()
         if not line:
             continue
         head, sep, rest = line.partition(":")
@@ -305,7 +342,10 @@ def parse_presentation_text(text: str):
                 if item:
                     involution_lines.append((item, lineno))
         elif section == "RELATIONS":
-            relation_lines.append((line, lineno))
+            # blanks stand for what precedes the relation on its line, so
+            # that its columns count from the start of the line
+            relation_lines.append((" " * (len(code) - len(line)) + line,
+                                   lineno))
     if not generators:
         raise ParseError("missing GENERATORS section", 1, 1)
     if not relation_lines:
@@ -348,8 +388,17 @@ def parse_presentation_text(text: str):
 
 
 def parse_presentation(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation_text(fh.read())
+    """Parse a UTF-8 file, which may start with a byte-order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line and column of the first byte that does not decode
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                         len(lines), len(lines[-1])) from None
+    return parse_presentation_text(text)
 
 
 def print_presentation(p) -> str:

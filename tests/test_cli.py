@@ -349,9 +349,9 @@ def test_check_file_power_bound_exit_three(relation, message, tmp_path,
 
 
 @pytest.mark.parametrize("relation,col",
-                         [("7" * 5000 + "*x1*x2 - x2*x1", 1),
-                          ("x1^" + "9" * 5000, 4),
-                          ("x1*x2 " + "7" * 5000, 7)],
+                         [("7" * 5000 + "*x1*x2 - x2*x1", 3),
+                          ("x1^" + "9" * 5000, 6),
+                          ("x1*x2 " + "7" * 5000, 9)],
                          ids=["coefficient", "exponent", "trailing"])
 def test_check_file_number_past_the_int_string_limit_exit_three(
         relation, col, tmp_path, capsys):
@@ -361,6 +361,51 @@ def test_check_file_number_past_the_int_string_limit_exit_three(
     assert code == 3 and out == ""
     assert err == "error: number longer than 4300 digits " \
         f"(line 4, column {col})\n"
+
+
+@pytest.mark.parametrize("relation",
+                         ["M*M*x1*x2 - x2*x1".replace("M", "7" * 4300),
+                          "((2^100)^100)^2*x1*x2 - x2*x1"],
+                         ids=["product", "power"])
+def test_check_file_coefficient_past_the_digit_limit_exit_three(
+        relation, tmp_path, capsys):
+    """A coefficient too long to print is refused at its line before any
+    verdict work, not when the relation is printed."""
+    f = _relation_file(tmp_path, relation)
+    code, out, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: coefficient longer than 4300 digits " \
+        "(line 4, column 1)\n"
+
+
+def test_check_file_coefficient_at_the_digit_limit_is_printed(tmp_path,
+                                                              capsys):
+    big = "9" * 4300
+    f = _relation_file(tmp_path, f"{big}*x1*x2 - x2*x1")
+    code, out, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"r1 [{big}*x1*x2 - x2*x1]: MEMBER\nverdict: STABLE\n"
+
+
+def test_check_file_reads_a_byte_order_mark(tmp_path, capsys):
+    f = _relation_file(tmp_path, "x1*x2 - x2*x1")
+    plain = main_quiet(["check-file", str(f), "--involution-stability"],
+                       capsys)
+    f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    assert main_quiet(["check-file", str(f), "--involution-stability"],
+                      capsys) == plain
+    assert plain[0] == 0
+
+
+def test_check_file_undecodable_byte_exit_three(tmp_path, capsys):
+    f = _relation_file(tmp_path, "x1*x2 - x2*x1")
+    f.write_bytes(f.read_bytes().replace(b"- x2", b"\xff x2"))
+    code, out, err = main_quiet(
+        ["check-file", str(f), "--involution-stability"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: invalid UTF-8 byte 0xff (line 4, column 9)\n"
 
 
 def _exchange_file(tmp_path):

@@ -1034,6 +1034,27 @@ def test_constants_print_as_the_multipoly_rendering(names):
                 assert printed == ("-" if q < 0 else "") + term, q
 
 
+def _general_sign_split(c):
+    """sign_split by the general route: the magnitude is -c when c is
+    negative, printed by str, and None when it is 1."""
+    neg = c.lowered() < 0
+    mag = -c if neg else c
+    return neg, None if mag == 1 else str(mag)
+
+
+@pytest.mark.parametrize("names", [RATIONALS, ("b",), ("a", "b"), SIX])
+def test_constant_sign_split_is_read_off_the_pair(names):
+    """A nonzero constant's sign and magnitude come straight from its
+    integer pair, as "n", "n/d" or None for 1, and agree with the general
+    route."""
+    for q in (1, 7, _BIG, Fraction(1, 2), Fraction(22, 7),
+              Fraction(_BIG, 3)):
+        for v in (q, -q):
+            c = Coefficient.const(names, v)
+            assert c.sign_split() == _general_sign_split(c), v
+            assert c.sign_split() == (v < 0, None if q == 1 else str(q)), v
+
+
 @pytest.mark.parametrize("names", [("t",), ("a", "b"), SIX, RATIONALS])
 def test_constants_print_without_a_multipoly(names, monkeypatch):
     """A constant prints straight from its integer pair in every space, Q

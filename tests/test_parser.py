@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS
 from ckverify.ideal import presentations_equivalent
 from ckverify.ncpoly import NcPoly
-from ckverify.parser import (ParseError, parse_expr, parse_presentation_text,
+from ckverify.parser import (MAX_NUMBER_DIGITS, _OPS, _TOKEN, ParseError,
+                             _is_name, _tokenize, parse_expr,
+                             parse_presentation, parse_presentation_text,
                              parse_relation, print_expr, print_presentation)
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
                                     cuntz_krieger, ideal_I0, ideal_J0,
@@ -374,6 +377,76 @@ def test_generator_names_are_the_names_expressions_read(name, accepted):
             parse_expr(name, (name,))
 
 
+# Code points of several kinds: letters of several scripts (Lu, Ll, Lt,
+# Lm, Lo), '_', numbers that are not decimal digits (No, Nl), combining
+# marks (Mn, Mc, Me), decimal digits of several scripts, and others.
+_CODE_POINTS = ("aZéßΩжאعक中ǅʰª_" "²³½¼Ⅷ〇" "\u0301\u0903\u20dd"
+                "7٣३໓𝟙" "$·€\u00a0")
+
+
+@pytest.mark.parametrize("c", _CODE_POINTS,
+                         ids=[f"U+{ord(c):04X}" for c in _CODE_POINTS])
+def test_name_tokens_are_checked_by_their_first_character(c):
+    """The tokens of c, x{c} and {c}x are accepted exactly when each is an
+    operator, a name by _is_name or a number of at most 4,300 digits."""
+    for text in (c, f"x{c}", f"{c}x"):
+        tokens = _TOKEN.findall(text)
+        if all(not t or t in _OPS or _is_name(t)
+               or (t.isdecimal() and len(t) <= MAX_NUMBER_DIGITS)
+               for t in tokens):
+            assert _tokenize(text, 1) == tokens
+        else:
+            with pytest.raises(ParseError, match="^unexpected character"):
+                _tokenize(text, 1)
+
+
+def test_word_characters_are_alphanumerics_and_underscore():
+    """re's \\w is exactly str.isalnum() or '_' on every code point, so a
+    token that _TOKEN reads as a name is \\w+ and its tail always passes
+    _is_name: the tokenizer looks at its first character only."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\w", text)) == \
+        {c for c in text if c.isalnum() or c == "_"}
+
+
+# Expressions whose literals fold before they meet a name, with the printed
+# form of the parser that lifted every literal to a Coefficient at once.
+FOLDING_TABLE = [
+    ("-3/7*gamma*x1", "-3/7*gamma*x1"),
+    ("--3/7*x1", "3/7*x1"),
+    ("2/4*x1", "1/2*x1"),
+    ("(1/2)/(1/3)*x1", "3/2*x1"),
+    ("3/(2/5)*x1", "15/2*x1"),
+    ("a/2/3*x1", "1/6*a*x1"),
+    ("0/5*x1 + x2", "x2"),
+    ("(2*a*b)/(4*a)*x1", "a*b/(2*a)*x1"),
+    ("(a-b)/(a-b)*x1", "x1"),
+    ("(a^2-b^2)/(a-b)*x1", "(b^2-a^2)/(b-a)*x1"),
+    ("(a*b-b)/b*x1", "(a*b-b)/b*x1"),
+    ("(a-a+2)*x1", "2*x1"),
+    ("(a+1)/(a+1)*x1 - 2/(a+1)*x2", "x1 - 2/(a+1)*x2"),
+    ("a*b*x1/(1/2)", "2*a*b*x1"),
+    ("-1*(a*b)*x1 + x1*(-1)", "-(a*b+1)*x1"),
+    ("(1-a*b)*(-1)/(a*b-1)*x2", "x2"),
+    ("x1^3*(2/3)^4 - 16/81*x1^3 + 6/3", "2"),
+]
+
+
+@pytest.mark.parametrize("text, printed", FOLDING_TABLE,
+                         ids=[r[0] for r in FOLDING_TABLE])
+def test_literals_fold_to_the_same_printed_form(text, printed):
+    p = parse_expr(text, X, ("a", "b", "gamma"))
+    assert print_expr(p) == printed
+    assert all(type(c) is Coefficient for c in p.terms.values())
+
+
+def test_division_by_a_zero_literal_keeps_its_position():
+    for text, col in (("1/0", 2), ("x1/(1-1)", 3)):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text, X)
+        assert str(e.value) == f"division by zero (line 1, column {col})"
+
+
 def test_early_end_is_reported_as_such():
     for text, col in (("x1 +", 5), ("x1 *", 5), ("-", 2), ("", 1),
                       ("(x1 - ", 7)):
@@ -387,12 +460,97 @@ def test_presentation_error_positions_count_from_the_file():
     head = ("GENERATORS: x1 x2\nINVOLUTION: x1 -> x2; x2 -> x1\n"
             "RELATIONS:\n  x1*x2\n")
     for rel, message in (("x1 + ²", "unexpected character '²' (line 5, "
-                                    "column 6)"),
+                                    "column 8)"),
                          ("x1*x2 -", "unexpected end of expression (line 5, "
-                                     "column 8)")):
+                                     "column 10)")):
         with pytest.raises(ParseError) as e:
             parse_presentation_text(head + "  " + rel + "\n")
         assert str(e.value) == message
+
+
+@pytest.mark.parametrize("body, line, col", [
+    ("RELATIONS:\n  x1*x2 + ²\n", 4, 11),
+    ("RELATIONS: x1*x2 + ²\n", 3, 20),
+    ("RELATIONS:\n\tx1*x2 + ²\n", 4, 10),
+    ("relations:\t x1 = x2 = x1  # note\n", 3, 21),
+    ("RELATIONS:\n  x1*x2 -   # note\n", 4, 10)],
+    ids=["indented", "header_line", "tab", "header_tab", "comment"])
+def test_relation_columns_count_from_the_line(body, line, col):
+    """A relation's error columns count from its file line: the blanks
+    before it, and a section header on the same line, are counted, and a
+    tab is one column."""
+    with pytest.raises(ParseError) as e:
+        parse_presentation_text("GENERATORS: x1 x2\n"
+                                "INVOLUTION: x1 -> x2; x2 -> x1\n" + body)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+_BIG_LITERAL = "7" * MAX_NUMBER_DIGITS
+
+
+@pytest.mark.parametrize("relation", [
+    f"{_BIG_LITERAL}*{_BIG_LITERAL}*x1*x2 - x2*x1",
+    "((2^100)^100)^2*x1*x2 - x2*x1",
+    f"x1 - 1/(10*{'9' * MAX_NUMBER_DIGITS})*x2",
+    f"{_BIG_LITERAL}*{_BIG_LITERAL}*a*x1 + x2"],
+    ids=["product", "power", "denominator", "named"])
+def test_coefficient_past_the_digit_limit_is_refused_at_its_line(relation):
+    """A coefficient with an integer of more than 4,300 digits could not be
+    printed; it is refused at its relation's line, first column."""
+    text = ("GENERATORS: x1 x2\nPARAMS: a\n"
+            "INVOLUTION: x1 -> x2; x2 -> x1\nRELATIONS:\n"
+            f"  x1*x2\n    {relation}\n")
+    message = "coefficient longer than 4300 digits"
+    with pytest.raises(ParseError) as e:
+        parse_presentation_text(text)
+    assert str(e.value) == f"{message} (line 6, column 1)"
+    for parse in (parse_expr, parse_relation):
+        with pytest.raises(ParseError) as e:
+            parse(relation, X, ("a",), line0=3)
+        assert str(e.value) == f"{message} (line 3, column 1)"
+
+
+def test_coefficient_at_the_digit_limit_parses_and_prints():
+    """Coefficients of exactly 4,300 digits, a literal and a product, are
+    read and printed back."""
+    nines = "9" * MAX_NUMBER_DIGITS
+    product = 10 ** 99 * int("9" * (MAX_NUMBER_DIGITS - 99))
+    assert len(str(product)) == MAX_NUMBER_DIGITS
+    for text, printed in (
+            (f"{nines}*x1 - x2", f"{nines}*x1 - x2"),
+            (f"10^99*{'9' * (MAX_NUMBER_DIGITS - 99)}*x1", f"{product}*x1"),
+            (f"x1/{nines}", f"1/{nines}*x1")):
+        assert print_expr(parse_expr(text, X)) == printed
+
+
+_UNDECODABLE = (b"GENERATORS: x1 x2\nINVOLUTION: x1 -> x2; x2 -> x1\n"
+                b"RELATIONS:\n  x1*x2 \xc3\xa9 \xff - x2*x1\n")
+
+
+@pytest.mark.parametrize("data, line, col", [
+    (_UNDECODABLE, 4, 11),
+    (b"\xef\xbb\xbf" + _UNDECODABLE, 4, 11),
+    (b"\xef\xbb\xbf\xff" + _UNDECODABLE, 1, 1),
+    (b"# \xc3\xa9\r\xff" + _UNDECODABLE, 2, 1)],
+    ids=["plain", "bom", "first_byte_after_bom", "after_cr"])
+def test_undecodable_byte_is_refused_at_its_line_and_column(
+        data, line, col, tmp_path):
+    """A byte that is not UTF-8 is refused with its line and column: the
+    characters decoded before it on its line, plus 1.  A byte-order mark
+    is not one of them."""
+    f = tmp_path / "p.pres"
+    f.write_bytes(data)
+    with pytest.raises(ParseError) as e:
+        parse_presentation(f)
+    assert str(e.value) == \
+        f"invalid UTF-8 byte 0xff (line {line}, column {col})"
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = print_presentation(sklyanin(symbolic_params()))
+    f = tmp_path / "p.pres"
+    f.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert print_presentation(parse_presentation(f)) == text
 
 
 # Every ParseError that parse_presentation_text raises itself, with its exact
