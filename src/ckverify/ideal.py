@@ -13,11 +13,12 @@ l * g * r.  Two regimes:
 A span (a degree slice or a bounded span) whose estimate passes
 MAX_SPAN_ROWS rows is refused with ValueError before any row is built.
 
-A call takes the graded regime exactly when every relation and every target
-is homogeneous; graded_membership and bounded_membership name their regime
-instead.  Targets against an empty relation list are refused with
-ValueError("empty relation list"), and so is a target or relation over
-another alphabet or parameter space than the first relation.
+A call reads its alphabet and parameter space off its first relation, and
+takes the graded regime exactly when every relation and every target is
+homogeneous, unless it asks for the bounded search (bounded_membership).
+Targets against an empty relation list are refused with ValueError("empty
+relation list"), and so is a target or relation over another alphabet or
+parameter space than the first relation.
 
 Every MEMBER verdict carries a certificate (left word, relation index,
 right word, coefficient) which is re-expanded and compared against the
@@ -510,11 +511,8 @@ def _check_rows(indices, n: int, top: int, degree: Optional[int],
             f"{MAX_SPAN_ROWS:,}")
 
 
-def _check_wrapper_len(wrapper_len, graded: bool):
-    """Refuse a wrapper length that is not a nonnegative int (a bool is not
-    one).  None passes in the graded regime, which does not read it."""
-    if wrapper_len is None and graded:
-        return
+def _check_wrapper_len(wrapper_len):
+    """Refuse a wrapper length that is not a nonnegative int or is a bool."""
     if not isinstance(wrapper_len, int) or isinstance(wrapper_len, bool):
         raise ValueError("wrapper length must be an int, not "
                          f"{type(wrapper_len).__name__}")
@@ -523,27 +521,28 @@ def _check_wrapper_len(wrapper_len, graded: bool):
 
 
 def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
-              space: Space, wrapper_len: Optional[int],
-              graded: Optional[bool] = None) -> list:
-    """One verdict per target.  Graded (by default when every relation and
-    every target is homogeneous): against the complete slice of the
-    target's degree, so a failed reduction is NON_MEMBER.  Otherwise:
-    against the wrappers up to wrapper_len, so a failed search is
-    INCONCLUSIVE.  A zero target is a MEMBER with no certificate entries.
-    A span over a named space, bounded or graded, takes the point pass
-    first (`_point_certificates`), and the targets it leaves to the exact
-    loop then take `_certificates`, like every span over Q.  A graded
-    target that the pass leaves open at full point rank keeps its
-    NON_MEMBER without the exact loop.  A target or relation over another
-    alphabet or space than the first relation is refused (ValueError)
-    before any row is built."""
+              wrapper_len: Optional[int], bounded: bool = False) -> list:
+    """One verdict per target, over the alphabet and parameter space of the
+    first relation.  Graded when bounded is false and every relation and
+    every target is homogeneous: against the complete slice of the target's
+    degree, so a failed reduction is NON_MEMBER.  Otherwise: against the
+    wrappers up to wrapper_len, so a failed search is INCONCLUSIVE.  A zero
+    target is a MEMBER with no certificate entries.  A span over a named
+    space, bounded or graded, takes the point pass first
+    (`_point_certificates`), and the targets it leaves to the exact loop
+    then take `_certificates`, like every span over Q.  A graded target
+    that the pass leaves open at full point rank keeps its NON_MEMBER
+    without the exact loop.  A target or relation over another alphabet
+    or space than the first relation is refused (ValueError) before any
+    row is built."""
     if targets and not relations:
         raise ValueError("empty relation list")
     for p in chain(relations, targets):
         relations[0]._check(p)
-    if graded is None:
-        graded = all(p.is_homogeneous() for p in chain(relations, targets))
-    _check_wrapper_len(wrapper_len, graded)
+    graded = not bounded and all(p.is_homogeneous()
+                                 for p in chain(relations, targets))
+    if wrapper_len is not None or not graded:  # a slice does not read it
+        _check_wrapper_len(wrapper_len)
     verdicts = []
     batches: dict = {}         # degree (None if bounded) -> target indices
     for k, target in enumerate(targets):
@@ -555,12 +554,12 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
         found, rest = {}, batch
-        if space:
+        if relations[0].space:
             found, rest = _point_certificates(targets, batch, relations,
-                                              space, degree, wrapper_len)
+                                              degree, wrapper_len)
         if rest:
-            found.update(_certificates(targets, rest, relations, space,
-                                       degree, wrapper_len))
+            found.update(_certificates(targets, rest, relations, degree,
+                                       wrapper_len))
         for k, cert in found.items():
             verdicts[k] = MembershipVerdict(MEMBER, cert)
     return verdicts
@@ -586,13 +585,13 @@ def _feed(span, vecs: dict, rows) -> dict:
 
 
 def _certificates(targets: Sequence[NcPoly], batch: list,
-                  relations: Sequence[NcPoly], space: Space,
-                  degree: Optional[int], wrapper_len: Optional[int]) -> dict:
+                  relations: Sequence[NcPoly], degree: Optional[int],
+                  wrapper_len: Optional[int]) -> dict:
     """Target index -> certificate, for each target of the batch that the
     rows of the span (the degree slice, or the wrappers up to wrapper_len
-    when degree is None) reduce to zero, fed to one exact span until
-    every target is settled."""
-    span = _span_over(relations, space)
+    when degree is None) reduce to zero, fed to one exact span over the
+    relations' space until every target is settled."""
+    span = _span_over(relations, relations[0].space)
     vecs = {k: span._to_vec(targets[k]) for k in batch}
     settled = _feed(span, vecs, _span(relations, degree, wrapper_len))
     return {k: span.certificate(targets[k], steps)
@@ -600,8 +599,8 @@ def _certificates(targets: Sequence[NcPoly], batch: list,
 
 
 def _point_certificates(targets: Sequence[NcPoly], batch: list,
-                        relations: Sequence[NcPoly], space: Space,
-                        degree: Optional[int], wrapper_len: Optional[int]):
+                        relations: Sequence[NcPoly], degree: Optional[int],
+                        wrapper_len: Optional[int]):
     """(target index -> certificate, the targets of the batch left to the
     exact loop).  The rows are those of `_span`: the degree slice, or the
     wrappers up to wrapper_len when degree is None.  A target gets its
@@ -628,6 +627,7 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     that vanishes at the point is the exception: `_feed` settles a vec
     only once a pivot lands in it, so an empty one stays open, and it is
     left to the exact loop whatever the rank."""
+    space = relations[0].space
     point = _PointSpan(relations, space)
     vecs = {k: point._to_vec(targets[k]) for k in batch}
     if None in point._vec_cache or None in vecs.values():
@@ -669,15 +669,14 @@ def graded_membership(target: NcPoly, relations: Sequence[NcPoly]) -> Membership
             raise ValueError("graded membership needs homogeneous relations")
     if not target.is_homogeneous():
         raise ValueError("graded membership needs a homogeneous target")
-    return _verdicts([target], relations, target.space, None, graded=True)[0]
+    return _verdicts([target], relations, None)[0]
 
 
 def bounded_membership(target: NcPoly, relations: Sequence[NcPoly],
                        wrapper_len: int = 2) -> MembershipVerdict:
     """Membership search over wrappers with |l|+|r| <= wrapper_len; returns
     MEMBER with certificate or INCONCLUSIVE (never NON_MEMBER)."""
-    return _verdicts([target], relations, target.space, wrapper_len,
-                     graded=False)[0]
+    return _verdicts([target], relations, wrapper_len, bounded=True)[0]
 
 
 class RelationStability(NamedTuple):
@@ -699,7 +698,7 @@ def involution_stability(p: Presentation, wrapper_len: int = 2) -> StabilityRepo
     test; otherwise a bounded search is used and a failed search leaves the
     overall verdict INCONCLUSIVE."""
     images = [rel.involute(p.involution) for rel in p.relations]
-    verdicts = _verdicts(images, p.relations, p.space, wrapper_len)
+    verdicts = _verdicts(images, p.relations, wrapper_len)
     return StabilityReport(_overall(verdicts, STABLE, UNSTABLE),
                            [RelationStability(i, v)
                             for i, v in enumerate(verdicts)])
@@ -725,7 +724,7 @@ def presentations_equivalent(P: Presentation, Q: Presentation,
         raise ValueError("presentations use different parameter spaces")
     if P.involution != Q.involution:
         raise ValueError("presentations use different involutions")
-    forward = _verdicts(P.relations, Q.relations, Q.space, wrapper_len)
-    backward = _verdicts(Q.relations, P.relations, P.space, wrapper_len)
+    forward = _verdicts(P.relations, Q.relations, wrapper_len)
+    backward = _verdicts(Q.relations, P.relations, wrapper_len)
     verdict = _overall(forward + backward, EQUIVALENT, NOT_EQUIVALENT)
     return EquivalenceReport(verdict, forward, backward, wrapper_len)

@@ -23,13 +23,13 @@ A coefficient with an integer of more than MAX_NUMBER_DIGITS digits could
 not be printed, and is refused at the expression's line, column 1.
 Presentation files are line-oriented UTF-8, with an optional byte-order mark,
 '#' comments and four sections: GENERATORS, PARAMS (entries may declare
-conjugate pairs as "a~abar"), INVOLUTION ("x1 -> x2" items separated by ';'
-or newlines) and RELATIONS (one expression per line; a single '=' is
-normalized to left-right).  A relation's error columns count from the start
-of its line, a section header before it on that line included; a byte that
-does not decode is refused at its line and column.  Expressions are printed
-by ncpoly.print_expr (re-exported here), which print_presentation uses for
-each relation.
+conjugate pairs as "a~abar"; a plain "a" is "a~a"), INVOLUTION ("x1 -> x2"
+items separated by ';' or newlines) and RELATIONS (one expression per line;
+a single '=' is normalized to left-right).  A relation's error columns count
+from the start of its line, a section header before it on that line
+included; a byte that does not decode is refused at its line and column.
+Expressions are printed by ncpoly.print_expr (re-exported here), which
+print_presentation uses for each relation.
 """
 from __future__ import annotations
 
@@ -294,8 +294,9 @@ def _strip_comment(line: str) -> str:
 
 def parse_presentation_text(text: str):
     """Parse file text into a Presentation."""
-    generators, params = [], []
-    partner = {}  # name -> its conjugate, for each declared pair
+    generators = []
+    params = {}   # name -> the line that first declares it
+    partner = {}  # name -> its conjugate, itself for a plain name
     involution_lines, relation_lines = [], []  # (text, line number)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -320,22 +321,18 @@ def parse_presentation_text(text: str):
                 generators.append(name)
         elif section == "PARAMS":
             for entry in line.split():
-                if "~" in entry:
-                    a, _, b = entry.partition("~")
-                    if not (_is_name(a) and _is_name(b)):
-                        raise ParseError(f"bad parameter pair {entry!r}", lineno, 1)
-                    for n, m in ((a, b), (b, a)):
-                        if partner.setdefault(n, m) != m:
-                            raise ParseError(
-                                f"parameter {n!r} paired with both "
-                                f"{partner[n]!r} and {m!r}", lineno, 1)
-                        if n not in params:
-                            params.append(n)
-                else:
-                    if not _is_name(entry):
-                        raise ParseError(f"bad parameter name {entry!r}", lineno, 1)
-                    if entry not in params:
-                        params.append(entry)
+                # a plain name is paired with itself: 'a' is 'a~a'
+                a, tilde, b = entry.partition("~")
+                b = b if tilde else a
+                if not (_is_name(a) and _is_name(b)):
+                    what = "pair" if tilde else "name"
+                    raise ParseError(f"bad parameter {what} {entry!r}", lineno, 1)
+                for n, m in ((a, b), (b, a)):
+                    if partner.setdefault(n, m) != m:
+                        raise ParseError(
+                            f"parameter {n!r} paired with both "
+                            f"{partner[n]!r} and {m!r}", lineno, 1)
+                    params.setdefault(n, lineno)
         elif section == "INVOLUTION":
             for item in line.split(";"):
                 item = item.strip()
@@ -354,10 +351,11 @@ def parse_presentation_text(text: str):
         raise ParseError("missing INVOLUTION section", 1, 1)
 
     gen_index = {g: i for i, g in enumerate(generators)}
-    for name in params:
+    for name, lineno in params.items():
         if name in gen_index:
-            raise ParseError(f"{name!r} is both generator and parameter", 1, 1)
-    perm = {}
+            raise ParseError(f"{name!r} is both generator and parameter",
+                             lineno, 1)
+    perm = {}     # generator -> (its image, the line of its item)
     for item, lineno in involution_lines:
         src, sep, dst = item.partition("->")
         src, dst = src.strip(), dst.strip()
@@ -365,18 +363,19 @@ def parse_presentation_text(text: str):
             raise ParseError(f"bad involution item {item!r}", lineno, 1)
         if src in perm:
             raise ParseError(f"generator {src!r} mapped twice", lineno, 1)
-        perm[src] = dst
+        perm[src] = dst, lineno
     missing = [g for g in generators if g not in perm]
     if missing:
         raise ParseError(f"involution does not cover {missing[0]!r}", 1, 1)
-    for src, dst in perm.items():
-        if perm[dst] != src:
+    for src, (dst, lineno) in perm.items():
+        if perm[dst][0] != src:
             raise ParseError(
-                f"involution is not self-inverse at {src!r} -> {dst!r}", 1, 1)
+                f"involution is not self-inverse at {src!r} -> {dst!r}",
+                lineno, 1)
     space: Space = tuple(params)
     conj = ConjugationSpec(partner)
     involution = InvolutionSpec(
-        tuple(gen_index[perm[g]] for g in generators), conj)
+        tuple(gen_index[perm[g][0]] for g in generators), conj)
     parser = _ExprParser(generators, space)
     relations = []
     for text_line, lineno in relation_lines:

@@ -599,7 +599,7 @@ def verify(claim: str, b: Optional[int] = None,
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     if b is not None:
         _check_modulus(b)
-    ideal._check_wrapper_len(wrapper_len, graded=False)
+    ideal._check_wrapper_len(wrapper_len)
 
     steps, curve = _PIPELINES[claim](b, wrapper_len)
     return ClaimReport(claim, "symbolic" if b is None else "concrete",

@@ -502,8 +502,10 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params,line", [("a~b b~c", 2), ("a~b\nPARAMS: a~c", 3),
-                                         ("a~a a~b", 2)],
-                         ids=["chain", "second_line", "self_paired"])
+                                         ("a~a a~b", 2), ("a a~b", 2),
+                                         ("a~b a", 2)],
+                         ids=["chain", "second_line", "self_paired",
+                              "plain_then_paired", "paired_then_plain"])
 def test_check_file_param_paired_twice_exit_three(params, line, tmp_path,
                                                   capsys):
     f = tmp_path / "p.pres"

@@ -295,6 +295,25 @@ def test_equivalence_is_graded_exactly_when_every_relation_is_homogeneous():
         [(INCONCLUSIVE, 2)] * 7
 
 
+@pytest.mark.parametrize("space", [RATIONALS, ("b",)], ids=["Q", "Q(b)"])
+def test_only_bounded_membership_searches_homogeneous_input_bounded(space):
+    """x1*x2 against x2*x1: both are homogeneous, so graded_membership and
+    presentations_equivalent decide the degree-2 slice, where x1*x2 is
+    NON_MEMBER, while bounded_membership keeps to the bounded search,
+    which proves nothing and leaves it INCONCLUSIVE at its bound."""
+    x1, x2 = (NcPoly.generator(X, space, i) for i in range(2))
+    target, relation = x1 * x2, x2 * x1
+    assert graded_membership(target, [relation]).kind == NON_MEMBER
+    v = bounded_membership(target, [relation], 2)
+    assert (v.kind, v.bound) == (INCONCLUSIVE, 2)
+    P, Q = (Presentation(X, space, [r], adjoint_involution())
+            for r in (target, relation))
+    rep = presentations_equivalent(P, Q, 2)
+    assert rep.verdict == NOT_EQUIVALENT
+    assert [(v.kind, v.bound) for v in rep.forward + rep.backward] == \
+        [(NON_MEMBER, None)] * 2
+
+
 def test_wrapper_len_zero():
     unit = gen(0) * gen(1) + gen(2) * gen(3) - NcPoly.one(X, RATIONALS)
     v = bounded_membership(unit.scale(3), [unit], wrapper_len=0)
@@ -589,7 +608,7 @@ def test_family_over_two_names_gives_the_one_name_certificates():
         for p, q in (one[order], two[order]):
             batch = list(range(len(p.relations)))
             certs = ideal._certificates(p.relations, batch, q.relations,
-                                        q.space, None, 2)
+                                        None, 2)
             found.append({k: _printed(c) for k, c in certs.items()})
         assert len(found[0]) == len(one[order][0].relations)
         assert found[1] == found[0]
@@ -664,7 +683,6 @@ def _assert_same_as_exact_loop(targets, relations, wrapper_len,
     point pass modulo each of the primes (None: POINT_PRIME as it is), at
     the point of POINT_ROOT's golden-ratio constant reduced by that prime;
     the verdicts of the last prime are returned."""
-    space = relations[0].space
     graded = wrapper_len is None
     batches: dict = {}
     for k, t in enumerate(targets):
@@ -672,16 +690,16 @@ def _assert_same_as_exact_loop(targets, relations, wrapper_len,
             batches.setdefault(t.degree() if graded else None, []).append(k)
     want = {}
     for degree, batch in batches.items():
-        want.update(ideal._certificates(targets, batch, relations, space,
-                                        degree, wrapper_len))
+        want.update(ideal._certificates(targets, batch, relations, degree,
+                                        wrapper_len))
     open_ = (NON_MEMBER, None) if graded else (INCONCLUSIVE, wrapper_len)
     for prime in primes:
         with pytest.MonkeyPatch.context() as mp:
             if prime is not None:
                 mp.setattr(ideal, "POINT_PRIME", prime)
                 mp.setattr(ideal, "POINT_ROOT", 0x9E3779B97F4A7C15 % prime)
-            got = ideal._verdicts(targets, relations, space, wrapper_len,
-                                  graded=graded)
+            got = ideal._verdicts(targets, relations, wrapper_len,
+                                  bounded=not graded)
         for k in itertools.chain(*batches.values()):
             v = got[k]
             if k not in want:
@@ -1106,7 +1124,7 @@ def test_graded_non_member_at_full_point_rank_skips_the_exact_loop(
     rel = x1 * x2 - (x2 * x1).scale(b)
     targets = [x2 * x1, x3 * x1 * x2, x3 * rel + rel * x1.scale(b)]
     fallbacks = _counting(monkeypatch, "_certificates")
-    got = ideal._verdicts(targets, [rel], space, None, graded=True)
+    got = ideal._verdicts(targets, [rel], None)
     assert [v.kind for v in got] == [NON_MEMBER, NON_MEMBER, MEMBER]
     assert verify("lemma1", b=None).verdict == "PASS"
     assert fallbacks == []

@@ -555,7 +555,10 @@ def test_byte_order_mark_is_skipped(tmp_path):
 
 # Every ParseError that parse_presentation_text raises itself, with its exact
 # message and position: (file text, message, line, column).  A file-wide
-# check names line 1, column 1.
+# check (a missing section, a generator the involution leaves out) names
+# line 1, column 1; a name both generator and parameter names the first
+# PARAMS line that declares it, and an involution that is not self-inverse
+# the line of the first item where it fails.
 _GEN = "GENERATORS: x1 x2\n"
 _INV = "INVOLUTION: x1 -> x2; x2 -> x1\n"
 _REL = "RELATIONS:\n  x1*x2\n"
@@ -575,7 +578,9 @@ FILE_ERROR_TABLE = [
     (_GEN + _INV, "missing RELATIONS section", 1, 1),
     (_GEN + _REL, "missing INVOLUTION section", 1, 1),
     (_GEN + "PARAMS: a~x2\n" + _INV + _REL,
-     "'x2' is both generator and parameter", 1, 1),
+     "'x2' is both generator and parameter", 2, 1),
+    (_GEN + "PARAMS: a\nPARAMS: b~x1\nPARAMS: x1~b\n" + _INV + _REL,
+     "'x1' is both generator and parameter", 3, 1),
     (_GEN + "INVOLUTION: x1 -> x2; x2 x1\n" + _REL,
      "bad involution item 'x2 x1'", 2, 1),
     (_GEN + _INV + "INVOLUTION: x2 -> x1\n" + _REL,
@@ -583,7 +588,9 @@ FILE_ERROR_TABLE = [
     (_GEN + "INVOLUTION: x1 -> x1\n" + _REL,
      "involution does not cover 'x2'", 1, 1),
     ("GENERATORS: x1 x2 x3\nINVOLUTION: x1 -> x2; x2 -> x3; x3 -> x1\n"
-     + _REL, "involution is not self-inverse at 'x1' -> 'x2'", 1, 1),
+     + _REL, "involution is not self-inverse at 'x1' -> 'x2'", 2, 1),
+    ("GENERATORS: x1 x2 x3\nINVOLUTION: x3 -> x3\n  x2 -> x1\n  x1 -> x1\n"
+     + _REL, "involution is not self-inverse at 'x2' -> 'x1'", 3, 1),
     (_GEN + _INV + _REL + "  x1 - 2*x1 + x1\n",
      "relation is identically zero", 5, 1),
 ]
