@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 
 def _certificate_json(payload):
     """Serialize certificate payloads: engine certificates become entry
-    lists; dict/list containers recurse; scalars and None pass through."""
+    lists; dicts and lists recurse; ints and None pass through."""
     if isinstance(payload, ideal.MembershipCertificate):
         return [{"left": word_str(claims.GENERATORS, e.left),
                  "relation": e.rel_index + 1,
@@ -102,7 +102,7 @@ def _certificate_json(payload):
                  "coefficient": str(e.coeff)} for e in payload]
     if isinstance(payload, dict):
         return {k: _certificate_json(v) for k, v in payload.items()}
-    if isinstance(payload, (list, tuple)):
+    if isinstance(payload, list):
         return [_certificate_json(v) for v in payload]
     return payload
 
@@ -144,7 +144,7 @@ def _print_certificate_text(payload, indent: str):
             _print_certificate_text(v, indent + "  ")
     elif isinstance(payload, list):
         for i, v in enumerate(payload):
-            if isinstance(v, (int, str)):
+            if isinstance(v, int):
                 print(f"{indent}{v}")
             elif isinstance(v, dict):  # in a list, a dict is a certificate entry
                 print(f"{indent}{v['coefficient']} * ({v['left']}) "
@@ -152,8 +152,6 @@ def _print_certificate_text(payload, indent: str):
             else:
                 print(f"{indent}[{i}]:")
                 _print_certificate_text(v, indent + "  ")
-    elif payload is not None:
-        print(f"{indent}{payload}")
 
 
 def _print_report_text(doc: dict):

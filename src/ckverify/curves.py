@@ -3,9 +3,13 @@ square-variable change of coordinates, the passage to a plane cubic, and
 the invariants of the resulting Legendre curve y^2 = x(x-1)(x-lam).
 
 Everything here is exact arithmetic over MultiPoly / Coefficient.  Each
-stage builds its polynomial ring with `_ring`, from the parameter's names
-and the stage's variables (u, v, w, z; X, Y, Z, T; x, y, z), so a
-parameter name must differ from the variables of the chain: a clash is a
+formula of the chain (the quadric pairs of eq19 and eq21, the plane cubic,
+the homogeneous normal form) is written once, as a function of the values
+of its variables, so a step substitutes by calling the formula at the new
+values.  Each stage builds its polynomial ring with `_ring`, from the
+parameter's names and the stage's variables (u, v, w, z in
+`quadrics_eq19` only; X, Y, Z, T; x, y; x, y, z), so a parameter name
+must differ from the variables of the rings a stage builds: a clash is a
 ValueError.  Each stage checks the combination vectors or factors its
 report states.  The Legendre closed forms (the cubic's coefficients, the
 discriminant and the j-invariant) are written once, in `_legendre_forms`,
@@ -83,45 +87,31 @@ class QuadricSystem:
                              "geometric variables")
 
 
+def _eq19_pair(ap, one, u2, v2, w2, z2) -> tuple:
+    """(1-a)v^2 + (1+a)w^2 + 2z^2 and u^2 + v^2 + w^2 + z^2 at the values
+    u2, v2, w2, z2 of the four squares."""
+    return ((one - ap) * v2 + (one + ap) * w2 + z2.scaled(2),
+            u2 + v2 + w2 + z2)
+
+
 def quadrics_eq19(alpha=None) -> QuadricSystem:
     """The intersected pair of quadrics in (u, v, w, z):
     (1-a)v^2 + (1+a)w^2 + 2z^2  and  u^2 + v^2 + w^2 + z^2."""
     ap, one, u, v, w, z = _ring(_coerce_param(alpha), UVWZ)
-    u2, v2, w2, z2 = u * u, v * v, w * w, z * z
-    q1 = (one - ap) * v2 + (one + ap) * w2 + z2.scaled(2)
-    q2 = u2 + v2 + w2 + z2
-    return QuadricSystem(ap.names, UVWZ, (q1, q2))
+    return QuadricSystem(ap.names, UVWZ,
+                         _eq19_pair(ap, one, u * u, v * v, w * w, z * z))
+
+
+def _eq21_pair(ap, x, y, z, t) -> tuple:
+    """a*X^2 + Z^2 - T^2 and X^2 + Y^2 - T^2 at X, Y, Z, T = x, y, z, t."""
+    return ap * x * x + z * z - t * t, x * x + y * y - t * t
 
 
 def relations_eq21(alpha=None) -> QuadricSystem:
     """The target pair of quadrics in (X, Y, Z, T):
     a*X^2 + Z^2 - T^2  and  X^2 + Y^2 - T^2."""
     ap, _, x, y, z, t = _ring(_coerce_param(alpha), XYZT)
-    r1 = ap * x * x + z * z - t * t
-    r2 = x * x + y * y - t * t
-    return QuadricSystem(ap.names, XYZT, (r1, r2))
-
-
-def _substitute_squares(member: MultiPoly, system: QuadricSystem,
-                        table: dict, out_names: Space) -> MultiPoly:
-    """Apply a substitution defined only on squared variables.
-
-    The map v^2 -> (polynomial) is not a ring homomorphism of the full
-    polynomial ring, so this refuses any input outside the subring spanned
-    by squared geometric variables (with parameter coefficients).
-    """
-    vs = set(system.variables)
-    out = MultiPoly.const(out_names, 0)
-    for e, c in member.terms.items():
-        geo = [(n, k) for n, k in zip(system.names, e) if n in vs and k]
-        if len(geo) != 1 or geo[0][1] != 2:
-            raise ValueError(
-                "substitution is defined on the subring of squared "
-                "variables only")
-        rest = tuple(0 if n in vs else k for n, k in zip(system.names, e))
-        factor = MultiPoly(system.names, {rest: c}).extend(out_names)
-        out = out + factor * table[geo[0][0]]
-    return out
+    return QuadricSystem(ap.names, XYZT, _eq21_pair(ap, x, y, z, t))
 
 
 class Eq20Report(NamedTuple):
@@ -149,33 +139,28 @@ def verify_eq20_step(alpha=None) -> Eq20Report:
     """Certify that the squared-variable substitution carries the (u,v,w,z)
     quadric pair onto the span of the (X,Y,Z,T) pair, both directions.
 
-    The combination vectors are fixed and checked by exact expansion:
-    images = (target1 + target2, target2), so the span is the same.
+    The substitution is defined on the squares only, and the eq19 pair is
+    written over the squares, so its images are the pair at the table's
+    values.  The combination vectors are fixed and checked by exact
+    expansion: images = (target1 + target2, target2), so the span is the
+    same.
     """
-    a = _coerce_param(alpha)
-    src = quadrics_eq19(a)
-    tgt = relations_eq21(a)
     half = Fraction(1, 2)
-    _, _, x, y, z, t = _ring(a, XYZT)
+    ap, one, x, y, z, t = _ring(_coerce_param(alpha), XYZT)
     x2, y2, z2, t2 = x * x, y * y, z * z, t * t
-    table = {
-        "u": t2,
-        "v": y2.scaled(half) - z2.scaled(half) - t2,
-        "w": x2 + y2.scaled(half) - z2.scaled(half) - t2,
-        "z": z2,
-    }
-    images = tuple(_substitute_squares(m, src, table, tgt.names)
-                   for m in src.members)
+    targets = _eq21_pair(ap, x, y, z, t)
+    images = _eq19_pair(ap, one, t2,
+                        y2.scaled(half) - z2.scaled(half) - t2,
+                        x2 + y2.scaled(half) - z2.scaled(half) - t2, z2)
     forward = ((1, 1), (0, 1))      # img1 = r1 + r2, img2 = r2
     backward = ((1, -1), (0, 1))    # r1 = img1 - img2, r2 = img2
-    ok = (_combines(images, forward, tgt.members)
-          and _combines(tgt.members, backward, images))
-    return Eq20Report(images, tgt.members, forward, backward, ok)
+    ok = (_combines(images, forward, targets)
+          and _combines(targets, backward, images))
+    return Eq20Report(images, targets, forward, backward, ok)
 
 
-def _plane_cubic(a: Coefficient) -> MultiPoly:
-    """y^2 - x(x+1)(x+1-a), in the parameter names and (x, y)."""
-    ap, one, x, y = _ring(a, AFFINE)
+def _plane_cubic(ap, one, x, y) -> MultiPoly:
+    """y^2 - x(x+1)(x+1-a) at the values x, y."""
     return y * y - x * (x + one) * (x + one - ap)
 
 
@@ -193,26 +178,26 @@ def verify_eq22_step(alpha=None) -> Eq22Report:
     """Certify that both (X,Y,Z,T) relations pull back to scalar multiples
     of the single plane cubic y^2 - x(x+1)(x+1-a).
 
-    The multiples are 4a and 4; for a = 0 the first pullback is
-    identically zero, which is the degenerate member of the family.
+    The pullbacks are the eq21 pair at the parametrization's values, in
+    the (x, y) ring of the cubic.  The multiples are 4a and 4; for a = 0
+    the first pullback is identically zero, which is the degenerate member
+    of the family.
     """
     a = _coerce_param(alpha)
-    tgt = relations_eq21(a)
-    ap, one, *_, x, y = _ring(a, XYZT + AFFINE)
-    bind = {
-        "X": y.scaled(-2),
-        "Y": x * x - one + ap,
-        "Z": x * x + (one - ap) * x.scaled(2) + one - ap,
-        "T": x * x + x.scaled(2) + one - ap,
-    }
-    names = ap.names
-    cubic = _plane_cubic(a)
-    wide = cubic.extend(names)
+    ap, one, x, y = _ring(a, AFFINE)
+    pullbacks = _eq21_pair(ap, y.scaled(-2), x * x - one + ap,
+                           x * x + (one - ap) * x.scaled(2) + one - ap,
+                           x * x + x.scaled(2) + one - ap)
+    cubic = _plane_cubic(ap, one, x, y)
     factors = (a * 4, Coefficient.const(a.names, 4))
-    ok = all((m.extend(names).substitute(bind)
-              - wide * _embed(f, names)).is_zero()
-             for m, f in zip(tgt.members, factors))
+    ok = all((p - cubic * _embed(f, ap.names)).is_zero()
+             for p, f in zip(pullbacks, factors))
     return Eq22Report(cubic, *factors, ok)
+
+
+def _eq23bis(ap, x, y, z) -> MultiPoly:
+    """y^2 z - x(x-z)(x-a z) at the values x, y, z."""
+    return y * y * z - x * (x - z) * (x - ap * z)
 
 
 class ShiftReport(NamedTuple):
@@ -230,15 +215,13 @@ def shift_and_homogenize(alpha=None) -> ShiftReport:
     and the homogenization is verified by dehomogenizing back."""
     a = _coerce_param(alpha)
     ap, one, x, y = _ring(a, AFFINE)
-    shifted = _plane_cubic(a).substitute({"x": x - one})
     eq23 = y * y - x * (x - one) * (x - ap)
-    ok = (shifted - eq23).is_zero()
-
-    ap, one, x, y, z = _ring(a, PROJECTIVE)
-    eq23bis = y * y * z - x * (x - z) * (x - ap * z)
+    ok = (_plane_cubic(ap, one, x - one, y) - eq23).is_zero()
     # dehomogenize at z = 1 and compare with the affine normal form
-    dehom = eq23bis.substitute({"z": one})
-    ok = ok and (dehom - eq23.extend(ap.names)).is_zero()
+    ok = ok and (_eq23bis(ap, x, y, one) - eq23).is_zero()
+
+    ap, _, x, y, z = _ring(a, PROJECTIVE)
+    eq23bis = _eq23bis(ap, x, y, z)
     # the homogeneous form must have geometric degree exactly 3 throughout
     ok = ok and _degrees(eq23bis, PROJECTIVE) == {3}
     return ShiftReport(eq23, eq23bis, ok)

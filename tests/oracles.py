@@ -7,7 +7,8 @@ Fraction for span questions, an eager-combination reducer for certificate
 entries, the MultiPoly route for printing and building coefficients,
 relabelled exponent tuples for conjugating them, a pseudo-remainder
 sequence for every univariate GCD, and
-sympy for reading relation text and for curve invariants.  Tests compare package output against these.
+sympy for reading relation text, for the reduction chain's substitutions
+and for curve invariants.  Tests compare package output against these.
 """
 from __future__ import annotations
 
@@ -378,3 +379,63 @@ def legendre_oracle(lam):
     if delta == 0:
         return delta, None
     return delta, sympy.cancel(c4 ** 3 / delta)
+
+
+# ---------------------------------------------------------------------------
+# the quadrics-to-Legendre chain by substitution through sympy
+
+def multipoly_sympy(p):
+    """A MultiPoly as a sympy expression, each name a sympy symbol."""
+    syms = sympy.symbols(p.names) if p.names else ()
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(g ** k for g, k in zip(syms, e)))
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def _substitute_squares(q, table: dict):
+    """q, a polynomial in the squares of table's keys, with each square
+    replaced by its value in table; a term with an odd exponent is a
+    ValueError, since the map is defined on the squares only."""
+    out = sympy.Integer(0)
+    for exps, c in sympy.Poly(q, *table).terms():
+        if any(k % 2 for k in exps):
+            raise ValueError(f"{q} is not a polynomial in the squares")
+        out += c * sympy.Mul(*(value ** (k // 2)
+                               for value, k in zip(table.values(), exps)))
+    return sympy.expand(out)
+
+
+def reduction_chain_oracle(a) -> dict:
+    """The polynomials of the reduction chain at the parameter value a (a
+    sympy symbol or rational), rebuilt by substitution into each formula
+    as written: the eq20 table into the eq19 pair, the eq22
+    parametrization into the eq21 pair, x -> x - 1 into the plane cubic
+    and z = 1 into the homogeneous normal form.  Every value is expanded,
+    in the symbols u, v, w, z; X, Y, Z, T; x, y, z."""
+    u, v, w, z = sympy.symbols("u v w z")
+    X, Y, Z, T = sympy.symbols("X Y Z T")
+    x, y = sympy.symbols("x y")
+    eq19 = ((1 - a) * v ** 2 + (1 + a) * w ** 2 + 2 * z ** 2,
+            u ** 2 + v ** 2 + w ** 2 + z ** 2)
+    half = sympy.Rational(1, 2)
+    squares = {u: T ** 2,
+               v: half * Y ** 2 - half * Z ** 2 - T ** 2,
+               w: X ** 2 + half * Y ** 2 - half * Z ** 2 - T ** 2,
+               z: Z ** 2}
+    eq21 = (a * X ** 2 + Z ** 2 - T ** 2, X ** 2 + Y ** 2 - T ** 2)
+    parametrization = {X: -2 * y, Y: x ** 2 - 1 + a,
+                       Z: x ** 2 + 2 * (1 - a) * x + 1 - a,
+                       T: x ** 2 + 2 * x + 1 - a}
+    cubic = y ** 2 - x * (x + 1) * (x + 1 - a)
+    eq23bis = y ** 2 * z - x * (x - z) * (x - a * z)
+    return {
+        "images": tuple(_substitute_squares(q, squares) for q in eq19),
+        "targets": tuple(sympy.expand(r) for r in eq21),
+        "pullbacks": tuple(
+            sympy.expand(r.subs(parametrization, simultaneous=True))
+            for r in eq21),
+        "cubic": sympy.expand(cubic),
+        "shifted": sympy.expand(cubic.subs(x, x - 1)),
+        "eq23bis": sympy.expand(eq23bis),
+        "dehomogenized": sympy.expand(eq23bis.subs(z, 1)),
+    }

@@ -11,12 +11,12 @@ from ckverify import curves
 from ckverify.cli import main
 from ckverify.coeff import Coefficient, MultiPoly, RATIONALS
 from ckverify.curves import (
-    LegendreCurve, QuadricSystem, _substitute_squares, curve_for_b,
+    LegendreCurve, QuadricSystem, curve_for_b,
     legendre_invariants, quadrics_eq19, reduction_chain, relations_eq21,
     shift_and_homogenize, verify_eq20_step, verify_eq22_step)
 from ckverify.presentations import verify
 
-from oracles import legendre_oracle
+from oracles import legendre_oracle, multipoly_sympy, reduction_chain_oracle
 
 
 def lam_const(q):
@@ -64,7 +64,8 @@ def test_the_chain_runs_on_int_coefficients():
     for alpha in (None, 7):
         members = (quadrics_eq19(alpha).members
                    + relations_eq21(alpha).members
-                   + (curves._plane_cubic(curves._coerce_param(alpha)),))
+                   + (curves._plane_cubic(*curves._ring(
+                       curves._coerce_param(alpha), curves.AFFINE)),))
         assert all(_coefficient_types(m) == {int} for m in members)
         rep = verify_eq20_step(alpha)
         assert all(_coefficient_types(m) == {int} for m in rep.images)
@@ -80,14 +81,6 @@ def test_eq20_step_symbolic():
 def test_eq20_step_concrete_samples():
     for q in (Fraction(1, 5), Fraction(-3), Fraction(7, 2)):
         assert verify_eq20_step(q).ok
-
-
-def test_eq20_subring_violation():
-    sys_ = quadrics_eq19()
-    x = MultiPoly.var(("u", "v", "w", "z"), "u")
-    bad = x * MultiPoly.var(("u", "v", "w", "z"), "v")
-    with pytest.raises(ValueError):
-        _substitute_squares(bad, sys_, {}, ("X",))
 
 
 def test_eq22_step_residue_factors():
@@ -118,33 +111,48 @@ def test_combines_refuses_a_wrong_vector():
         assert not curves._combines(rep.images, wrong, rep.targets)
 
 
-def _swapped_eq21(monkeypatch):
-    """relations_eq21 with its pair in the other order."""
-    right = curves.relations_eq21
+def _swapped_eq19(monkeypatch):
+    """_eq19_pair with its pair in the other order."""
+    right = curves._eq19_pair
+    monkeypatch.setattr(curves, "_eq19_pair",
+                        lambda *values: right(*values)[::-1])
 
-    def swapped(alpha=None):
-        pair = right(alpha)
-        return QuadricSystem(pair.names, pair.variables, pair.members[::-1])
-    monkeypatch.setattr(curves, "relations_eq21", swapped)
+
+def _swapped_eq21(monkeypatch):
+    """_eq21_pair with its pair in the other order."""
+    right = curves._eq21_pair
+    monkeypatch.setattr(curves, "_eq21_pair",
+                        lambda *values: right(*values)[::-1])
 
 
 def _other_cubic(monkeypatch):
     """_plane_cubic plus 1: y^2 - x(x+1)(x+1-a) + 1."""
     right = curves._plane_cubic
 
-    def other(a):
-        cubic = right(a)
-        return cubic + MultiPoly.const(cubic.names, 1)
+    def other(ap, one, x, y):
+        return right(ap, one, x, y) + one
     monkeypatch.setattr(curves, "_plane_cubic", other)
 
 
+def _other_eq23bis(monkeypatch):
+    """_eq23bis plus x^2 z: y^2 z - x(x-z)(x-a z) + x^2 z."""
+    right = curves._eq23bis
+
+    def other(ap, x, y, z):
+        return right(ap, x, y, z) + x * x * z
+    monkeypatch.setattr(curves, "_eq23bis", other)
+
+
 @pytest.mark.parametrize("wrong, failing", [
+    (_swapped_eq19, {"square_substitution"}),
     (_swapped_eq21, {"square_substitution", "plane_parametrization"}),
-    (_other_cubic, {"plane_parametrization", "shift_normalization"})],
-    ids=["swapped_eq21", "other_cubic"])
+    (_other_cubic, {"plane_parametrization", "shift_normalization"}),
+    (_other_eq23bis, {"shift_normalization"})],
+    ids=["swapped_eq19", "swapped_eq21", "other_cubic", "other_eq23bis"])
 def test_lemma5_fails_on_a_wrong_step(wrong, failing, monkeypatch, capsys):
-    """With the target pair of eq21 or the plane cubic changed, the steps
-    that check them report ok=False, lemma5 is FAIL and verify exits 1."""
+    """With a pair of eq19 or eq21, the plane cubic or the homogeneous
+    normal form changed, the steps that check it report ok=False, lemma5
+    is FAIL and verify exits 1."""
     wrong(monkeypatch)
     for alpha in (None, Fraction(5, 9)):
         chain = reduction_chain(alpha)
@@ -163,6 +171,46 @@ def test_lemma5_fails_on_a_wrong_step(wrong, failing, monkeypatch, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
+def _matches_chain_oracle(alpha) -> bool:
+    """Whether every polynomial of the chain's reports at alpha (None or a
+    Fraction) equals the one the sympy oracle rebuilds by substitution."""
+    a = sympy.Symbol(curves.PARAM) if alpha is None else \
+        sympy.Rational(alpha.numerator, alpha.denominator)
+    want = reduction_chain_oracle(a)
+    chain = reduction_chain(alpha)
+    cubic = multipoly_sympy(chain.eq22.cubic)
+    eq23 = multipoly_sympy(chain.shift.eq23)
+    factors = (chain.eq22.first_factor, chain.eq22.second_factor)
+    pairs = [
+        *zip(want["images"], map(multipoly_sympy, chain.eq20.images)),
+        *zip(want["targets"], map(multipoly_sympy, chain.eq20.targets)),
+        *zip(want["pullbacks"],
+             (multipoly_sympy(f.num) / multipoly_sympy(f.den) * cubic
+              for f in factors)),
+        (want["cubic"], cubic),
+        (want["shifted"], eq23),
+        (want["eq23bis"], multipoly_sympy(chain.shift.eq23bis)),
+        (want["dehomogenized"], eq23)]
+    return all(sympy.expand(p - q) == 0 for p, q in pairs)
+
+
+@pytest.mark.parametrize("alpha", [None, Fraction(5, 9)],
+                         ids=["symbolic", "five_ninths"])
+def test_chain_matches_the_substitution_oracle(alpha):
+    assert _matches_chain_oracle(alpha)
+
+
+def test_substitution_oracle_refuses_a_changed_table_entry(monkeypatch):
+    """With the eq20 table's value of w^2 moved by Z^2, the images leave
+    the oracle's, symbolically and at a = 5/9."""
+    right = curves._eq19_pair
+    monkeypatch.setattr(
+        curves, "_eq19_pair",
+        lambda ap, one, u2, v2, w2, z2: right(ap, one, u2, v2, w2 + z2, z2))
+    for alpha in (None, Fraction(5, 9)):
+        assert not _matches_chain_oracle(alpha)
+
+
 def test_chain_rejects_non_polynomial_parameter():
     half = Coefficient.const(("a",), 1) / \
         (Coefficient.param(("a",), "a") + 1)
@@ -170,11 +218,14 @@ def test_chain_rejects_non_polynomial_parameter():
         reduction_chain(half)
 
 
-@pytest.mark.parametrize("name", ["x", "y", "z", "u", "X", "T"])
-def test_chain_refuses_a_parameter_named_like_a_variable(name):
+@pytest.mark.parametrize("build, name", [
+    (reduction_chain, "x"), (reduction_chain, "y"), (reduction_chain, "z"),
+    (quadrics_eq19, "u"), (reduction_chain, "X"), (reduction_chain, "T")],
+    ids=["x", "y", "z", "u", "X", "T"])
+def test_chain_refuses_a_parameter_named_like_a_variable(build, name):
     with pytest.raises(ValueError, match=f"parameter name '{name}' is also "
                                          "a variable"):
-        reduction_chain(Coefficient.param((name,), name))
+        build(Coefficient.param((name,), name))
 
 
 # ---------------------------------------------------------------------------
