@@ -40,26 +40,26 @@ collect the terms of each row weight and of each word first and add them
 once (`coeff.scalar_sum`).
 
 A span over a named space, a bounded span or a degree slice, runs a point
-pass first (`_point_certificates`).  Its rows are reduced modulo the
-prime 2^30 - 35 at a fixed point (`_PointSpan`, with a pivot loop of its
-own that keeps only the pivots), where every residue is one CPython
-digit, and each target settled there names the rows it rests on.  Only
-those rows are reduced over the exact field: 80 of the 561 rows that
-symbolic theorem1 builds at the point, 99 of corollary1's 717, 14 of
-lemma1's 24.  Rows independent at the point are independent over
-Q(names), so each of them is a basis row of the full exact span too, and
-a target's combination of basis rows is unique: the certificates are
-those of the full exact span, whatever the point.  A target whose support
-rows do not reduce it to zero takes the full exact span, and so does a
-target that the pass leaves open, unless no row reduced to zero at the
-point and the target does not vanish there: the exact span then has the
-point's rank, and the target is open over Q(names) too.  It stays
-INCONCLUSIVE in a bounded span; in a degree slice, the complete slice of
-the ideal, it is NON_MEMBER, so lemma1's unstable images are decided
-without an exact row.  The pass keys words by int codes ordered as deglex
-(`_PointSpan`), so a wrapped row is integer arithmetic and its pivot
-candidates sort as plain ints.  Spans over Q keep the exact loop alone
-(`_FractionSpan` says why).
+pass first; `_point_certificates` alone decides that, and spans over Q
+keep the exact loop alone (`_FractionSpan` says why).  The rows are
+reduced modulo the prime 2^30 - 35 at a fixed point (`_PointSpan`, with a
+pivot loop of its own that keeps only the pivots), where every residue is
+one CPython digit, and each target settled there names the rows it rests
+on, none if it vanishes there.  Only those rows are reduced over the
+exact field: 80 of the 561 rows that symbolic theorem1 builds at the
+point, 99 of corollary1's 717, 14 of lemma1's 24.  Rows independent at
+the point are independent over Q(names), so each of them is a basis row
+of the full exact span too, and a target's combination of basis rows is
+unique: the certificates are those of the full exact span, whatever the
+point.  A target whose support rows do not reduce it to zero takes the
+full exact span, and so does a target that the pass leaves open while
+some row reduced to zero at the point.  Otherwise the exact span has the
+point's rank, and an open target is open over Q(names) too: INCONCLUSIVE
+in a bounded span, and NON_MEMBER in a degree slice, the complete slice
+of the ideal, so lemma1's unstable images are decided without an exact
+row.  The pass keys words by int codes ordered as deglex (`_PointSpan`),
+so a wrapped row is integer arithmetic and its pivot candidates sort as
+plain ints.  Every span is built from its relations alone.
 """
 from __future__ import annotations
 
@@ -183,13 +183,13 @@ class _Span:
     many entries that are +-1 make int arithmetic, and only a value that
     carries a name is a Coefficient.  A basis row leaves out its pivot
     entry 1.  Over Q, `_FractionSpan` keeps Fraction rows with their pivot
-    entries.  `_span_over` picks the class.
-    A span over a named space is fed only the support rows that its point
-    pass, a `_PointSpan` of residues, found; the rows and certificates are
-    those of the full span (`_point_certificates`)."""
+    entries.  `_span_over` picks the class.  A span reads its space off
+    its first relation.  One over a named space is fed only the support
+    rows that its point pass, a `_PointSpan` of residues, found; the rows
+    and certificates are those of the full span (`_point_certificates`)."""
 
-    def __init__(self, relations: Sequence[NcPoly], space: Space):
-        self.space = space
+    def __init__(self, relations: Sequence[NcPoly]):
+        self.space = relations[0].space
         self.tags: list = []       # (left, rel_index, right) in insertion order
         # pivot word -> (monic vec, tag, inverse of the pivot, steps); a
         # row's tag is also its creation index, since rows enter in tag order
@@ -342,7 +342,9 @@ class _PointSpan:
     pivots and support rows for the point pass (`_point_certificates`); it
     makes no certificate, so a basis row is (row, tag, pivots): the monic
     row without its pivot entry, and the pivots its reduction used, with
-    no multiplier or inverse.  It is no `_Span`, but `_feed` takes either.
+    no multiplier or inverse.  It is no `_Span`, but `_feed` takes either,
+    and like a `_Span` it reads its space and alphabet off its first
+    relation.
 
     A vec is keyed by word codes, not words: the code of w is w read as a
     base-(n + 1) numeral, n the alphabet size, with generator g as the
@@ -356,13 +358,13 @@ class _PointSpan:
     term, and a wrapped row gets its codes from integer arithmetic; tags
     stay words."""
 
-    def __init__(self, relations: Sequence[NcPoly], space: Space):
+    def __init__(self, relations: Sequence[NcPoly]):
         self.tags: list = []
         self.basis: dict = {}
         self._vec_cache: list = []      # relations are kept as triples
         self.point = tuple(pow(POINT_ROOT, k + 1, POINT_PRIME)
-                           for k in range(len(space)))
-        self._base = len(relations[0].alphabet) + 1 if relations else 2
+                           for k in range(len(relations[0].space)))
+        self._base = len(relations[0].alphabet) + 1
         for rel in relations:
             terms = self._residues(rel)
             self._vec_cache.append(
@@ -431,22 +433,23 @@ class _PointSpan:
                            tag, pivots)
         return piv
 
-    def support(self, pivots: list, tags: set):
-        """Add to tags the tag of every basis row that the pivots reach,
-        directly or through the pivots recorded with a row they reach."""
-        todo = list(pivots)
+    def support(self, pivots) -> set:
+        """The tags of every basis row that the pivots reach, directly or
+        through the pivots recorded with a row they reach."""
+        tags, todo = set(), list(pivots)
         while todo:
             _, tag, row_pivots = self.basis[todo.pop()]
             if tag not in tags:
                 tags.add(tag)
                 todo += row_pivots
+        return tags
 
 
-def _span_over(relations: Sequence[NcPoly], space: Space) -> _Span:
-    """The exact span for the space: a `_FractionSpan` over Q, else a
-    `_Span`.  The point pass builds its `_PointSpan` itself, before the
-    exact `_Span` of its support rows."""
-    return (_Span if space else _FractionSpan)(relations, space)
+def _span_over(relations: Sequence[NcPoly]) -> _Span:
+    """The exact span for the relations' space: a `_FractionSpan` over Q,
+    else a `_Span`.  The point pass builds its `_PointSpan` itself, before
+    the exact `_Span` of its support rows."""
+    return (_Span if relations[0].space else _FractionSpan)(relations)
 
 
 def _residual(rows, relation_terms, target_terms) -> dict:
@@ -527,12 +530,11 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     every target is homogeneous: against the complete slice of the target's
     degree, so a failed reduction is NON_MEMBER.  Otherwise: against the
     wrappers up to wrapper_len, so a failed search is INCONCLUSIVE.  A zero
-    target is a MEMBER with no certificate entries.  A span over a named
-    space, bounded or graded, takes the point pass first
-    (`_point_certificates`), and the targets it leaves to the exact loop
-    then take `_certificates`, like every span over Q.  A graded target
-    that the pass leaves open at full point rank keeps its NON_MEMBER
-    without the exact loop.  A target or relation over another alphabet
+    target is a MEMBER with no certificate entries.  Each batch goes to
+    `_point_certificates` first, which runs the point pass where it
+    applies, and the targets it leaves take the exact loop
+    (`_certificates`); a graded target left open at full point rank keeps
+    its NON_MEMBER without it.  A target or relation over another alphabet
     or space than the first relation is refused (ValueError) before any
     row is built."""
     if targets and not relations:
@@ -553,10 +555,8 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
                         MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
-        found, rest = {}, batch
-        if relations[0].space:
-            found, rest = _point_certificates(targets, batch, relations,
-                                              degree, wrapper_len)
+        found, rest = _point_certificates(targets, batch, relations, degree,
+                                          wrapper_len)
         if rest:
             found.update(_certificates(targets, rest, relations, degree,
                                        wrapper_len))
@@ -567,20 +567,21 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
 
 def _feed(span, vecs: dict, rows) -> dict:
     """Feed the rows (l, i, r) to the span, a `_Span` or a `_PointSpan`,
-    in order, until every vec (target index -> the target as a vec of the
-    span, reduced in place) reduces to zero; target index -> its steps,
-    for each that does."""
-    open_ = {k: (vec, []) for k, vec in vecs.items()}
-    settled = {}
+    in order, while some vec (target index -> the target as a vec of the
+    span, reduced in place) is open; target index -> its steps, for each
+    vec the rows reduce to zero, with none for a vec zero from the start.
+    A row is drawn before that check, so `_span`'s budget refusal runs."""
+    settled = {k: [] for k, vec in vecs.items() if not vec}
+    open_ = {k: (vec, []) for k, vec in vecs.items() if vec}
     for row in rows:
+        if not open_:
+            break
         piv = span.add_wrapped(*row)
         for k in [k for k, (vec, _) in open_.items() if piv in vec]:
             vec, steps = open_[k]
             steps += span._reduce(vec)
             if not vec:
                 settled[k] = open_.pop(k)[1]
-        if not open_:
-            break
     return settled
 
 
@@ -591,7 +592,7 @@ def _certificates(targets: Sequence[NcPoly], batch: list,
     rows of the span (the degree slice, or the wrappers up to wrapper_len
     when degree is None) reduce to zero, fed to one exact span over the
     relations' space until every target is settled."""
-    span = _span_over(relations, relations[0].space)
+    span = _span_over(relations)
     vecs = {k: span._to_vec(targets[k]) for k in batch}
     settled = _feed(span, vecs, _span(relations, degree, wrapper_len))
     return {k: span.certificate(targets[k], steps)
@@ -609,42 +610,40 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     `_PointSpan`, and the union of the rows that the settled targets reach
     (`_PointSpan.support`), in tag order, to an exact `_Span`.  The module
     docstring says why each certificate is the one `_certificates` finds.
-    Nothing is settled when a relation or target coefficient has a pole at
-    the point.
+    A target that vanishes at the point is settled there on no rows.
+    Nothing is settled over Q, or when a relation or target coefficient
+    has a pole at the point.
 
-    A target that the pass leaves open is left to the exact loop only when
-    some row reduced to zero at the point.  The pass has then fed every
-    row; if every row became a basis row, the rows are independent at the
-    point, so some square minor of them is nonzero there.  An exact
-    combination of the rows equal to the target can have no pole at the
-    point: by Cramer's rule on that minor each of its coefficients is a
-    polynomial in the entries over the minor, so clearing a denominator
-    that vanishes at the point would make the rows dependent there.  Its
-    value at the point would then reduce the target's to zero, so a target
-    open at the point is open over Q(names) as well: INCONCLUSIVE in a
-    bounded span, and NON_MEMBER in a degree slice, which holds the whole
-    degree-d part of the ideal, so the caller's default stands.  A target
-    that vanishes at the point is the exception: `_feed` settles a vec
-    only once a pivot lands in it, so an empty one stays open, and it is
-    left to the exact loop whatever the rank."""
-    space = relations[0].space
-    point = _PointSpan(relations, space)
+    The exact loop takes the targets that the pass settles and their
+    support rows do not reduce, and those it leaves open while some row
+    reduced to zero at the point.  A target open at full point rank is
+    not left to it: the pass has fed every row, and each became a basis
+    row, so the rows are independent at the point and some square minor
+    of them is nonzero there.  An exact combination of the rows equal to
+    the target can have no pole at the point: by Cramer's rule on that
+    minor each of its coefficients is a polynomial in the entries over the
+    minor, so clearing a denominator that vanishes at the point would make
+    the rows dependent there.  Its value at the point would then reduce
+    the target's to zero, so a target open at the point is open over
+    Q(names) as well: INCONCLUSIVE in a bounded span, and NON_MEMBER in a
+    degree slice, which holds the whole degree-d part of the ideal, so the
+    caller's default stands."""
+    if not relations[0].space:
+        return {}, batch
+    point = _PointSpan(relations)
     vecs = {k: point._to_vec(targets[k]) for k in batch}
     if None in point._vec_cache or None in vecs.values():
         return {}, batch
-    vanishing = {k for k, vec in vecs.items() if not vec}
     settled = _feed(point, vecs, _span(relations, degree, wrapper_len))
-    support: set = set()
-    for steps in settled.values():
-        point.support(steps, support)
-    exact = _Span(relations, space)
+    support = point.support(chain.from_iterable(settled.values()))
+    exact = _Span(relations)
     vecs = {k: exact._to_vec(targets[k]) for k in settled}
     rows = [point.tags[t] for t in sorted(support)]
     found = {k: exact.certificate(targets[k], steps)
              for k, steps in _feed(exact, vecs, rows).items()}
     full_rank = len(point.basis) == len(point.tags)
     return found, [k for k in batch if k not in found
-                   and (k in settled or k in vanishing or not full_rank)]
+                   and (k in settled or not full_rank)]
 
 
 def _overall(verdicts, yes: str, no: str) -> str:

@@ -11,6 +11,7 @@ import pytest
 from sympy import isprime
 
 from ckverify import ideal, presentations
+from ckverify.cli import main
 from ckverify.coeff import Coefficient, ConjugationSpec, RATIONALS, lowered
 from ckverify.ideal import (
     EQUIVALENT, INCONCLUSIVE, MEMBER, MembershipCertificate, NON_MEMBER,
@@ -18,6 +19,7 @@ from ckverify.ideal import (
     graded_membership, involution_stability, presentations_equivalent)
 from ckverify.ncpoly import (InvolutionSpec, NcPoly, adjoint_involution,
                              word_key)
+from ckverify.parser import print_presentation
 from ckverify.presentations import (CKMatrix, GENERATORS, SklyaninParams,
                                     _defining_pair, _exchange_relations,
                                     cuntz_krieger, ideal_I0, ideal_J0,
@@ -510,19 +512,11 @@ def test_graded_certificate_does_not_depend_on_its_batch():
 def _fed_span(p, q):
     """A span over q's relations, fed its bounded rows until p's relations
     are settled; the span and the combinations behind the settled ones."""
-    span = ideal._span_over(q.relations, q.space)
-    open_ = {k: (span._to_vec(t), []) for k, t in enumerate(p.relations)}
-    combos = []
-    for row in ideal._span(q.relations, None, 2):
-        piv = span.add_wrapped(*row)
-        for k in [k for k, (vec, _) in open_.items() if piv in vec]:
-            vec, steps = open_[k]
-            steps += span._reduce(vec)
-            if not vec:
-                del open_[k]
-                combos.append(span._combination(steps))
-    assert not open_ and combos
-    return span, combos
+    span = ideal._span_over(q.relations)
+    vecs = {k: span._to_vec(t) for k, t in enumerate(p.relations)}
+    settled = ideal._feed(span, vecs, ideal._span(q.relations, None, 2))
+    assert len(settled) == len(vecs)
+    return span, [span._combination(steps) for steps in settled.values()]
 
 
 def _stored_scalars(span, combos):
@@ -576,7 +570,7 @@ def test_span_over_two_names_stores_lowered_scalars():
     Fraction and a Coefficient is kept only when its value carries a name,
     and the verdicts are those over ("b",)."""
     space = ("a", "b")
-    p, q = (SimpleNamespace(relations=_extended(x, space), space=space)
+    p, q = (SimpleNamespace(relations=_extended(x, space))
             for x in modulus_family(None))
     span, combos = _fed_span(p, q)
     assert {int, Coefficient} <= _assert_lowered(_stored_scalars(span, combos))
@@ -812,7 +806,7 @@ def _code_span(n, relations=None):
     gens = tuple(f"y{i}" for i in range(n))
     if relations is None:
         relations = [NcPoly.generator(gens, ("b",), 0)]
-    return ideal._PointSpan(relations, ("b",))
+    return ideal._PointSpan(relations)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -856,7 +850,8 @@ def test_point_prime_is_one_digit_and_the_point_is_generic():
     values."""
     assert isprime(ideal.POINT_PRIME) and ideal.POINT_PRIME < 2 ** 30
     for n in range(1, 9):
-        point = ideal._PointSpan([], tuple(f"t{k}" for k in range(n))).point
+        space = tuple(f"t{k}" for k in range(n))
+        point = ideal._PointSpan([NcPoly.generator(X, space, 0)]).point
         assert 0 not in point and len(set(point)) == n
 
 
@@ -916,7 +911,7 @@ def _compare_reductions(kind, basis, vec):
     the same reduced vec.  The steps, the reduced vec, and whether the
     reference brought a cancelled word back."""
     cls, key, subtract = kind
-    span = cls([], ("b",))
+    span = cls([NcPoly.generator(X, ("b",), 0)])
     span.basis = basis
     new_vec, ref_vec = dict(vec), dict(vec)
     steps = _bounded_reduce(span, new_vec)
@@ -990,7 +985,7 @@ def test_point_and_exact_spans_agree_on_a_full_degree_slice(degree,
     quadrics = [r for r in p.relations if r.is_homogeneous()]
     assert len(quadrics) == 6
     for cls in (ideal._PointSpan, ideal._Span):
-        span = cls(quadrics, p.space)
+        span = cls(quadrics)
         for row in ideal._span(quadrics, degree, None):
             span.add_wrapped(*row)
         assert 4 ** degree - len(span.basis) == hilbert
@@ -1134,7 +1129,7 @@ def test_graded_non_member_at_full_point_rank_skips_the_exact_loop(
 
 def _point_value():
     """The value of the only name of ("b",) at the point of the point pass."""
-    return ideal._PointSpan([], ("b",)).point[0]
+    return ideal._PointSpan([NcPoly.generator(X, ("b",), 0)]).point[0]
 
 
 def _vanishing(b):
@@ -1205,9 +1200,10 @@ def test_point_pass_falls_back_where_a_row_vanishes_at_the_point(
 def test_point_pass_falls_back_for_a_target_that_vanishes_at_the_point(
         factor, wrapper_len, monkeypatch):
     """A member whose every coefficient is zero at the point has no entry
-    there, so the pass never settles it.  It still gets its certificate
-    from the exact loop, although the only row is independent at the
-    point: a graded one too, which would otherwise keep NON_MEMBER."""
+    there, so the pass settles it on no support rows, which do not reduce
+    it exactly.  It still gets its certificate from the exact loop,
+    although the only row is independent at the point: a graded one too,
+    which would otherwise keep NON_MEMBER."""
     space = ("b",)
     b = Coefficient.param(space, "b")
     rel = NcPoly.generator(X, space, 0) + \
@@ -1219,6 +1215,77 @@ def test_point_pass_falls_back_for_a_target_that_vanishes_at_the_point(
     assert len(fallbacks) == 2     # one inside _verdicts, one reference
     assert v.kind == MEMBER
     assert _entries(v.certificate) == [((), 0, (), scale)]
+
+
+def _vanishing_batch(case):
+    """x1 + b x2 and (b - point) (x1 + b x2), zero at the point: beside
+    the relation itself as a target, or beside x3 with x3 as a relation."""
+    space = ("b",)
+    b = Coefficient.param(space, "b")
+    x1, x2, x3 = (NcPoly.generator(X, space, i) for i in range(3))
+    rel = x1 + x2.scale(b)
+    if case == "beside_its_relation":
+        return [rel, rel.scale(_vanishing(b))], [rel]
+    return [x3, rel.scale(_vanishing(b))], [rel, x3]
+
+
+@pytest.mark.parametrize(
+    "case,wrapper_len",
+    _both_regimes(["beside_its_relation", "beside_another_target"], 0))
+def test_a_vanishing_target_rests_on_the_support_rows_of_its_batch(
+        case, wrapper_len, monkeypatch):
+    """A target zero at the point is settled there on no rows, and the
+    exact solve on the support rows of the batch's other targets decides
+    it: beside a target settled on its relation it is certified without
+    the exact loop; beside x3, whose one support row is x3, it goes to
+    the exact loop alone.  Both are members, bounded or graded."""
+    targets, relations = _vanishing_batch(case)
+    fallbacks = _counting(monkeypatch, "_certificates")
+    got = _assert_same_as_exact_loop(targets, relations, wrapper_len)
+    assert [v.kind for v in got] == [MEMBER, MEMBER]
+    # the reference call of the helper, then the fallback inside _verdicts
+    assert [args[1] for args in fallbacks] == \
+        [[0, 1]] + [[1]] * (case == "beside_another_target")
+
+
+@pytest.mark.parametrize("cls", [ideal._PointSpan, ideal._Span],
+                         ids=["point", "exact"])
+def test_feed_settles_zero_vecs_without_building_a_row(cls, monkeypatch):
+    """_feed returns each vec that is zero from the start with no steps and
+    builds no row; the span's row budget still refuses its rows."""
+    relations = [NcPoly.generator(X, ("b",), 0)]
+    built = []
+    add_wrapped = cls.add_wrapped
+    monkeypatch.setattr(cls, "add_wrapped", lambda self, *row:
+                        built.append(row) or add_wrapped(self, *row))
+    span = cls(relations)
+    assert ideal._feed(span, {0: {}, 3: {}},
+                       ideal._span(relations, None, 2)) == {0: [], 3: []}
+    assert built == []
+    # one relation over 4 generators: 1 + 2 * 4 + 3 * 16 = 57 rows
+    monkeypatch.setattr(ideal, "MAX_SPAN_ROWS", 56)
+    with pytest.raises(ValueError, match="^wrapper length 2 needs 57 "):
+        ideal._feed(span, {0: {}}, ideal._span(relations, None, 2))
+    assert built == []
+
+
+def test_spans_over_q_take_no_point_pass(tmp_path, capsys, monkeypatch):
+    """theorem1 at b = 7 and check-file on the six Sklyanin relations over
+    Q build no _PointSpan: spans over Q keep the exact loop alone."""
+    built = []
+    init = ideal._PointSpan.__init__
+    monkeypatch.setattr(ideal._PointSpan, "__init__", lambda self, rels:
+                        built.append(rels) or init(self, rels))
+    assert verify("theorem1", b=7).verdict == "PASS"
+    p = sklyanin(SklyaninParams.of(Fraction(1, 5), 1, -1))
+    assert p.space == () and len(p.relations) == 6
+    f = tmp_path / "sklyanin.pres"
+    f.write_text(print_presentation(p))
+    assert main(["check-file", str(f), "--involution-stability"]) == 0
+    assert "verdict: STABLE" in capsys.readouterr().out
+    assert built == []
+    assert verify("theorem1", b=None).verdict == "PASS"
+    assert built            # the count sees a pass where one runs
 
 
 def test_point_pass_refuses_a_span_past_the_budget_before_any_row(
