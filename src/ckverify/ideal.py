@@ -32,7 +32,9 @@ through Coefficient arithmetic; over Q every entry is a Fraction
 (`_FractionSpan` says why).  Certificates lift every coefficient back to a
 Coefficient.  Rows are kept monic and inserted smallest-wrapper-first,
 which makes certificates deterministic.  Rows are fed until every target
-is settled, so a member costs only the rows up to its last pivot.
+is settled, so a member costs only the rows up to its last pivot, and a
+zero target none: it takes the one exact solve (`_solve`) like any other,
+gets a certificate with no entries, and is refused past the row budget.
 Reductions record their steps (pivot, multiplier), expanded into a
 combination of wrapped rows only for a target reduced to zero; basis rows
 are independent, so it is unique.  The combination and the re-expansion
@@ -183,10 +185,11 @@ class _Span:
     many entries that are +-1 make int arithmetic, and only a value that
     carries a name is a Coefficient.  A basis row leaves out its pivot
     entry 1.  Over Q, `_FractionSpan` keeps Fraction rows with their pivot
-    entries.  `_span_over` picks the class.  A span reads its space off
-    its first relation.  One over a named space is fed only the support
-    rows that its point pass, a `_PointSpan` of residues, found; the rows
-    and certificates are those of the full span (`_point_certificates`)."""
+    entries.  `_certificates` picks the class.  A span reads its space
+    off its first relation.  One over a named space is fed only the
+    support rows that its point pass, a `_PointSpan` of residues, found;
+    the rows and certificates are those of the full span
+    (`_point_certificates`)."""
 
     def __init__(self, relations: Sequence[NcPoly]):
         self.space = relations[0].space
@@ -298,10 +301,11 @@ class _Span:
 
 class _FractionSpan(_Span):
     """A span over Q: every entry, multiplier and inverse is a Fraction, and
-    a basis row keeps its pivot entry.  `_Span` over Q would make a ckbench
-    sweep pass 0.63x as long (0.93x with its rows left as Coefficients);
-    ckbench keeps every pass's stdout, so a second pass then fits into more
-    15 s runs and its 4.7 MB of output reads as a peak_rss_mb regression.
+    a basis row keeps its pivot entry.  `_Span` over Q would make an
+    in-process sweep pass (198 calls) about 0.55x as long (0.47-0.79x,
+    five alternating process pairs on 2 vCPUs); ckbench keeps every pass's
+    stdout, so a 15 s run would then make three passes, not two, and the
+    third's 4.7 MB of output reads as a peak_rss_mb regression.
     The point pass is kept off spans over Q for the same reason: it made
     theorem1 at b = 7 take 15-23 ms instead of 32-36 ms in-process, and
     its pivot loop keeps a max per step, since sorting the candidates once
@@ -433,23 +437,17 @@ class _PointSpan:
                            tag, pivots)
         return piv
 
-    def support(self, pivots) -> set:
-        """The tags of every basis row that the pivots reach, directly or
-        through the pivots recorded with a row they reach."""
+    def support(self, pivots) -> list:
+        """The rows (l, i, r) of every basis row that the pivots reach,
+        directly or through the pivots recorded with a row they reach, in
+        ascending tag order."""
         tags, todo = set(), list(pivots)
         while todo:
             _, tag, row_pivots = self.basis[todo.pop()]
             if tag not in tags:
                 tags.add(tag)
                 todo += row_pivots
-        return tags
-
-
-def _span_over(relations: Sequence[NcPoly]) -> _Span:
-    """The exact span for the relations' space: a `_FractionSpan` over Q,
-    else a `_Span`.  The point pass builds its `_PointSpan` itself, before
-    the exact `_Span` of its support rows."""
-    return (_Span if relations[0].space else _FractionSpan)(relations)
+        return [self.tags[t] for t in sorted(tags)]
 
 
 def _residual(rows, relation_terms, target_terms) -> dict:
@@ -529,14 +527,14 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
     first relation.  Graded when bounded is false and every relation and
     every target is homogeneous: against the complete slice of the target's
     degree, so a failed reduction is NON_MEMBER.  Otherwise: against the
-    wrappers up to wrapper_len, so a failed search is INCONCLUSIVE.  A zero
-    target is a MEMBER with no certificate entries.  Each batch goes to
-    `_point_certificates` first, which runs the point pass where it
-    applies, and the targets it leaves take the exact loop
-    (`_certificates`); a graded target left open at full point rank keeps
-    its NON_MEMBER without it.  A target or relation over another alphabet
-    or space than the first relation is refused (ValueError) before any
-    row is built."""
+    wrappers up to wrapper_len, so a failed search is INCONCLUSIVE.  Each
+    batch, zero targets included, goes to `_point_certificates` first,
+    which runs the point pass where it applies, and the targets it leaves
+    take the exact loop (`_certificates`); a graded target left open at
+    full point rank keeps its NON_MEMBER without it.  A target or relation
+    over another alphabet or space than the first relation is refused
+    (ValueError) before any row is built, and a batch whose span passes
+    the budget, zero targets alike, when its first row is drawn."""
     if targets and not relations:
         raise ValueError("empty relation list")
     for p in chain(relations, targets):
@@ -545,14 +543,11 @@ def _verdicts(targets: Sequence[NcPoly], relations: Sequence[NcPoly],
                                  for p in chain(relations, targets))
     if wrapper_len is not None or not graded:  # a slice does not read it
         _check_wrapper_len(wrapper_len)
-    verdicts = []
+    open_ = MembershipVerdict(NON_MEMBER) if graded else \
+        MembershipVerdict(INCONCLUSIVE, bound=wrapper_len)
+    verdicts = [open_] * len(targets)
     batches: dict = {}         # degree (None if bounded) -> target indices
     for k, target in enumerate(targets):
-        if target.is_zero():
-            verdicts.append(MembershipVerdict(MEMBER, MembershipCertificate([])))
-            continue
-        verdicts.append(MembershipVerdict(NON_MEMBER) if graded else
-                        MembershipVerdict(INCONCLUSIVE, bound=wrapper_len))
         batches.setdefault(target.degree() if graded else None, []).append(k)
     for degree, batch in batches.items():
         found, rest = _point_certificates(targets, batch, relations, degree,
@@ -569,8 +564,9 @@ def _feed(span, vecs: dict, rows) -> dict:
     """Feed the rows (l, i, r) to the span, a `_Span` or a `_PointSpan`,
     in order, while some vec (target index -> the target as a vec of the
     span, reduced in place) is open; target index -> its steps, for each
-    vec the rows reduce to zero, with none for a vec zero from the start.
-    A row is drawn before that check, so `_span`'s budget refusal runs."""
+    vec the rows reduce to zero, with none for a vec zero from the start,
+    such as a zero target's.  A row is drawn before that check, so
+    `_span`'s budget refusal runs for every batch."""
     settled = {k: [] for k, vec in vecs.items() if not vec}
     open_ = {k: (vec, []) for k, vec in vecs.items() if vec}
     for row in rows:
@@ -585,18 +581,25 @@ def _feed(span, vecs: dict, rows) -> dict:
     return settled
 
 
+def _solve(span, targets: Sequence[NcPoly], batch, rows) -> dict:
+    """Target index -> certificate, for each target of the batch that the
+    rows (l, i, r), fed to the exact span until every target is settled,
+    reduce to zero; a zero target gets one with no entries.  Every
+    certificate is made here."""
+    vecs = {k: span._to_vec(targets[k]) for k in batch}
+    return {k: span.certificate(targets[k], steps)
+            for k, steps in _feed(span, vecs, rows).items()}
+
+
 def _certificates(targets: Sequence[NcPoly], batch: list,
                   relations: Sequence[NcPoly], degree: Optional[int],
                   wrapper_len: Optional[int]) -> dict:
-    """Target index -> certificate, for each target of the batch that the
-    rows of the span (the degree slice, or the wrappers up to wrapper_len
-    when degree is None) reduce to zero, fed to one exact span over the
-    relations' space until every target is settled."""
-    span = _span_over(relations)
-    vecs = {k: span._to_vec(targets[k]) for k in batch}
-    settled = _feed(span, vecs, _span(relations, degree, wrapper_len))
-    return {k: span.certificate(targets[k], steps)
-            for k, steps in settled.items()}
+    """`_solve` on every row of the span (the degree slice, or the
+    wrappers up to wrapper_len when degree is None), with one exact span
+    over the relations' space: a `_FractionSpan` over Q, else a
+    `_Span`."""
+    span = (_Span if relations[0].space else _FractionSpan)(relations)
+    return _solve(span, targets, batch, _span(relations, degree, wrapper_len))
 
 
 def _point_certificates(targets: Sequence[NcPoly], batch: list,
@@ -608,11 +611,11 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     certificate when the point pass settles it and its support rows then
     reduce it to zero over the exact field: the rows are fed to a
     `_PointSpan`, and the union of the rows that the settled targets reach
-    (`_PointSpan.support`), in tag order, to an exact `_Span`.  The module
-    docstring says why each certificate is the one `_certificates` finds.
-    A target that vanishes at the point is settled there on no rows.
-    Nothing is settled over Q, or when a relation or target coefficient
-    has a pole at the point.
+    (`_PointSpan.support`), in tag order, to `_solve` on an exact `_Span`.
+    The module docstring says why each certificate is the one
+    `_certificates` finds.  A target that vanishes at the point, a zero
+    target too, is settled there on no rows.  Nothing is settled over Q,
+    or when a relation or target coefficient has a pole at the point.
 
     The exact loop takes the targets that the pass settles and their
     support rows do not reduce, and those it leaves open while some row
@@ -635,12 +638,8 @@ def _point_certificates(targets: Sequence[NcPoly], batch: list,
     if None in point._vec_cache or None in vecs.values():
         return {}, batch
     settled = _feed(point, vecs, _span(relations, degree, wrapper_len))
-    support = point.support(chain.from_iterable(settled.values()))
-    exact = _Span(relations)
-    vecs = {k: exact._to_vec(targets[k]) for k in settled}
-    rows = [point.tags[t] for t in sorted(support)]
-    found = {k: exact.certificate(targets[k], steps)
-             for k, steps in _feed(exact, vecs, rows).items()}
+    found = _solve(_Span(relations), targets, settled,
+                   point.support(chain.from_iterable(settled.values())))
     full_rank = len(point.basis) == len(point.tags)
     return found, [k for k in batch if k not in found
                    and (k in settled or not full_rank)]

@@ -45,6 +45,18 @@ def test_zero_target_is_member_with_empty_certificate():
     assert v2.kind == MEMBER
 
 
+@pytest.mark.parametrize("space", [RATIONALS, ("b",)], ids=["q", "qb"])
+def test_zero_target_past_the_budget_is_refused(space):
+    """A zero target takes the path of every target, so a span past the
+    row budget is refused for it too, over Q (the exact loop) and over a
+    named space (the point pass)."""
+    b = Coefficient.param(space, "b") if space else 7
+    x1, x2 = (NcPoly.generator(X, space, i) for i in range(2))
+    relations = [x1 * x2 - (x2 * x1).scale(b), x1 + x2]
+    with pytest.raises(ValueError, match="needs more than"):
+        bounded_membership(NcPoly.zero(X, space), relations, 10 ** 12)
+
+
 def test_graded_non_membership_is_definitive():
     om = ideal_Omega0()
     x13 = gen(0) * gen(2)
@@ -510,12 +522,22 @@ def test_graded_certificate_does_not_depend_on_its_batch():
 
 
 def _fed_span(p, q):
-    """A span over q's relations, fed its bounded rows until p's relations
-    are settled; the span and the combinations behind the settled ones."""
-    span = ideal._span_over(q.relations)
-    vecs = {k: span._to_vec(t) for k, t in enumerate(p.relations)}
-    settled = ideal._feed(span, vecs, ideal._span(q.relations, None, 2))
-    assert len(settled) == len(vecs)
+    """The exact span that `ideal._certificates` builds over q's relations
+    to settle p's, bounded at wrapper length 2, as `ideal._feed` sees it;
+    the span and the combinations behind the settled relations."""
+    fed = []
+    feed = ideal._feed
+
+    def spy(span, vecs, rows):
+        settled = feed(span, vecs, rows)
+        fed.append((span, settled))
+        return settled
+    batch = list(range(len(p.relations)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideal, "_feed", spy)
+        certs = ideal._certificates(p.relations, batch, q.relations, None, 2)
+    [(span, settled)] = fed
+    assert len(certs) == len(settled) == len(batch)
     return span, [span._combination(steps) for steps in settled.values()]
 
 
@@ -680,8 +702,7 @@ def _assert_same_as_exact_loop(targets, relations, wrapper_len,
     graded = wrapper_len is None
     batches: dict = {}
     for k, t in enumerate(targets):
-        if not t.is_zero():
-            batches.setdefault(t.degree() if graded else None, []).append(k)
+        batches.setdefault(t.degree() if graded else None, []).append(k)
     want = {}
     for degree, batch in batches.items():
         want.update(ideal._certificates(targets, batch, relations, degree,
@@ -794,6 +815,30 @@ def test_point_pass_feeds_a_fixed_number_of_rows(claim, point_rows,
         monkeypatch.setattr(cls, "add_wrapped", counting)
     assert verify(claim, b=None).verdict == "PASS"
     assert fed == {ideal._PointSpan: point_rows, ideal._Span: exact_rows}
+
+
+@pytest.mark.parametrize("claim,exact_rows",
+                         [("theorem1", 80), ("corollary1", 99)])
+def test_point_pass_feeds_the_exact_span_its_support_rows(claim, exact_rows,
+                                                          monkeypatch):
+    """_PointSpan.support returns rows of the pass in strictly ascending
+    tag order, and _point_certificates feeds exactly those rows, in that
+    order, to the exact _Span."""
+    supported, fed = [], []
+    support = ideal._PointSpan.support
+
+    def spy(self, pivots):
+        rows = support(self, pivots)
+        tags = [self.tags.index(row) for row in rows]
+        assert all(s < t for s, t in zip(tags, tags[1:]))
+        supported.extend(rows)
+        return rows
+    monkeypatch.setattr(ideal._PointSpan, "support", spy)
+    add_wrapped = ideal._Span.add_wrapped
+    monkeypatch.setattr(ideal._Span, "add_wrapped", lambda self, *row:
+                        fed.append(row) or add_wrapped(self, *row))
+    assert verify(claim, b=None).verdict == "PASS"
+    assert fed == supported and len(fed) == exact_rows
 
 
 def _words(n, max_len):
@@ -1246,6 +1291,31 @@ def test_a_vanishing_target_rests_on_the_support_rows_of_its_batch(
     # the reference call of the helper, then the fallback inside _verdicts
     assert [args[1] for args in fallbacks] == \
         [[0, 1]] + [[1]] * (case == "beside_another_target")
+
+
+@pytest.mark.parametrize("wrapper_len", [1, None], ids=["bounded", "graded"])
+@pytest.mark.parametrize("space", [RATIONALS, ("b",)], ids=["q", "qb"])
+def test_a_zero_target_beside_others_gets_an_empty_certificate(space,
+                                                               wrapper_len):
+    """A zero target batched with nonzero ones is a MEMBER with no
+    certificate entries, and the others keep the verdicts and
+    certificates they get without it, bounded (one batch) or graded (the
+    zero target alone in the degree-0 slice)."""
+    b = Coefficient.param(space, "b") if space else 7
+    x1, x2, x3 = (NcPoly.generator(X, space, i) for i in range(3))
+    rel = x1 * x2 - (x2 * x1).scale(b)
+    others = [x3 * rel + rel * x1.scale(b), x2 * x1]
+    targets = [others[0], NcPoly.zero(X, space), others[1]]
+    got = _assert_same_as_exact_loop(targets, [rel], wrapper_len, _PRIMES)
+    assert got[1].kind == MEMBER
+    assert type(got[1].certificate) is MembershipCertificate
+    assert len(got[1].certificate) == 0
+    alone = ideal._verdicts(others, [rel], wrapper_len,
+                            bounded=wrapper_len is not None)
+    assert [(v.kind, v.bound) for v in alone] == \
+        [(v.kind, v.bound) for v in (got[0], got[2])]
+    assert _entries(alone[0].certificate) == _entries(got[0].certificate)
+    assert alone[0].kind == MEMBER and alone[1].kind != MEMBER
 
 
 @pytest.mark.parametrize("cls", [ideal._PointSpan, ideal._Span],
